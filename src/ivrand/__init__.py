@@ -26,6 +26,7 @@ from .comparison import (
     SeparationDiagnostics,
     classify_case,
     compare_mechanisms,
+    fit_propensities,
     separation_diagnostics,
 )
 from .data import (
@@ -97,6 +98,7 @@ __all__ = [
     "enumerate_complete",
     "exact_test",
     "fit_logistic",
+    "fit_propensities",
     "generate",
     "generating_probabilities",
     "instrument_strength",

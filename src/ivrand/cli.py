@@ -17,7 +17,8 @@ import json
 import os
 import sys
 
-from .data import TestConfig, load_dataset, read_delimited, write_delimited
+from .data import TestConfig, read_delimited, validate_dataset, write_delimited
+from .data import load_dataset  # noqa: F401  wrapped by name in perfbench/layers.py
 from .errors import (
     CapExceededError,
     IvrandError,
@@ -28,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .mechanisms import MechanismSpec
-from .propensity import fit_logistic, predict
+from .propensity import fit_logistic, predict  # noqa: F401  wrapped by name in perfbench/layers.py
 from .report import DEFAULT_STATISTICS, build_report
 from .synth import PRESETS, ScenarioSpec, generate
 
@@ -41,6 +42,8 @@ _STATISTIC_ALIASES = {
     "bias": "iv_bias",
     "balance": "prevalence_diff",
 }
+# the binning rules numpy.histogram_bin_edges accepts by name
+_HIST_BIN_RULES = ("auto", "fd", "doane", "scott", "stone", "rice", "sturges", "sqrt")
 
 
 def _fail(kind: str, message: str, code: int, details=None) -> int:
@@ -131,76 +134,67 @@ def _statistics_from_args(args) -> tuple:
 
 
 def _load(args):
-    covariates = None
+    """Read the file once; return the dataset and the mechanism to test."""
+    records = read_delimited(args.data, delimiter=args.delimiter)
+    if not records:
+        raise ValidationError([f"{args.data}: no data rows"])
+    block_column = getattr(args, "block_column", None)
+    skip = {args.instrument, args.exposure}
     if args.covariates:
         covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
-        skip = {args.instrument, args.exposure}
-        covariates = [c for c in covariates if c not in skip]
     else:
         # default to every other column, keeping block labels out
-        block_column = getattr(args, "block_column", None)
-        records = read_delimited(args.data, delimiter=args.delimiter)
-        if not records:
-            raise ValidationError([f"{args.data}: no data rows"])
-        skip = {args.instrument, args.exposure, block_column}
-        covariates = [c for c in records[0] if c not in skip]
+        skip.add(block_column)
+        covariates = list(records[0])
     categorical = [c.strip() for c in args.categorical_covariates.split(",")
                    if c.strip()]
-    dataset = load_dataset(
-        args.data,
+    dataset = validate_dataset(
+        records,
         instrument_col=args.instrument,
         exposure_col=args.exposure,
-        covariate_cols=covariates,
+        covariate_cols=[c for c in covariates if c not in skip],
         categorical_cols=categorical,
-        delimiter=args.delimiter,
     )
-    return dataset
-
-
-def _mechanism_from_args(args, dataset):
-    if args.command != "test" or args.mechanism == "complete":
-        return MechanismSpec(kind="complete")
-    if args.mechanism == "block":
-        if not args.block_column:
+    mechanism = getattr(args, "mechanism", None)
+    if mechanism == "complete":
+        mechanism = MechanismSpec(kind="complete")
+    elif mechanism == "block":
+        if not block_column:
             raise ValidationError(["--mechanism block needs --block-column"])
-        records = read_delimited(args.data, delimiter=args.delimiter)
-        if args.block_column not in records[0]:
-            raise ValidationError([f"missing column: {args.block_column}"])
-        labels = tuple(r[args.block_column] for r in records)
-        return MechanismSpec.block(labels)
-    # bernoulli: propensities fitted for the instrument
-    model = fit_logistic(dataset.covariates, dataset.instrument, ridge=args.ridge,
-                         covariate_names=dataset.covariate_names)
-    if not model.converged:
-        raise PropensityError(
-            "propensity fit for the bernoulli mechanism did not converge; "
-            "try --ridge"
-        )
-    return MechanismSpec.bernoulli(predict(model, dataset.covariates))
+        if block_column not in records[0]:
+            raise ValidationError([f"missing column: {block_column}"])
+        mechanism = MechanismSpec.block(r[block_column] for r in records)
+    return dataset, mechanism
 
 
 def _parse_bins(raw):
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
+    if raw in _HIST_BIN_RULES:
         return raw
+    if raw.isdecimal() and int(raw) >= 1:
+        return int(raw)
+    raise ValidationError([
+        f"--hist-bins must be a positive integer or one of "
+        f"{', '.join(_HIST_BIN_RULES)}; got {raw!r}"
+    ])
+
+
+def _config(args, **fields) -> TestConfig:
+    try:
+        return TestConfig(alpha=args.alpha, seed=args.seed,
+                          bias_denominator=args.bias_denominator,
+                          threads=max(1, args.threads), **fields)
+    except ValueError as exc:
+        raise ValidationError([str(exc)]) from exc
 
 
 def _cmd_test(args) -> int:
-    dataset = _load(args)
+    config = _config(args, n_draws=args.draws)
+    bins = _parse_bins(args.hist_bins)
     statistics = _statistics_from_args(args)
-    mechanism = _mechanism_from_args(args, dataset)
-    config = TestConfig(
-        n_draws=args.draws,
-        alpha=args.alpha,
-        seed=args.seed,
-        bias_denominator=args.bias_denominator,
-        threads=max(1, args.threads),
-    )
+    dataset, mechanism = _load(args)
     report = build_report(
         dataset, config, statistics=statistics, mechanism=mechanism,
-        ridge=args.ridge, hist_bins=_parse_bins(args.hist_bins),
-        source=args.data,
+        ridge=args.ridge, hist_bins=bins, source=args.data,
     )
     report.write(args.out)
     if args.plots_dir:
@@ -209,20 +203,13 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    dataset = _load(args)
+    config = _config(args, n_draws=1, enumeration_cap=args.cap)
+    bins = _parse_bins(args.hist_bins)
     statistics = _statistics_from_args(args)
-    config = TestConfig(
-        n_draws=1,
-        alpha=args.alpha,
-        seed=args.seed,
-        bias_denominator=args.bias_denominator,
-        enumeration_cap=args.cap,
-        threads=max(1, args.threads),
-    )
+    dataset, _ = _load(args)
     report = build_report(
         dataset, config, statistics=statistics, mechanism="complete",
-        ridge=args.ridge, hist_bins=_parse_bins(args.hist_bins),
-        exact=True, source=args.data,
+        ridge=args.ridge, hist_bins=bins, exact=True, source=args.data,
     )
     report.write(args.out)
     if args.plots_dir:

@@ -141,23 +141,30 @@ def separation_diagnostics(dist_a, dist_b) -> SeparationDiagnostics:
     )
 
 
-def _fit_with_fallback(x, labels, names, ridge: float):
-    """Unpenalized fit first; fall back to a small ridge on separation."""
-    model = fit_logistic(x, labels, ridge=ridge, covariate_names=names)
-    if model.converged:
-        return model, False
-    if ridge > 0.0:
-        raise PropensityError(
-            "propensity fit did not converge even with ridge "
-            f"{ridge}; inspect the covariates"
-        )
-    fallback = fit_logistic(x, labels, ridge=RIDGE_FALLBACK, covariate_names=names)
-    if not fallback.converged:
-        raise PropensityError(
-            "propensity fit did not converge (separation suspected); the "
-            f"ridge {RIDGE_FALLBACK} fallback did not converge either"
-        )
-    return fallback, True
+def fit_propensities(dataset: Dataset, ridge: float = 0.0) -> tuple[PropensityModel, ...]:
+    """Instrument and exposure models; on separation, fall back to a small ridge.
+
+    A model with ``model.ridge != ridge`` is the ``RIDGE_FALLBACK`` refit of
+    an unpenalized fit that did not converge.
+    """
+    x, names = dataset.covariates, dataset.covariate_names
+    models = []
+    for labels in (dataset.instrument, dataset.exposure):
+        model = fit_logistic(x, labels, ridge=ridge, covariate_names=names)
+        if not model.converged and ridge > 0.0:
+            raise PropensityError(
+                "propensity fit did not converge even with ridge "
+                f"{ridge}; inspect the covariates"
+            )
+        if not model.converged:
+            model = fit_logistic(x, labels, ridge=RIDGE_FALLBACK, covariate_names=names)
+        if not model.converged:
+            raise PropensityError(
+                "propensity fit did not converge (separation suspected); the "
+                f"ridge {RIDGE_FALLBACK} fallback did not converge either"
+            )
+        models.append(model)
+    return tuple(models)
 
 
 def compare_mechanisms(
@@ -165,6 +172,7 @@ def compare_mechanisms(
     config: TestConfig | None = None,
     ridge: float = 0.0,
     cr_result: TestResult | None = None,
+    models: tuple[PropensityModel, PropensityModel] | None = None,
 ) -> ComparisonResult:
     """Run the full instrument-vs-exposure comparison.
 
@@ -173,7 +181,8 @@ def compare_mechanisms(
     global balance values are located in that one distribution; it is
     identical to an independent ``run_test`` with the same config.  The
     two Bernoulli-trial distributions resample assignments from the
-    fitted propensities without refitting per draw.
+    fitted propensities without refitting per draw; ``models`` defaults to
+    ``fit_propensities(dataset, ridge)``.
     """
     config = config or TestConfig()
     if cr_result is None:
@@ -187,12 +196,9 @@ def compare_mechanisms(
                                  config.seed, config.n_draws):
         raise ValueError("cr_result does not match this comparison's config")
 
-    x = dataset.covariates
-    names = dataset.covariate_names
-    exp_model, used_fallback_d = _fit_with_fallback(x, dataset.exposure, names, ridge)
-    iv_model, used_fallback_z = _fit_with_fallback(x, dataset.instrument, names, ridge)
-    e_exp = predict(exp_model, x)
-    e_iv = predict(iv_model, x)
+    iv_model, exp_model = models or fit_propensities(dataset, ridge)
+    e_exp = predict(exp_model, dataset.covariates)
+    e_iv = predict(iv_model, dataset.covariates)
 
     evaluator = _Evaluator(dataset, ("sqrt_mahalanobis",), config.bias_denominator, None)
     iv_spec = MechanismSpec.bernoulli(e_iv, max_redraws=config.max_redraws)
@@ -238,5 +244,5 @@ def compare_mechanisms(
         exposure_model=exp_model,
         iv_bt_redraws=iv_redraws,
         exp_bt_redraws=exp_redraws,
-        ridge_fallback_used=used_fallback_d or used_fallback_z,
+        ridge_fallback_used=iv_model.ridge != ridge or exp_model.ridge != ridge,
     )

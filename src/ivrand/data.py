@@ -171,6 +171,10 @@ class TestConfig:
             raise ValueError("bias_denominator must be fixed_observed or per_draw")
         if self.threads < 1 or self.chunk_draws < 1:
             raise ValueError("threads and chunk_draws must be >= 1")
+        if self.max_redraws < 0:
+            raise ValueError("max_redraws must be >= 0")
+        if self.enumeration_cap < 1:
+            raise ValueError("enumeration_cap must be >= 1")
 
 
 def _coerce_binary(value, column: str, row: int, issues: list) -> int:

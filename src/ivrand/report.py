@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .comparison import ComparisonResult, compare_mechanisms
+from .comparison import ComparisonResult, compare_mechanisms, fit_propensities
 from .data import Dataset, TestConfig
 from .errors import PropensityError
 from .mechanisms import MechanismSpec
-from .propensity import PropensityModel, fit_logistic, predict
+from .propensity import PropensityModel, predict
+from .propensity import fit_logistic  # noqa: F401  wrapped by name in perfbench/layers.py
 from .randtest import (
     TestResult,
     exact_test,
@@ -126,14 +127,12 @@ def _model_dict(model: PropensityModel, names) -> dict:
     }
 
 
-def _propensity_section(dataset: Dataset, ridge: float, bins) -> tuple[dict, list[dict]]:
-    """Fit both models; return the report block and histogram rows."""
+def _propensity_section(dataset: Dataset, models, bins) -> tuple[dict, list[dict]]:
+    """Report block and histogram rows for the instrument and exposure models."""
     section = {}
     hist_rows = []
-    for label, vector in (("instrument", dataset.instrument),
-                          ("exposure", dataset.exposure)):
-        model = fit_logistic(dataset.covariates, vector, ridge=ridge,
-                             covariate_names=dataset.covariate_names)
+    for label, vector, model in (("instrument", dataset.instrument, models[0]),
+                                 ("exposure", dataset.exposure, models[1])):
         clamp: list = []
         scores = predict(model, dataset.covariates, clamp_counter=clamp)
         edges = np.histogram_bin_edges(scores, bins=bins)
@@ -241,8 +240,24 @@ def build_report(
     exact: bool = False,
     source: str = "",
 ) -> RunReport:
-    """Run the full pipeline and assemble the report document."""
+    """Run the full pipeline and assemble the report document.
+
+    The propensity section, the comparison and a ``"bernoulli"`` mechanism
+    all use the one pair of models from ``fit_propensities``.
+    """
     statistics = tuple(statistics)
+    try:
+        models = fit_propensities(dataset, ridge)
+        prop_section, prop_rows = _propensity_section(dataset, models, hist_bins)
+    except PropensityError as err:
+        # degenerate designs (e.g. a constant covariate) must not block
+        # exact tests, which never need the fitted propensities
+        if not exact:
+            raise
+        models, prop_section, prop_rows = None, {"error": str(err)}, []
+    if not exact and (mechanism or config.mechanism) == "bernoulli":
+        mechanism = MechanismSpec.bernoulli(predict(models[0], dataset.covariates),
+                                            max_redraws=config.max_redraws)
     covariate_means = {
         name: _num(dataset.covariates[:, j].mean())
         for j, name in enumerate(dataset.covariate_names)
@@ -274,19 +289,8 @@ def build_report(
             "covariate_means": covariate_means,
         },
     }
-    tables: dict[str, list[dict]] = {}
-
-    if exact:
-        # degenerate designs (e.g. a constant covariate) must not block
-        # exact tests, which never need the fitted propensities
-        try:
-            prop_section, prop_rows = _propensity_section(dataset, ridge, hist_bins)
-        except PropensityError as err:
-            prop_section, prop_rows = {"error": str(err)}, []
-    else:
-        prop_section, prop_rows = _propensity_section(dataset, ridge, hist_bins)
     document["propensity"] = prop_section
-    tables["propensity_hist"] = prop_rows
+    tables: dict[str, list[dict]] = {"propensity_hist": prop_rows}
 
     vector_stats = [s for s in statistics if s in ("prevalence_diff", "scmd", "iv_bias")]
     global_stats = [s for s in statistics if s in ("mahalanobis", "sqrt_mahalanobis")]
@@ -365,7 +369,7 @@ def build_report(
         if mech_kind == "complete" and "sqrt_mahalanobis" in z_results:
             cr_for_comparison = z_results["sqrt_mahalanobis"]
         comp = compare_mechanisms(dataset, config, ridge=ridge,
-                                  cr_result=cr_for_comparison)
+                                  cr_result=cr_for_comparison, models=models)
         document["comparison"] = _comparison_dict(comp, hist_bins)
         document["case"] = {
             "label": comp.case.label,

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from ivrand import TestConfig, exact_test, load_dataset, run_test
+from ivrand import TestConfig, cli, data, exact_test, load_dataset, read_delimited, run_test
 from ivrand.cli import main
+from ivrand.comparison import RIDGE_FALLBACK
 
 
 def _write_csv(path, header, rows):
@@ -34,6 +35,20 @@ def tiny_file(tmp_path):
         (1, 1, 2.0, 0), (0, 1, 1.5, 1), (1, 0, 4.0, 0), (0, 0, 0.0, 1),
     ]
     _write_csv(path, ["z", "d", "age", "flag"], rows)
+    return path
+
+
+@pytest.fixture()
+def blocked_file(tmp_path):
+    rng = np.random.default_rng(0)
+    n = 120
+    block = np.repeat(["u", "v", "w"], n // 3)
+    z = np.concatenate([rng.permutation([1] * 15 + [0] * 25) for _ in range(3)])
+    d = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
+    d[:2] = [0, 1]
+    x = rng.standard_normal(n).round(6)
+    path = tmp_path / "blocked.csv"
+    _write_csv(path, ["z", "d", "site", "age"], list(zip(z, d, block, x)))
     return path
 
 
@@ -136,18 +151,8 @@ class TestCmdTest:
             prop_rows = list(csv.DictReader(fh))
         assert {r["model"] for r in prop_rows} == {"instrument", "exposure"}
 
-    def test_block_mechanism(self, tmp_path):
-        rng = np.random.default_rng(0)
-        n = 120
-        block = np.repeat(["u", "v", "w"], n // 3)
-        z = np.concatenate([rng.permutation([1] * 15 + [0] * 25) for _ in range(3)])
-        d = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
-        d[:2] = [0, 1]
-        x = rng.standard_normal(n).round(6)
-        path = tmp_path / "blocked.csv"
-        _write_csv(path, ["z", "d", "site", "age"],
-                   list(zip(z, d, block, x)))
-        code = main(["test", str(path), "--instrument", "z", "--exposure", "d",
+    def test_block_mechanism(self, blocked_file, tmp_path):
+        code = main(["test", str(blocked_file), "--instrument", "z", "--exposure", "d",
                      "--mechanism", "block", "--block-column", "site",
                      "--draws", "150", "--seed", "5",
                      "--out", str(tmp_path / "rb.json")])
@@ -168,6 +173,55 @@ class TestCmdTest:
         report = json.loads((tmp_path / "rbern.json").read_text())
         mech = report["global"]["instrument"]["sqrt_mahalanobis"]["mechanism"]
         assert mech["kind"] == "bernoulli"
+
+    def test_bernoulli_separated_instrument_uses_fallback(self, tmp_path):
+        rng = np.random.default_rng(2)
+        n = 200
+        x = rng.standard_normal((n, 2)).round(6)
+        z = (x[:, 0] > 0).astype(int)
+        d = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
+        path = tmp_path / "separated.csv"
+        _write_csv(path, ["z", "d", "sep", "other"], list(zip(z, d, *x.T)))
+        out = tmp_path / "rsep.json"
+        code = main(["test", str(path), "--instrument", "z", "--exposure", "d",
+                     "--mechanism", "bernoulli", "--draws", "100", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["propensity"]["instrument"]["model"]["ridge"] == RIDGE_FALLBACK
+        assert report["comparison"]["ridge_fallback_used"] is True
+
+    def test_csv_read_once(self, blocked_file, tmp_path, monkeypatch):
+        reads = []
+
+        def counted(*args, **kwargs):
+            reads.append(args[0])
+            return read_delimited(*args, **kwargs)
+
+        for module in (cli, data):
+            monkeypatch.setattr(module, "read_delimited", counted)
+        code = main(["test", str(blocked_file), "--instrument", "z", "--exposure", "d",
+                     "--mechanism", "block", "--block-column", "site",
+                     "--draws", "50", "--out", str(tmp_path / "r.json")])
+        assert code == 0
+        assert reads == [str(blocked_file)]
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("test", ["--draws", "0"], "n_draws"),
+        ("test", ["--alpha", "1.5"], "alpha"),
+        ("test", ["--hist-bins", "nope"], "--hist-bins"),
+        ("test", ["--hist-bins", "0"], "--hist-bins"),
+        ("exact", ["--cap", "0"], "enumeration_cap"),
+    ])
+    def test_out_of_range_flag_exit_2(self, synth_file, tmp_path, capsys,
+                                      command, flags, named):
+        code = main([command, str(synth_file), "--instrument", "instrument",
+                     "--exposure", "exposure", "--out", str(tmp_path / "r.json"),
+                     *flags])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert named in err["message"]
 
 
 class TestCmdExact:

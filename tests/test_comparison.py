@@ -1,5 +1,7 @@
 """Case classification, separation diagnostics, and the full comparison."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,15 @@ from ivrand import (
     TestConfig,
     classify_case,
     compare_mechanisms,
+    fit_logistic,
+    fit_propensities,
     generate,
     run_test,
     separation_diagnostics,
 )
+from ivrand import comparison, report
+from ivrand.comparison import RIDGE_FALLBACK
+from ivrand.report import build_report
 
 RECOMMENDATIONS = {
     "case1": "Use IV analysis",
@@ -200,3 +207,68 @@ class TestCompareMechanisms:
         assert len(comp.exp_bt_draws) == cfg.n_draws
         lo, hi = comp.band("iv_bt")
         assert lo <= hi
+
+
+def _exposure_separated(seed=3, n=300):
+    """The first covariate perfectly separates the exposure."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    z = (rng.random(n) < 1 / (1 + np.exp(-0.5 * x[:, 1]))).astype(np.int8)
+    d = (x[:, 0] > 0).astype(np.int8)
+    return Dataset(covariates=x, covariate_names=("sep", "b", "c"),
+                   instrument=z, exposure=d)
+
+
+def _same(a, b) -> bool:
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+class TestSharedPropensityFit:
+    def test_fallback_only_for_the_separated_model(self):
+        ds = _exposure_separated()
+        plain = fit_logistic(ds.covariates, ds.exposure,
+                             covariate_names=ds.covariate_names)
+        assert not plain.converged and plain.separation_flag
+        iv_model, exp_model = fit_propensities(ds)
+        assert iv_model.converged and iv_model.ridge == 0.0
+        assert exp_model.converged and exp_model.ridge == RIDGE_FALLBACK
+
+    def test_given_models_give_identical_result(self):
+        ds = _exposure_separated()
+        cfg = TestConfig(n_draws=300, seed=4)
+        fitted = compare_mechanisms(ds, cfg)
+        given = compare_mechanisms(ds, cfg, models=fit_propensities(ds))
+        assert given.ridge_fallback_used
+        assert _same(fitted, given)
+
+    def test_report_shows_the_models_the_comparison_used(self):
+        ds = _exposure_separated()
+        doc = build_report(ds, TestConfig(n_draws=200, seed=6)).document
+        assert doc["comparison"]["ridge_fallback_used"] is True
+        iv_model, exp_model = fit_propensities(ds)
+        for label, model in (("instrument", iv_model), ("exposure", exp_model)):
+            shown = doc["propensity"][label]["model"]
+            assert shown["converged"] is True
+            assert shown["ridge"] == model.ridge
+            assert list(shown["coefficients"].values()) == model.coefficients.tolist()
+
+    def test_build_report_fits_each_model_once(self, monkeypatch):
+        ridges = []
+
+        def counted(*args, **kwargs):
+            ridges.append(kwargs.get("ridge"))
+            return fit_logistic(*args, **kwargs)
+
+        for module in (comparison, report):
+            monkeypatch.setattr(module, "fit_logistic", counted)
+        ds = _synthetic(5, instrument_model="randomized",
+                        confounding_strength=1.0, instrument_effect=1.0)
+        build_report(ds, TestConfig(n_draws=100, seed=2))
+        assert ridges == [0.0, 0.0]

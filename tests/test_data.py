@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivrand import Dataset, ValidationError, validate_dataset, write_delimited, load_dataset
+from ivrand import (
+    Dataset,
+    TestConfig,
+    ValidationError,
+    load_dataset,
+    validate_dataset,
+    write_delimited,
+)
 from ivrand.data import expand_categorical
 
 
@@ -111,6 +118,26 @@ class TestDatasetInvariants:
                 instrument=np.array([1, 0, 1]),
                 exposure=np.array([0, 1, 1, 0]),
             )
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize("field, value", [
+        ("n_draws", 0),
+        ("alpha", 0.0),
+        ("alpha", 1.0),
+        ("bias_denominator", "median"),
+        ("threads", 0),
+        ("chunk_draws", 0),
+        ("max_redraws", -1),
+        ("enumeration_cap", 0),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TestConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = TestConfig(n_draws=1, max_redraws=0, enumeration_cap=1)
+        assert (cfg.max_redraws, cfg.enumeration_cap) == (0, 1)
 
 
 class TestRoundTrip:
