@@ -28,7 +28,7 @@ import numpy as np
 from .balance import PINV_RCOND
 from .data import Dataset, TestConfig
 from .errors import MechanismError, StatisticError
-from .mechanisms import DrawTally, MechanismSpec, draw_batch, enumerate_matrix, n_assignments
+from .mechanisms import DrawTally, MechanismSpec, draw_batch, enumerate_matrix
 from .rng import DOMAIN_TEST_EXPOSURE, DOMAIN_TEST_INSTRUMENT, DrawStream
 
 VECTOR_STATISTICS = ("prevalence_diff", "scmd", "iv_bias")
@@ -228,17 +228,13 @@ def _resolve_mechanism(mechanism, dataset: Dataset, target: str,
     return spec
 
 
-def _evaluate_mechanism_draws(
-    spec: MechanismSpec,
-    dataset: Dataset,
-    evaluator: _Evaluator,
-    config: TestConfig,
-    domain: int,
-) -> tuple[dict, int]:
-    """Evaluate all requested statistics over config.n_draws draws."""
-    m = config.n_draws
-    n = dataset.n_units
-    stream = DrawStream(seed=config.seed, domain=domain)
+def _evaluate_rows(rows, m: int, evaluator: _Evaluator, config: TestConfig
+                   ) -> tuple[dict, int]:
+    """Evaluate all requested statistics over rows [0, m) in chunks.
+
+    ``rows(lo, hi, tally)`` returns the (hi - lo, N) assignments of one
+    chunk and adds its rejected draws to ``tally``.
+    """
     shapes = {
         name: (m,) if name in GLOBAL_STATISTICS else (m, evaluator.k)
         for name in evaluator.statistics
@@ -250,8 +246,7 @@ def _evaluate_mechanism_draws(
     def work(chunk):
         lo, hi = chunk
         tally = DrawTally()
-        draws = draw_batch(spec, n, stream, np.arange(lo, hi, dtype=np.uint64), tally)
-        stats = evaluator(draws)
+        stats = evaluator(rows(lo, hi, tally))
         for name, values in stats.items():
             out[name][lo:hi] = values
         return tally.redraws
@@ -262,6 +257,23 @@ def _evaluate_mechanism_draws(
     else:
         redraws = sum(work(c) for c in chunks)
     return out, redraws
+
+
+def _evaluate_mechanism_draws(
+    spec: MechanismSpec,
+    dataset: Dataset,
+    evaluator: _Evaluator,
+    config: TestConfig,
+    domain: int,
+) -> tuple[dict, int]:
+    """Evaluate all requested statistics over config.n_draws draws."""
+    stream = DrawStream(seed=config.seed, domain=domain)
+
+    def rows(lo, hi, tally):
+        indices = np.arange(lo, hi, dtype=np.uint64)
+        return draw_batch(spec, dataset.n_units, stream, indices, tally)
+
+    return _evaluate_rows(rows, config.n_draws, evaluator, config)
 
 
 def _observed_stats(dataset: Dataset, target: str, evaluator: _Evaluator) -> dict:
@@ -357,12 +369,15 @@ def run_many(
     statistics,
     config: TestConfig,
     mechanism: MechanismSpec | str | None = None,
+    exact: bool = False,
 ) -> dict[str, TestResult]:
     """Run several statistics against one shared draw set.
 
-    All statistics see exactly the same M assignments, so per-covariate
+    All statistics see exactly the same assignments, so per-covariate
     bands, bias bands, and the global test of one target are mutually
-    consistent.
+    consistent.  With ``exact`` the draw set is every assignment of a
+    complete ``mechanism`` (C(N, N_T) rows, at most
+    ``config.enumeration_cap``) instead of ``config.n_draws`` samples.
     """
     if target not in _TARGET_DOMAINS:
         raise ValueError(f"target must be 'instrument' or 'exposure', got {target!r}")
@@ -375,12 +390,27 @@ def run_many(
         fixed_strength = _fixed_strength_for(dataset, target, "iv_bias", config)
     evaluator = _Evaluator(dataset, tuple(statistics), config.bias_denominator,
                            fixed_strength)
-    observed = _observed_stats(dataset, target, evaluator)
-    domain = _TARGET_DOMAINS[target]
-    draws, redraws = _evaluate_mechanism_draws(spec, dataset, evaluator, config, domain)
+    if exact:
+        if spec.kind != "complete":
+            raise MechanismError("exact tests enumerate complete randomization only")
+        matrix = enumerate_matrix(dataset.n_units, spec.n_treated,
+                                  cap=config.enumeration_cap)
+        draws, redraws = _evaluate_rows(lambda lo, hi, tally: matrix[lo:hi],
+                                        len(matrix), evaluator, config)
+        vec = dataset.target_vector(target).astype(np.int8)
+        match = np.flatnonzero((matrix == vec[None, :]).all(axis=1))
+    else:
+        draws, redraws = _evaluate_mechanism_draws(spec, dataset, evaluator, config,
+                                                   _TARGET_DOMAINS[target])
+        match = []
+    if len(match):
+        observed = {name: values[match[0]] for name, values in draws.items()}
+    else:
+        # Monte Carlo, or an exact n_treated that differs from the observed count
+        observed = _observed_stats(dataset, target, evaluator)
     return {
         name: _summarize(target, name, dataset, observed[name], draws[name],
-                         config, spec, n_redraws=redraws)
+                         config, spec, exact=exact, n_redraws=redraws)
         for name in statistics
     }
 
@@ -410,38 +440,13 @@ def exact_test(
     The p-value is the fraction of all C(N, N_T) assignments whose
     |statistic| is at least the observed one; the observed assignment is
     itself one of the enumerated assignments, so p >= 1 / C(N, N_T).
+    ``n_treated`` defaults to the target's observed treated count.
     """
     config = config or TestConfig()
     statistic = statistic or config.statistic
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    vec = dataset.target_vector(target)
-    if n_treated is None:
-        n_treated = int(vec.sum())
-    spec = MechanismSpec.complete(n_treated)
-    spec.validate(dataset.n_units)
-    total = n_assignments(dataset.n_units, n_treated)
-    matrix = enumerate_matrix(dataset.n_units, n_treated, cap=config.enumeration_cap)
-    evaluator = _Evaluator(dataset, (statistic,), config.bias_denominator,
-                           _fixed_strength_for(dataset, target, statistic, config))
-
-    chunks = []
-    observed_row = None
-    vec8 = vec.astype(np.int8)
-    for lo in range(0, total, config.chunk_draws):
-        block = matrix[lo:lo + config.chunk_draws]
-        chunks.append(evaluator(block)[statistic])
-        match = np.flatnonzero((block == vec8[None, :]).all(axis=1))
-        if match.size:
-            observed_row = lo + int(match[0])
-    draws = np.concatenate(chunks, axis=0)
-    if observed_row is None:
-        # observed count differs from the enumerated n_treated override
-        observed = _observed_stats(dataset, target, evaluator)[statistic]
-    else:
-        observed = draws[observed_row]
-    return _summarize(target, statistic, dataset, observed, draws, config, spec,
-                      exact=True)
+    spec = MechanismSpec(kind="complete") if n_treated is None else (
+        MechanismSpec.complete(n_treated))
+    return run_many(dataset, target, (statistic,), config, spec, exact=True)[statistic]
 
 
 def _fixed_strength_for(dataset, target, statistic, config):

@@ -26,11 +26,13 @@ from .mechanisms import MechanismSpec
 from .propensity import PropensityModel, predict
 from .propensity import fit_logistic  # noqa: F401  wrapped by name in perfbench/layers.py
 from .randtest import (
+    GLOBAL_STATISTICS,
+    VECTOR_STATISTICS,
     TestResult,
-    exact_test,
     per_covariate_quantiles,
     run_many,
 )
+from .randtest import exact_test  # noqa: F401  wrapped by name in perfbench/layers.py
 
 SCHEMA_VERSION = "1"
 SCMD_REFERENCE_THRESHOLD = 0.1   # rule-of-thumb annotation, never a pass/fail rule
@@ -292,62 +294,42 @@ def build_report(
     document["propensity"] = prop_section
     tables: dict[str, list[dict]] = {"propensity_hist": prop_rows}
 
-    vector_stats = [s for s in statistics if s in ("prevalence_diff", "scmd", "iv_bias")]
-    global_stats = [s for s in statistics if s in ("mahalanobis", "sqrt_mahalanobis")]
+    vector_stats = [s for s in statistics if s in VECTOR_STATISTICS]
+    global_stats = [s for s in statistics if s in GLOBAL_STATISTICS]
 
+    z_results = run_many(dataset, "instrument", statistics, config, mechanism, exact=exact)
+    d_results = (
+        run_many(dataset, "exposure", tuple(global_stats), config, mechanism, exact=exact)
+        if global_stats else {}
+    )
     per_covariate: dict = {}
-    scmd_rows: list[dict] = []
-    if exact:
-        z_results = {
-            s: exact_test(dataset, "instrument", statistic=s, config=config)
-            for s in statistics
-        }
-        d_results = {
-            s: exact_test(dataset, "exposure", statistic=s, config=config)
-            for s in global_stats
-        }
-        for s in vector_stats:
-            per_covariate[s] = [
-                {
-                    "covariate": name,
-                    "observed_instrument": _num(z_results[s].observed[j]),
-                    "q025": _num(z_results[s].q025[j]),
-                    "q975": _num(z_results[s].q975[j]),
-                    "p_instrument": _num(z_results[s].p_value[j]),
-                    "n_undefined": int(z_results[s].n_undefined[j]),
-                }
-                for j, name in enumerate(dataset.covariate_names)
-            ]
-    else:
-        z_results = run_many(dataset, "instrument", statistics, config, mechanism)
-        d_results = (
-            run_many(dataset, "exposure", tuple(global_stats), config, mechanism)
-            if global_stats else {}
-        )
-        for s in vector_stats:
-            per_covariate[s] = per_covariate_quantiles(
-                dataset, "instrument", mechanism, config, statistic=s,
-                result=z_results[s],
-            )
+    for s in vector_stats:
+        rows = per_covariate_quantiles(dataset, "instrument", mechanism, config,
+                                       statistic=s, result=z_results[s])
+        if exact:
+            # the exposure's +1 Monte Carlo p-value has no exact counterpart
+            # here: it would fall below 1 / C(N, N_T)
+            rows = [{k: v for k, v in row.items()
+                     if k not in ("observed_exposure", "p_exposure")} for row in rows]
+        per_covariate[s] = rows
 
-    if "scmd" in per_covariate and not exact:
-        for row in per_covariate["scmd"]:
-            scmd_rows.append({
-                "covariate": row["covariate"],
-                "scmd_instrument": row["observed_instrument"],
-                "scmd_exposure": row["observed_exposure"],
-                "reference_threshold": SCMD_REFERENCE_THRESHOLD,
-            })
+    scmd_rows = [] if exact else [
+        {
+            "covariate": row["covariate"],
+            "scmd_instrument": row["observed_instrument"],
+            "scmd_exposure": row["observed_exposure"],
+            "reference_threshold": SCMD_REFERENCE_THRESHOLD,
+        }
+        for row in per_covariate.get("scmd", [])
+    ]
     document["scmd_table"] = {
         "reference_threshold": SCMD_REFERENCE_THRESHOLD,
         "rows": scmd_rows,
     }
     tables["scmd_dotplot"] = scmd_rows
-    document["per_covariate"] = {
-        s: per_covariate[s] for s in vector_stats
-    }
-    for s in vector_stats:
-        tables[f"per_covariate_{s}"] = per_covariate[s]
+    document["per_covariate"] = per_covariate
+    for s, rows in per_covariate.items():
+        tables[f"per_covariate_{s}"] = rows
 
     document["global"] = {
         "instrument": {

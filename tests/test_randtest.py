@@ -20,8 +20,10 @@ from ivrand import (
     run_test,
     scmd,
 )
-from ivrand.mechanisms import draw_batch
-from ivrand.randtest import _Evaluator
+from ivrand import randtest
+from ivrand.mechanisms import draw_batch, enumerate_matrix
+from ivrand.randtest import STATISTICS, _Evaluator
+from ivrand.report import build_report
 from ivrand.rng import DrawStream
 
 
@@ -258,6 +260,42 @@ class TestExactTest:
                      exposure=np.roll(z, 3))
         res = exact_test(ds, "instrument", statistic="prevalence_diff")
         assert res.p_value[0] >= 1 / 15
+
+    def test_n_treated_override_uses_observed_vector(self):
+        # no enumerated row equals z when N_T differs from its count
+        x = np.array([10.0, 10.0, 0.0, 0.0, 0.0])[:, None]
+        z = np.array([1, 1, 0, 0, 0], dtype=np.int8)
+        ds = Dataset(covariates=x, covariate_names=("c",), instrument=z,
+                     exposure=np.array([1, 0, 1, 0, 0], dtype=np.int8))
+        res = exact_test(ds, "instrument", n_treated=3, statistic="prevalence_diff")
+        assert res.n_draws == 10
+        assert res.mechanism == {"kind": "complete", "n_treated": 3}
+        assert res.observed[0] == pytest.approx(10.0)
+        # of the ten 3-subsets only (0, 0, 0) reaches |difference| = 10
+        assert res.p_value[0] == pytest.approx(0.1)
+
+    def test_shared_enumeration_matches_single_statistic_runs(self):
+        ds = _dataset(n=12, k=3, seed=17)
+        single = {s: exact_test(ds, "instrument", statistic=s) for s in STATISTICS}
+        cfg = TestConfig(n_draws=1, chunk_draws=100, threads=2)
+        shared = run_many(ds, "instrument", STATISTICS, cfg, exact=True)
+        for s in STATISTICS:
+            assert shared[s].exact and shared[s].n_draws == 924
+            assert np.array_equal(shared[s].draws, single[s].draws, equal_nan=True)
+            assert np.array_equal(shared[s].p_value, single[s].p_value)
+            assert np.array_equal(shared[s].observed, single[s].observed)
+
+    def test_exact_report_enumerates_once_per_target(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(randtest, "enumerate_matrix", counted)
+        ds = _dataset(n=12, k=3, seed=17)
+        build_report(ds, TestConfig(n_draws=1), exact=True)
+        assert calls == [(12, 6), (12, ds.n_treated_exposure)]
 
     def test_cap(self):
         ds = _dataset(n=40, k=1, seed=11)
