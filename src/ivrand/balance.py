@@ -8,13 +8,14 @@ assignment).  The global statistic is the Mahalanobis distance of the
 mean-difference vector under an estimate of its covariance.
 
 Undefined values (zero standardizer with a nonzero numerator, zero bias
-denominator) are returned as NaN so callers can count and exclude them
-explicitly rather than crash mid-run.
+denominator, Mahalanobis distance with a perfectly separated covariate)
+are returned as NaN so callers can count and exclude them explicitly
+rather than crash mid-run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,10 +138,7 @@ def mahalanobis_from_components(mean_diff, covariance) -> GlobalBalance:
     d = np.asarray(mean_diff, dtype=np.float64).ravel()
     s = np.atleast_2d(np.asarray(covariance, dtype=np.float64))
     u, sv, vt = np.linalg.svd(s, hermitian=True)
-    if sv.size == 0 or sv[0] == 0.0:
-        kept = np.zeros_like(sv, dtype=bool)
-    else:
-        kept = sv > PINV_RCOND * sv[0]
+    kept = _kept(sv)
     rank = int(kept.sum())
     inv_sv = np.where(kept, 1.0 / np.where(kept, sv, 1.0), 0.0)
     # d^T V diag(1/s) U^T d
@@ -154,8 +152,20 @@ def mahalanobis_from_components(mean_diff, covariance) -> GlobalBalance:
     )
 
 
+def _kept(sv: np.ndarray) -> np.ndarray:
+    """Singular values above the relative pseudo-inverse cutoff."""
+    if sv.size == 0 or sv[0] <= 0.0:
+        return np.zeros_like(sv, dtype=bool)
+    return sv > PINV_RCOND * sv[0]
+
+
 def mahalanobis(covariates, assignment) -> GlobalBalance:
-    """Global balance of an assignment over all covariates."""
+    """Global balance of an assignment over all covariates.
+
+    Undefined (NaN) when the pooled covariance has lower rank than the
+    total scatter of the covariates: some combination of them is constant
+    within both groups, so the assignment separates it perfectly.
+    """
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -163,7 +173,13 @@ def mahalanobis(covariates, assignment) -> GlobalBalance:
     treated, _, _ = _split(z)
     diff = x[treated].mean(axis=0) - x[~treated].mean(axis=0)
     cov = mean_difference_covariance(x, assignment)
-    return mahalanobis_from_components(diff, cov)
+    result = mahalanobis_from_components(diff, cov)
+    xc = x - x.mean(axis=0)
+    total_rank = int(_kept(np.linalg.svd(xc.T @ xc, compute_uv=False,
+                                         hermitian=True)).sum())
+    if result.covariance_rank < total_rank:
+        return replace(result, mahalanobis=float("nan"), sqrt_mahalanobis=float("nan"))
+    return result
 
 
 def balance_vector(covariates, covariate_names, assignment, kind: str,

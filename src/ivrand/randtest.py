@@ -136,7 +136,11 @@ class _Evaluator:
         self.col_sums = self.xc.sum(axis=0)
         self.xc_sq = self.xc**2
         self.sq_sums = self.xc_sq.sum(axis=0)
-        self.total_scatter = self.xc.T @ self.xc
+        # T+ = W W^T for the total scatter T of the centered covariates,
+        # with the covariance pseudo-inverse's relative cutoff
+        eigval, eigvec = np.linalg.eigh(self.xc.T @ self.xc)
+        kept = eigval > PINV_RCOND * max(eigval[-1], 0.0)
+        self.whiten = eigvec[:, kept] / np.sqrt(eigval[kept])
         self.exposure = dataset.exposure.astype(np.float64)
         self.exposure_sum = float(self.exposure.sum())
         self.statistics = tuple(statistics)
@@ -187,30 +191,29 @@ class _Evaluator:
             else:
                 out["iv_bias"] = diff / self.fixed_strength
         if "mahalanobis" in self.statistics or "sqrt_mahalanobis" in self.statistics:
-            md = self._mahalanobis(z, n1, n0, m1, m0, diff)
+            md = self._mahalanobis(n1, n0, diff)
             if "mahalanobis" in self.statistics:
                 out["mahalanobis"] = md
             if "sqrt_mahalanobis" in self.statistics:
                 out["sqrt_mahalanobis"] = np.sqrt(md)
         return out
 
-    def _mahalanobis(self, z, n1, n0, m1, m0, diff) -> np.ndarray:
-        valid = (n1 >= 2) & (n0 >= 2)
-        scatter = (
-            self.total_scatter[None, :, :]
-            - n1[:, None, None] * np.einsum("bi,bj->bij", m1, m1)
-            - n0[:, None, None] * np.einsum("bi,bj->bij", m0, m0)
-        )
+    def _mahalanobis(self, n1, n0, diff) -> np.ndarray:
+        """Closed form of d^T S+ d, S the pooled covariance of d.
+
+        The pooled within-group scatter is the rank-one downdate
+        T - c d d^T of the total scatter (c = N1 N0 / N), so by
+        Sherman-Morrison M = (N - 2) c a / (1 - c a) with a = d^T T+ d.
+        1 - c a = 0 means a covariate is constant within both groups,
+        i.e. perfectly separated, and M is undefined (NaN), as SCMD is
+        with a zero standardizer.
+        """
+        whitened = diff @ self.whiten
+        ca = n1 * n0 / self.n * np.einsum("bk,bk->b", whitened, whitened)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cov = scatter / (self.n - 2.0) * (1.0 / n1 + 1.0 / n0)[:, None, None]
-        cov = np.where(valid[:, None, None], cov, np.eye(self.k)[None, :, :])
-        u, sv, vt = np.linalg.svd(cov, hermitian=True)
-        kept = sv > PINV_RCOND * sv[:, :1]
-        inv_sv = np.where(kept, 1.0 / np.where(kept, sv, 1.0), 0.0)
-        right = np.einsum("bkj,bj->bk", vt, diff)
-        left = np.einsum("bjk,bj->bk", u, diff)
-        md = np.maximum(np.einsum("bk,bk->b", right, inv_sv * left), 0.0)
-        return np.where(valid, md, np.nan)
+            md = (self.n - 2.0) * ca / (1.0 - ca)
+        defined = (n1 >= 2) & (n0 >= 2) & (1.0 - ca > PINV_RCOND)
+        return np.where(defined, md, np.nan)
 
 
 def _resolve_mechanism(mechanism, dataset: Dataset, target: str,

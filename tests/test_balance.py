@@ -199,6 +199,20 @@ class TestMahalanobis:
             balance.mahalanobis, rel=1e-10
         )
 
+    def test_separating_covariate_is_undefined(self):
+        # the second covariate equals the assignment: constant within both
+        # groups, so the pooled covariance loses a rank the data have
+        rng = np.random.default_rng(1)
+        z = np.zeros(30, dtype=int)
+        z[rng.permutation(30)[:15]] = 1
+        x = np.column_stack([rng.standard_normal(30), z])
+        gb = mahalanobis(x, z)
+        assert np.isnan(gb.mahalanobis) and np.isnan(gb.sqrt_mahalanobis)
+        assert gb.covariance_rank == 1
+        # a perturbed copy no longer separates the groups and is defined
+        x[:, 1] += 0.01 * rng.standard_normal(30)
+        assert mahalanobis(x, z).mahalanobis > 1e3
+
     def test_pseudo_inverse_matches_projected_basis(self):
         rng = np.random.default_rng(8)
         base = rng.standard_normal((60, 3))

@@ -45,6 +45,16 @@ def _dataset(n=24, k=3, seed=0, confounded=False):
     )
 
 
+def _separated_dataset():
+    """K=2 data whose second covariate equals the instrument."""
+    rng = np.random.default_rng(1)
+    z = np.zeros(30, dtype=np.int8)
+    z[rng.permutation(30)[:15]] = 1
+    x = np.column_stack([rng.standard_normal(30), z])
+    d = (rng.random(30) < 0.3 + 0.4 * z).astype(np.int8)
+    return Dataset(covariates=x, covariate_names=("x", "sep"), instrument=z, exposure=d)
+
+
 class TestPvalue:
     def test_zero_observed_gives_one(self):
         assert pvalue(0.0, [0.5, -1.0, 2.0]) == 1.0
@@ -185,6 +195,19 @@ class TestRunTest:
         with pytest.raises(StatisticError, match="zero"):
             run_test(ds, "instrument", TestConfig(n_draws=50, seed=1),
                      statistic="iv_bias")
+
+    def test_separating_covariate_mahalanobis_undefined(self):
+        # a pseudo-inverse cutoff that drops the separated direction would
+        # report a small, unremarkable value here (0.36 with p = 0.96)
+        ds = _separated_dataset()
+        with pytest.raises(StatisticError,
+                           match="observed sqrt_mahalanobis is undefined"):
+            run_test(ds, "instrument", TestConfig(n_draws=500, seed=1),
+                     statistic="sqrt_mahalanobis")
+        evaluator = _Evaluator(ds, ("mahalanobis",), "fixed_observed", None)
+        engine = evaluator(ds.instrument[None, :].astype(np.float64))["mahalanobis"]
+        assert np.isnan(engine[0])
+        assert np.isnan(mahalanobis(ds.covariates, ds.instrument).mahalanobis)
 
 
 class TestBatchAgainstScalarOps:
