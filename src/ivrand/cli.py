@@ -30,6 +30,7 @@ from .errors import (
 )
 from .mechanisms import MechanismSpec
 from .propensity import fit_logistic, predict  # noqa: F401  wrapped by name in perfbench/layers.py
+from .randtest import STATISTICS
 from .report import DEFAULT_STATISTICS, build_report
 from .synth import PRESETS, ScenarioSpec, generate
 
@@ -44,6 +45,13 @@ _STATISTIC_ALIASES = {
 }
 # the binning rules numpy.histogram_bin_edges accepts by name
 _HIST_BIN_RULES = ("auto", "fd", "doane", "scott", "stone", "rice", "sturges", "sqrt")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValidationError, so they exit 2 as one JSON object."""
+
+    def error(self, message):
+        raise ValidationError([message])
 
 
 def _fail(kind: str, message: str, code: int, details=None) -> int:
@@ -89,7 +97,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ivrand",
         description="Randomization tests of as-if random instrument assignment",
     )
@@ -126,8 +134,7 @@ def _statistics_from_args(args) -> tuple:
     stats = []
     for raw in args.statistic:
         name = _STATISTIC_ALIASES.get(raw, raw)
-        if name not in ("prevalence_diff", "scmd", "iv_bias", "mahalanobis",
-                        "sqrt_mahalanobis"):
+        if name not in STATISTICS:
             raise ValidationError([f"unknown statistic {raw!r}"])
         stats.append(name)
     return tuple(dict.fromkeys(stats))
@@ -179,12 +186,9 @@ def _parse_bins(raw):
 
 
 def _config(args, **fields) -> TestConfig:
-    try:
-        return TestConfig(alpha=args.alpha, seed=args.seed,
-                          bias_denominator=args.bias_denominator,
-                          threads=max(1, args.threads), **fields)
-    except ValueError as exc:
-        raise ValidationError([str(exc)]) from exc
+    return TestConfig(alpha=args.alpha, seed=args.seed,
+                      bias_denominator=args.bias_denominator,
+                      threads=max(1, args.threads), **fields)
 
 
 def _cmd_test(args) -> int:
@@ -238,13 +242,15 @@ def _cmd_synth(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {"test": _cmd_test, "exact": _cmd_exact, "synth": _cmd_synth}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ValidationError as exc:
         return _fail("validation", str(exc), EXIT_INPUT, details=exc.issues)
+    except ValueError as exc:
+        # out-of-range settings, e.g. TestConfig fields or a negative ridge
+        return _fail("validation", str(exc), EXIT_INPUT)
     except CapExceededError as exc:
         return _fail("cap_exceeded",
                      f"{exc} (use the Monte Carlo 'test' command instead)",

@@ -114,7 +114,8 @@ class MechanismSpec:
     def describe(self) -> dict:
         out = {"kind": self.kind}
         if self.kind == "complete":
-            out["n_treated"] = self.n_treated
+            if self.n_treated is not None:
+                out["n_treated"] = self.n_treated
         elif self.kind == "block":
             if self.per_block_treated is None:
                 out["per_block_treated"] = "observed per-block counts"
@@ -233,15 +234,8 @@ def n_assignments(n: int, n_treated: int) -> int:
 
 def enumerate_complete(n: int, n_treated: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """All assignments with exactly n_treated ones, in combination order."""
-    total = n_assignments(n, n_treated)
-    if total > cap:
-        raise CapExceededError(
-            f"C({n}, {n_treated}) = {total} exceeds the enumeration cap {cap}"
-        )
-    for combo in itertools.combinations(range(n), n_treated):
-        values = np.zeros(n, dtype=np.int8)
-        values[list(combo)] = 1
-        yield AssignmentVector(values=values, n_treated=n_treated)
+    for values in enumerate_matrix(n, n_treated, cap=cap):
+        yield AssignmentVector(values=values.copy(), n_treated=n_treated)
 
 
 def enumerate_matrix(n: int, n_treated: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:

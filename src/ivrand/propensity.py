@@ -92,8 +92,11 @@ def fit_logistic(
     plus ``ridge`` times the squared slope norm (on the standardized
     scale).  ``converged`` is True when the objective change fell below
     ``tolerance`` within ``max_iter`` iterations.  Non-convergence is
-    reported on the model, not raised.
+    reported on the model, not raised.  A negative ``ridge`` (which would
+    reward large coefficients) raises ``ValueError``.
     """
+    if not ridge >= 0.0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]

@@ -136,8 +136,8 @@ class _Evaluator:
         self.col_sums = self.xc.sum(axis=0)
         self.xc_sq = self.xc**2
         self.sq_sums = self.xc_sq.sum(axis=0)
-        # T+ = W W^T for the total scatter T of the centered covariates,
-        # with the covariance pseudo-inverse's relative cutoff
+        # whiten @ whiten.T = T+, the pseudo-inverse of the total scatter
+        # T = xc^T xc, cut off like the covariance pseudo-inverse in balance
         eigval, eigvec = np.linalg.eigh(self.xc.T @ self.xc)
         kept = eigval > PINV_RCOND * max(eigval[-1], 0.0)
         self.whiten = eigvec[:, kept] / np.sqrt(eigval[kept])
@@ -160,9 +160,7 @@ class _Evaluator:
         s1 = z @ self.xc
         s0 = self.col_sums[None, :] - s1
         with np.errstate(divide="ignore", invalid="ignore"):
-            m1 = s1 / n1[:, None]
-            m0 = s0 / n0[:, None]
-        diff = m1 - m0
+            diff = s1 / n1[:, None] - s0 / n0[:, None]
 
         out: dict[str, np.ndarray] = {}
         if "prevalence_diff" in self.statistics:
@@ -298,71 +296,43 @@ def _summarize(
 ) -> TestResult:
     vector = draws.ndim == 2
     names = dataset.covariate_names if vector else None
-    finite = np.isfinite(draws)
-    n_undefined = (
-        (draws.shape[0] - finite.sum(axis=0)).astype(int) if vector
-        else int(draws.shape[0] - finite.sum())
-    )
-    if vector:
-        if (~np.isfinite(np.atleast_1d(observed))).any():
-            bad = [names[j] for j in np.flatnonzero(~np.isfinite(observed))]
-            raise StatisticError(
-                f"observed {statistic} undefined for covariate(s): {', '.join(bad)}"
-            )
-        if (finite.sum(axis=0) == 0).any():
-            bad = [names[j] for j in np.flatnonzero(finite.sum(axis=0) == 0)]
-            raise StatisticError(
-                f"all draws undefined for covariate(s): {', '.join(bad)}"
-            )
-    else:
-        if not np.isfinite(observed):
-            raise StatisticError(f"observed {statistic} is undefined")
-        if not finite.any():
-            raise StatisticError("all draws undefined")
+    observed = np.asarray(observed, dtype=np.float64)
+    effective = np.isfinite(draws).sum(axis=0)
+    for bad, message in ((~np.isfinite(observed), f"observed {statistic} is undefined"),
+                         (effective == 0, "all draws are undefined")):
+        if bad.any():
+            if vector:
+                message += " for covariate(s): " + ", ".join(
+                    names[j] for j in np.flatnonzero(bad))
+            raise StatisticError(message)
 
     offset = 0 if exact else 1
-    abs_draws = np.abs(draws)
-    threshold = _tie_threshold(np.abs(observed))
     with np.errstate(invalid="ignore"):
-        tail = (abs_draws >= threshold).sum(axis=0) if vector else int(
-            np.nansum(abs_draws >= threshold)
-        )
-    effective = finite.sum(axis=0) if vector else int(finite.sum())
-    p = (offset + tail) / (effective + offset)
+        tail = (np.abs(draws) >= _tie_threshold(np.abs(observed))).sum(axis=0)
     with np.errstate(all="ignore"):
-        q025 = np.nanquantile(draws, 0.025, axis=0) if vector else float(
-            np.nanquantile(draws, 0.025)
-        )
-        q975 = np.nanquantile(draws, 0.975, axis=0) if vector else float(
-            np.nanquantile(draws, 0.975)
-        )
-        mean = np.nanmean(draws, axis=0) if vector else float(np.nanmean(draws))
-    if vector:
-        p = np.asarray(p, dtype=np.float64)
-        reject = p <= config.alpha
-        observed = np.asarray(observed, dtype=np.float64)
-    else:
-        p = float(p)
-        reject = bool(p <= config.alpha)
-        observed = float(observed)
+        summary = {
+            "observed": observed,
+            "p_value": (offset + tail) / (effective + offset),
+            "q025": np.nanquantile(draws, 0.025, axis=0),
+            "q975": np.nanquantile(draws, 0.975, axis=0),
+            "draw_mean": np.nanmean(draws, axis=0),
+            "n_undefined": draws.shape[0] - effective,
+        }
+    if not vector:
+        summary = {key: value.item() for key, value in summary.items()}
     return TestResult(
         target=target,
         statistic=statistic,
         covariate_names=names,
-        observed=observed,
         draws=draws,
-        p_value=p,
-        q025=q025,
-        q975=q975,
-        draw_mean=mean,
         n_draws=draws.shape[0],
-        n_undefined=n_undefined,
         alpha=config.alpha,
         seed=config.seed,
         mechanism=mechanism.describe(),
-        reject_at_alpha=reject,
+        reject_at_alpha=summary["p_value"] <= config.alpha,
         exact=exact,
         n_redraws=n_redraws,
+        **summary,
     )
 
 
@@ -497,10 +467,10 @@ def per_covariate_quantiles(
             target: float(result.observed[j]),
             other: float(other_observed[j]),
         }
-        finite = result.draws[:, j][np.isfinite(result.draws[:, j])]
         p = {target: float(result.p_value[j])}
         p[other] = (
-            pvalue(observed[other], finite) if np.isfinite(observed[other]) else None
+            pvalue(observed[other], result.draws[:, j])
+            if np.isfinite(observed[other]) else None
         )
         rows.append({
             "covariate": name,

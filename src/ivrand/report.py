@@ -245,7 +245,9 @@ def build_report(
     """Run the full pipeline and assemble the report document.
 
     The propensity section, the comparison and a ``"bernoulli"`` mechanism
-    all use the one pair of models from ``fit_propensities``.
+    all use the one pair of models from ``fit_propensities``; a negative
+    ``ridge`` raises ``ValueError``.  With ``exact`` each target's tests
+    run over one enumeration of its complete-randomization set.
     """
     statistics = tuple(statistics)
     try:

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +215,9 @@ class TestCmdTest:
         ("test", ["--hist-bins", "nope"], "--hist-bins"),
         ("test", ["--hist-bins", "0"], "--hist-bins"),
         ("exact", ["--cap", "0"], "enumeration_cap"),
+        ("test", ["--draws", "abc"], "--draws"),
+        ("test", ["--ridge", "-1"], "ridge"),
+        ("exact", ["--statistic", "nope"], "nope"),
     ])
     def test_out_of_range_flag_exit_2(self, synth_file, tmp_path, capsys,
                                       command, flags, named):
@@ -222,6 +228,53 @@ class TestCmdTest:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert named in err["message"]
+
+
+    def test_missing_required_flag_exit_2(self, synth_file, capsys):
+        code = main(["test", str(synth_file), "--exposure", "exposure"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "--instrument" in err["message"]
+
+    def test_separating_covariate_exit_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        z = np.zeros(30, dtype=int)
+        z[rng.permutation(30)[:15]] = 1
+        d = (rng.random(30) < 0.3 + 0.4 * z).astype(int)
+        path = tmp_path / "sep.csv"
+        _write_csv(path, ["z", "d", "x", "sep"],
+                   list(zip(z, d, rng.standard_normal(30).round(6), z)))
+        code = main(["test", str(path), "--instrument", "z", "--exposure", "d",
+                     "--statistic", "sqrt_mahalanobis", "--draws", "200",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert "sqrt_mahalanobis is undefined" in err["message"]
+
+    def test_complete_mechanism_metadata(self, tiny_file, tmp_path):
+        kinds = []
+        for command, extra in (("test", ["--draws", "50"]), ("exact", [])):
+            out = tmp_path / f"{command}.json"
+            assert main([command, str(tiny_file), "--instrument", "z",
+                         "--exposure", "d", "--statistic", "scmd",
+                         "--out", str(out), *extra]) == 0
+            kinds.append(json.loads(out.read_text())["metadata"]["mechanism"])
+        assert kinds == [{"kind": "complete"}, {"kind": "complete"}]
+
+
+class TestModuleEntryPoint:
+    def test_python_m_ivrand(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "ivrand", "synth", "--n", "60", "--k", "2",
+             "--out", str(tmp_path / "m")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["data"] == str(tmp_path / "m.csv")
 
 
 class TestCmdExact:

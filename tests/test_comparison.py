@@ -272,3 +272,11 @@ class TestSharedPropensityFit:
                         confounding_strength=1.0, instrument_effect=1.0)
         build_report(ds, TestConfig(n_draws=100, seed=2))
         assert ridges == [0.0, 0.0]
+
+    def test_build_report_rejects_negative_ridge(self):
+        ds = _synthetic(5, instrument_model="randomized",
+                        confounding_strength=1.0, instrument_effect=1.0)
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="ridge"):
+                build_report(ds, TestConfig(n_draws=100, seed=2), ridge=-1.0,
+                             exact=exact)

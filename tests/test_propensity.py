@@ -99,6 +99,11 @@ class TestFitLogistic:
         with pytest.raises(PropensityError, match="constant column"):
             fit_logistic(x, y, covariate_names=("a", "b"))
 
+    def test_negative_ridge_rejected(self):
+        x, y = _simulate(200, [0.0, 1.0])
+        with pytest.raises(ValueError, match="ridge"):
+            fit_logistic(x, y, ridge=-1.0)
+
     def test_too_few_rows(self):
         with pytest.raises(PropensityError, match="rows"):
             fit_logistic(np.eye(3), np.array([0, 1, 0]))
