@@ -377,6 +377,8 @@ def run_many(
                                                    _TARGET_DOMAINS[target])
         match = []
     if len(match):
+        # the observed assignment's own enumerated row, evaluated exactly as
+        # every draw is, so it always counts itself in the tail
         observed = {name: values[match[0]] for name, values in draws.items()}
     else:
         # Monte Carlo, or an exact n_treated that differs from the observed count
