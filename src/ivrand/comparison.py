@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, TestConfig
-from .errors import PropensityError
+from .errors import PropensityError, StatisticError
 from .mechanisms import MechanismSpec
 from .propensity import PropensityModel, fit_logistic, predict
-from .randtest import TestResult, _Evaluator, _evaluate_mechanism_draws, pvalue, run_test
+from .randtest import TestResult, _Evaluator, _evaluate_mechanism_draws, run_test
+from .randtest import pvalue  # noqa: F401  wrapped by name in perfbench/layers.py
 from .rng import DOMAIN_BT_EXPOSURE, DOMAIN_BT_INSTRUMENT
 
 CASE_RECOMMENDATIONS = {
@@ -178,10 +179,11 @@ def compare_mechanisms(
 
     The complete-randomization benchmark permutes the instrument
     (conditioning on its observed treated count) and both observed
-    global balance values are located in that one distribution; it is
-    identical to an independent ``run_test`` with the same config.  The
-    two Bernoulli-trial distributions resample assignments from the
-    fitted propensities without refitting per draw; ``models`` defaults to
+    global balance values are located in that one distribution: they
+    and their p-values are read off ``cr_result``, which is identical to
+    an independent ``run_test`` with the same config.  The two
+    Bernoulli-trial distributions resample assignments from the fitted
+    propensities without refitting per draw; ``models`` defaults to
     ``fit_propensities(dataset, ridge)``.
     """
     config = config or TestConfig()
@@ -191,10 +193,14 @@ def compare_mechanisms(
             mechanism=MechanismSpec(kind="complete"),
             statistic="sqrt_mahalanobis",
         )
-    elif (cr_result.statistic, cr_result.target, cr_result.seed,
-          cr_result.n_draws) != ("sqrt_mahalanobis", "instrument",
-                                 config.seed, config.n_draws):
+    elif (cr_result.statistic, cr_result.target, cr_result.seed, cr_result.n_draws,
+          cr_result.exact) != ("sqrt_mahalanobis", "instrument", config.seed,
+                               config.n_draws, False):
         raise ValueError("cr_result does not match this comparison's config")
+    observed_iv, p_iv = cr_result.observed, cr_result.p_value
+    observed_exp, p_exp = cr_result.other_observed, cr_result.other_p_value
+    if not np.isfinite(observed_exp):
+        raise StatisticError("observed sqrt_mahalanobis is undefined for the exposure")
 
     iv_model, exp_model = models or fit_propensities(dataset, ridge)
     e_exp = predict(exp_model, dataset.covariates)
@@ -212,13 +218,7 @@ def compare_mechanisms(
     iv_bt = iv_stats["sqrt_mahalanobis"]
     exp_bt = exp_stats["sqrt_mahalanobis"]
 
-    observed_iv = float(cr_result.observed)
-    obs_exp_row = dataset.exposure.astype(np.float64)[None, :]
-    observed_exp = float(evaluator(obs_exp_row)["sqrt_mahalanobis"][0])
-
     cr_draws = cr_result.draws
-    p_iv = cr_result.p_value
-    p_exp = pvalue(observed_exp, cr_draws)
     case = classify_case(p_exp, p_iv, config.alpha)
 
     iv_vs_exp = separation_diagnostics(iv_bt, exp_bt)

@@ -59,7 +59,11 @@ class TestResult:
     quantiles, undefined-draw counts, and rejection flags are arrays
     with one entry per covariate; for global statistics they are
     scalars.  ``draws`` holds the statistic evaluated on every draw
-    ((M,) or (M, K)).
+    ((M,) or (M, K)).  On Monte Carlo results ``other_observed`` and
+    ``other_p_value`` locate the other vector (the exposure when the
+    target is the instrument, and vice versa) in the same draws, with
+    ``other_p_value`` NaN where its statistic is undefined; exact results
+    leave both ``None``.
     """
 
     target: str
@@ -79,6 +83,8 @@ class TestResult:
     reject_at_alpha: np.ndarray | bool
     exact: bool = False
     n_redraws: int = 0
+    other_observed: np.ndarray | float | None = None
+    other_p_value: np.ndarray | float | None = None
 
     __test__ = False   # keep pytest from collecting this as a test class
 
@@ -100,22 +106,31 @@ def _histogram_dict(values: np.ndarray, bins) -> dict:
     return {"bin_edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
+def _tail_pvalue(observed, draws: np.ndarray, offset: int = 1):
+    """(offset + #{m : |t_m| >= |t_obs|}) / (offset + #defined draws), per column.
+
+    NaN draws count in neither term; a NaN observed value gives NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        tail = (np.abs(draws) >= _tie_threshold(np.abs(observed))).sum(axis=0)
+    p = (offset + tail) / (np.isfinite(draws).sum(axis=0) + offset)
+    return np.where(np.isfinite(observed), p, np.nan)
+
+
 def pvalue(t_obs: float, draws) -> float:
     """Tie-inclusive Monte Carlo p-value with the +1 correction.
 
     NaN draws (undefined statistic values) are excluded; the effective
     number of draws shrinks accordingly.
     """
-    d = np.asarray(draws, dtype=np.float64)
+    d = np.asarray(draws, dtype=np.float64).ravel()
     if d.size == 0:
         raise StatisticError("empty draw sequence")
     if not np.isfinite(t_obs):
         raise StatisticError("observed statistic is not finite")
-    d = d[np.isfinite(d)]
-    if d.size == 0:
+    if not np.isfinite(d).any():
         raise StatisticError("all draws are undefined")
-    count = int((np.abs(d) >= _tie_threshold(abs(t_obs))).sum())
-    return (1 + count) / (d.size + 1)
+    return float(_tail_pvalue(t_obs, d))
 
 
 class _Evaluator:
@@ -293,6 +308,7 @@ def _summarize(
     mechanism: MechanismSpec,
     exact: bool = False,
     n_redraws: int = 0,
+    other_observed=None,
 ) -> TestResult:
     vector = draws.ndim == 2
     names = dataset.covariate_names if vector else None
@@ -306,18 +322,18 @@ def _summarize(
                     names[j] for j in np.flatnonzero(bad))
             raise StatisticError(message)
 
-    offset = 0 if exact else 1
-    with np.errstate(invalid="ignore"):
-        tail = (np.abs(draws) >= _tie_threshold(np.abs(observed))).sum(axis=0)
     with np.errstate(all="ignore"):
         summary = {
             "observed": observed,
-            "p_value": (offset + tail) / (effective + offset),
+            "p_value": _tail_pvalue(observed, draws, offset=0 if exact else 1),
             "q025": np.nanquantile(draws, 0.025, axis=0),
             "q975": np.nanquantile(draws, 0.975, axis=0),
             "draw_mean": np.nanmean(draws, axis=0),
             "n_undefined": draws.shape[0] - effective,
         }
+    if other_observed is not None:
+        summary["other_observed"] = np.asarray(other_observed, dtype=np.float64)
+        summary["other_p_value"] = _tail_pvalue(summary["other_observed"], draws)
     if not vector:
         summary = {key: value.item() for key, value in summary.items()}
     return TestResult(
@@ -351,6 +367,8 @@ def run_many(
     consistent.  With ``exact`` the draw set is every assignment of a
     complete ``mechanism`` (C(N, N_T) rows, at most
     ``config.enumeration_cap``) instead of ``config.n_draws`` samples.
+    Monte Carlo results also locate the other vector's observed
+    statistics in the same draws.
     """
     if target not in _TARGET_DOMAINS:
         raise ValueError(f"target must be 'instrument' or 'exposure', got {target!r}")
@@ -360,7 +378,7 @@ def run_many(
     spec = _resolve_mechanism(mechanism, dataset, target, config)
     fixed_strength = None
     if "iv_bias" in statistics:
-        fixed_strength = _fixed_strength_for(dataset, target, "iv_bias", config)
+        fixed_strength = _fixed_strength_for(dataset, target, config)
     evaluator = _Evaluator(dataset, tuple(statistics), config.bias_denominator,
                            fixed_strength)
     if exact:
@@ -383,9 +401,12 @@ def run_many(
     else:
         # Monte Carlo, or an exact n_treated that differs from the observed count
         observed = _observed_stats(dataset, target, evaluator)
+    other_target = "exposure" if target == "instrument" else "instrument"
+    other = {} if exact else _observed_stats(dataset, other_target, evaluator)
     return {
         name: _summarize(target, name, dataset, observed[name], draws[name],
-                         config, spec, exact=exact, n_redraws=redraws)
+                         config, spec, exact=exact, n_redraws=redraws,
+                         other_observed=other.get(name))
         for name in statistics
     }
 
@@ -424,8 +445,8 @@ def exact_test(
     return run_many(dataset, target, (statistic,), config, spec, exact=True)[statistic]
 
 
-def _fixed_strength_for(dataset, target, statistic, config):
-    if statistic != "iv_bias" or config.bias_denominator != "fixed_observed":
+def _fixed_strength_for(dataset, target, config):
+    if config.bias_denominator != "fixed_observed":
         return None
     z = dataset.target_vector(target)
     d = dataset.exposure.astype(np.float64)
@@ -445,13 +466,14 @@ def per_covariate_quantiles(
     statistic: str = "scmd",
     result: TestResult | None = None,
 ) -> list[dict]:
-    """Per-covariate quantile bands with both observed vectors located.
+    """Per-covariate quantile bands with the observed vectors located.
 
     One row per covariate: the 2.5%/97.5% band of the target's
-    randomization distribution, the observed instrument and exposure
-    values of the statistic, and p-values for each observed vector
-    against the same shared draw set.  Pass an already-computed
-    ``result`` for this target/statistic to reuse its draws.
+    randomization distribution and the target's observed value and
+    p-value; Monte Carlo rows add the other vector's observed value and
+    its p-value against the same draws (``None`` where undefined).  Exact
+    rows hold the target's keys only.  Pass an already-computed ``result``
+    for this target/statistic to reuse its draws.
     """
     if statistic not in VECTOR_STATISTICS:
         raise ValueError("per-covariate bands need a covariate-specific statistic")
@@ -460,28 +482,16 @@ def per_covariate_quantiles(
     elif result.statistic != statistic or result.target != target:
         raise ValueError("result does not match the requested target/statistic")
     other = "exposure" if target == "instrument" else "instrument"
-    evaluator = _Evaluator(dataset, (statistic,), config.bias_denominator,
-                           _fixed_strength_for(dataset, target, statistic, config))
-    other_observed = _observed_stats(dataset, other, evaluator)[statistic]
+    observed = {target: result.observed, other: result.other_observed}
+    p_value = {target: result.p_value, other: result.other_p_value}
+    vectors = [v for v in ("instrument", "exposure") if observed[v] is not None]
     rows = []
-    for j, name in enumerate(dataset.covariate_names):
-        observed = {
-            target: float(result.observed[j]),
-            other: float(other_observed[j]),
-        }
-        p = {target: float(result.p_value[j])}
-        p[other] = (
-            pvalue(observed[other], result.draws[:, j])
-            if np.isfinite(observed[other]) else None
-        )
-        rows.append({
-            "covariate": name,
-            "observed_instrument": observed["instrument"],
-            "observed_exposure": observed["exposure"],
-            "q025": float(result.q025[j]),
-            "q975": float(result.q975[j]),
-            "p_instrument": p["instrument"],
-            "p_exposure": p["exposure"],
-            "n_undefined": int(result.n_undefined[j]),
-        })
+    for j, name in enumerate(result.covariate_names):
+        row = {"covariate": name}
+        row.update((f"observed_{v}", float(observed[v][j])) for v in vectors)
+        row.update(q025=float(result.q025[j]), q975=float(result.q975[j]))
+        row.update((f"p_{v}", float(p_value[v][j]) if np.isfinite(p_value[v][j])
+                    else None) for v in vectors)
+        row["n_undefined"] = int(result.n_undefined[j])
+        rows.append(row)
     return rows

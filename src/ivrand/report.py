@@ -207,28 +207,27 @@ def _comparison_dict(comp: ComparisonResult, bins) -> dict:
     }
 
 
-def _mahalanobis_plot_rows(comp: ComparisonResult, bins) -> tuple[list[dict], list[dict]]:
+def _mahalanobis_plot_rows(section: dict) -> tuple[list[dict], list[dict]]:
+    """Plot tables of the three distributions in a comparison section."""
     hist_rows = []
-    for name, draws in (("complete_randomization", comp.cr_result.draws),
-                        ("bernoulli_instrument", comp.iv_bt_draws),
-                        ("bernoulli_exposure", comp.exp_bt_draws)):
-        finite = draws[np.isfinite(draws)]
-        counts, edges = np.histogram(finite, bins=bins)
+    marker_rows = [
+        {"series": f"observed_{name}", "value": value}
+        for name, value in section["observed_sqrt_mahalanobis"].items()
+    ]
+    for name, short in (("complete_randomization", "cr"),
+                        ("bernoulli_instrument", "iv_bt"),
+                        ("bernoulli_exposure", "exp_bt")):
+        dist = section[name]
+        edges, counts = dist["histogram"]["bin_edges"], dist["histogram"]["counts"]
         for left, right, c in zip(edges[:-1], edges[1:], counts):
             hist_rows.append({
                 "distribution": name,
-                "bin_left": float(left),
-                "bin_right": float(right),
-                "count": int(c),
+                "bin_left": left,
+                "bin_right": right,
+                "count": c,
             })
-    marker_rows = [
-        {"series": "observed_instrument", "value": float(comp.observed_iv)},
-        {"series": "observed_exposure", "value": float(comp.observed_exp)},
-    ]
-    for name in ("cr", "iv_bt", "exp_bt"):
-        lo, hi = comp.band(name)
-        marker_rows.append({"series": f"{name}_q025", "value": lo})
-        marker_rows.append({"series": f"{name}_q975", "value": hi})
+        marker_rows.append({"series": f"{short}_q025", "value": dist["q025"]})
+        marker_rows.append({"series": f"{short}_q975", "value": dist["q975"]})
     return hist_rows, marker_rows
 
 
@@ -306,14 +305,9 @@ def build_report(
     )
     per_covariate: dict = {}
     for s in vector_stats:
-        rows = per_covariate_quantiles(dataset, "instrument", mechanism, config,
-                                       statistic=s, result=z_results[s])
-        if exact:
-            # the exposure's +1 Monte Carlo p-value has no exact counterpart
-            # here: it would fall below 1 / C(N, N_T)
-            rows = [{k: v for k, v in row.items()
-                     if k not in ("observed_exposure", "p_exposure")} for row in rows]
-        per_covariate[s] = rows
+        per_covariate[s] = per_covariate_quantiles(dataset, "instrument", mechanism,
+                                                   config, statistic=s,
+                                                   result=z_results[s])
 
     scmd_rows = [] if exact else [
         {
@@ -354,7 +348,7 @@ def build_report(
             cr_for_comparison = z_results["sqrt_mahalanobis"]
         comp = compare_mechanisms(dataset, config, ridge=ridge,
                                   cr_result=cr_for_comparison, models=models)
-        document["comparison"] = _comparison_dict(comp, hist_bins)
+        document["comparison"] = section = _comparison_dict(comp, hist_bins)
         document["case"] = {
             "label": comp.case.label,
             "recommendation": comp.case.recommendation,
@@ -364,7 +358,7 @@ def build_report(
             "p_exposure": _num(comp.p_exp),
             "alpha": config.alpha,
         }
-        md_hist, md_markers = _mahalanobis_plot_rows(comp, hist_bins)
+        md_hist, md_markers = _mahalanobis_plot_rows(section)
         tables["mahalanobis_hist"] = md_hist
         tables["mahalanobis_observed"] = md_markers
 

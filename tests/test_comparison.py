@@ -12,6 +12,7 @@ from ivrand import (
     Dataset,
     MechanismSpec,
     ScenarioSpec,
+    StatisticError,
     TestConfig,
     classify_case,
     compare_mechanisms,
@@ -207,6 +208,21 @@ class TestCompareMechanisms:
         assert len(comp.exp_bt_draws) == cfg.n_draws
         lo, hi = comp.band("iv_bt")
         assert lo <= hi
+
+
+    def test_undefined_exposure_balance(self):
+        # the second covariate equals the exposure, so the exposure's
+        # Mahalanobis is undefined while the instrument's is not
+        rng = np.random.default_rng(5)
+        z = (rng.random(80) < 0.5).astype(np.int8)
+        d = (rng.random(80) < 0.3 + 0.4 * z).astype(np.int8)
+        x = np.column_stack([rng.standard_normal(80), d])
+        ds = Dataset(covariates=x, covariate_names=("a", "d"), instrument=z, exposure=d)
+        cfg = TestConfig(n_draws=200, seed=4)
+        res = run_test(ds, "instrument", cfg, statistic="sqrt_mahalanobis")
+        assert np.isnan(res.other_observed) and np.isnan(res.other_p_value)
+        with pytest.raises(StatisticError, match="undefined for the exposure"):
+            compare_mechanisms(ds, cfg, cr_result=res)
 
 
 def _exposure_separated(seed=3, n=300):

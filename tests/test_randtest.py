@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ivrand import (
@@ -378,3 +378,80 @@ class TestPerCovariateQuantiles:
                                        result=res)
         fresh = per_covariate_quantiles(ds, "instrument", None, cfg, "scmd")
         assert rows == fresh
+
+    def test_exact_rows_hold_the_target_only(self):
+        ds = _dataset(n=12, k=3, seed=17)
+        res = exact_test(ds, "instrument", statistic="scmd")
+        assert res.other_observed is None and res.other_p_value is None
+        rows = per_covariate_quantiles(ds, "instrument", None, TestConfig(), "scmd",
+                                       result=res)
+        assert [list(row) for row in rows] == [[
+            "covariate", "observed_instrument", "q025", "q975", "p_instrument",
+            "n_undefined",
+        ]] * 3
+
+
+class TestLocateBothVectors:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(10, 30),
+        k=st.integers(1, 3),
+        m=st.integers(5, 80),
+        target=st.sampled_from(["instrument", "exposure"]),
+        bias_denominator=st.sampled_from(["fixed_observed", "per_draw"]),
+    )
+    def test_other_vector_located_in_the_same_draws(self, seed, n, k, m, target,
+                                                    bias_denominator):
+        ds = _dataset(n=n, k=k, seed=seed, confounded=True)
+        cfg = TestConfig(n_draws=m, seed=seed, bias_denominator=bias_denominator)
+        other = "exposure" if target == "instrument" else "instrument"
+        try:
+            results = run_many(ds, target, STATISTICS, cfg)
+        except StatisticError:
+            assume(False)
+        for s, res in results.items():
+            other_observed = np.atleast_1d(res.other_observed)
+            other_p = np.atleast_1d(res.other_p_value)
+            try:
+                own = np.atleast_1d(run_test(ds, other, cfg, statistic=s).observed)
+            except StatisticError:
+                own = None   # the other vector's own test is undefined
+            if own is not None:
+                assert np.array_equal(other_observed, own)
+            assert np.array_equal(np.isnan(other_p), ~np.isfinite(other_observed))
+            draws = res.draws.reshape(m, -1)
+            for j in np.flatnonzero(np.isfinite(other_p)):
+                assert other_p[j] == pvalue(other_observed[j], draws[:, j])
+
+    def test_undefined_other_vector(self):
+        # the exposure is as common in both instrument groups, so the
+        # instrument's own bias denominator is zero
+        z = np.repeat(np.array([1, 0], dtype=np.int8), 20)
+        d = np.tile(np.repeat(np.array([1, 0], dtype=np.int8), [5, 15]), 2)
+        x = np.random.default_rng(8).standard_normal((40, 2))
+        ds = Dataset(covariates=x, covariate_names=("a", "b"), instrument=z, exposure=d)
+        cfg = TestConfig(n_draws=100, seed=6)
+        res = run_test(ds, "exposure", cfg, statistic="iv_bias")
+        assert np.isnan(res.other_observed).all() and np.isnan(res.other_p_value).all()
+        rows = per_covariate_quantiles(ds, "exposure", None, cfg, "iv_bias", result=res)
+        assert all(row["p_instrument"] is None and row["p_exposure"] == p
+                   for row, p in zip(rows, res.p_value))
+
+    @pytest.mark.parametrize("kwargs, n_evaluators", [
+        ({}, 3),                            # instrument, exposure, Bernoulli pair
+        ({"mechanism": "bernoulli"}, 4),    # plus the comparison's own CR draw set
+        ({"exact": True}, 2),
+    ])
+    def test_one_evaluator_per_draw_set(self, monkeypatch, kwargs, n_evaluators):
+        built = []
+        original = randtest._Evaluator.__init__
+
+        def counted(self, *args, **kw):
+            built.append(args)
+            original(self, *args, **kw)
+
+        monkeypatch.setattr(randtest._Evaluator, "__init__", counted)
+        ds = _dataset(n=16, k=3, seed=17, confounded=True)
+        build_report(ds, TestConfig(n_draws=100, seed=1), **kwargs)
+        assert len(built) == n_evaluators
