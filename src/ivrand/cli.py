@@ -141,7 +141,7 @@ def _statistics_from_args(args) -> tuple:
 
 
 def _load(args):
-    """Read the file once; return the dataset and the mechanism to test."""
+    """Read the file once; return the dataset and the mechanism (None: complete)."""
     records = read_delimited(args.data, delimiter=args.delimiter)
     if not records:
         raise ValidationError([f"{args.data}: no data rows"])
@@ -185,35 +185,19 @@ def _parse_bins(raw):
     ])
 
 
-def _config(args, **fields) -> TestConfig:
-    return TestConfig(alpha=args.alpha, seed=args.seed,
-                      bias_denominator=args.bias_denominator,
-                      threads=max(1, args.threads), **fields)
-
-
-def _cmd_test(args) -> int:
-    config = _config(args, n_draws=args.draws)
+def _cmd_report(args) -> int:
+    """``test`` and ``exact``: run the pipeline and write the report."""
+    exact = args.command == "exact"
+    size = {"n_draws": 1, "enumeration_cap": args.cap} if exact else {"n_draws": args.draws}
+    config = TestConfig(alpha=args.alpha, seed=args.seed,
+                        bias_denominator=args.bias_denominator,
+                        threads=max(1, args.threads), **size)
     bins = _parse_bins(args.hist_bins)
     statistics = _statistics_from_args(args)
     dataset, mechanism = _load(args)
     report = build_report(
         dataset, config, statistics=statistics, mechanism=mechanism,
-        ridge=args.ridge, hist_bins=bins, source=args.data,
-    )
-    report.write(args.out)
-    if args.plots_dir:
-        report.write_plot_data(args.plots_dir, delimiter=args.delimiter)
-    return EXIT_OK
-
-
-def _cmd_exact(args) -> int:
-    config = _config(args, n_draws=1, enumeration_cap=args.cap)
-    bins = _parse_bins(args.hist_bins)
-    statistics = _statistics_from_args(args)
-    dataset, _ = _load(args)
-    report = build_report(
-        dataset, config, statistics=statistics, mechanism="complete",
-        ridge=args.ridge, hist_bins=bins, exact=True, source=args.data,
+        ridge=args.ridge, hist_bins=bins, exact=exact, source=args.data,
     )
     report.write(args.out)
     if args.plots_dir:
@@ -242,7 +226,7 @@ def _cmd_synth(args) -> int:
 
 
 def main(argv=None) -> int:
-    handlers = {"test": _cmd_test, "exact": _cmd_exact, "synth": _cmd_synth}
+    handlers = {"test": _cmd_report, "exact": _cmd_report, "synth": _cmd_synth}
     try:
         args = _build_parser().parse_args(argv)
         return handlers[args.command](args)

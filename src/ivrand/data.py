@@ -152,8 +152,6 @@ class TestConfig:
     n_draws: int = 10_000
     alpha: float = 0.05
     seed: int = 0
-    statistic: str = "scmd"
-    mechanism: str = "complete"
     bias_denominator: str = "fixed_observed"
     enumeration_cap: int = 1_000_000
     max_redraws: int = 1_000

@@ -229,16 +229,11 @@ class _Evaluator:
         return np.where(defined, md, np.nan)
 
 
-def _resolve_mechanism(mechanism, dataset: Dataset, target: str,
-                       config: TestConfig) -> MechanismSpec:
-    if mechanism is None:
-        mechanism = config.mechanism
-    if isinstance(mechanism, str):
-        if mechanism != "complete":
-            raise MechanismError(
-                f"mechanism {mechanism!r} needs a full MechanismSpec"
-            )
+def _resolve_mechanism(mechanism, dataset: Dataset, target: str) -> MechanismSpec:
+    if mechanism is None or mechanism == "complete":
         mechanism = MechanismSpec(kind="complete")
+    elif isinstance(mechanism, str):
+        raise MechanismError(f"mechanism {mechanism!r} needs a full MechanismSpec")
     spec = mechanism.resolved(dataset.target_vector(target))
     spec.validate(dataset.n_units)
     return spec
@@ -367,15 +362,15 @@ def run_many(
     consistent.  With ``exact`` the draw set is every assignment of a
     complete ``mechanism`` (C(N, N_T) rows, at most
     ``config.enumeration_cap``) instead of ``config.n_draws`` samples.
-    Monte Carlo results also locate the other vector's observed
-    statistics in the same draws.
+    ``mechanism=None`` means complete randomization.  Monte Carlo results
+    also locate the other vector's observed statistics in the same draws.
     """
     if target not in _TARGET_DOMAINS:
         raise ValueError(f"target must be 'instrument' or 'exposure', got {target!r}")
     for s in statistics:
         if s not in STATISTICS:
             raise ValueError(f"unknown statistic {s!r}; choose from {STATISTICS}")
-    spec = _resolve_mechanism(mechanism, dataset, target, config)
+    spec = _resolve_mechanism(mechanism, dataset, target)
     fixed_strength = None
     if "iv_bias" in statistics:
         fixed_strength = _fixed_strength_for(dataset, target, config)
@@ -416,11 +411,10 @@ def run_test(
     target: str,
     config: TestConfig | None = None,
     mechanism: MechanismSpec | str | None = None,
-    statistic: str | None = None,
+    statistic: str = "scmd",
 ) -> TestResult:
     """Monte Carlo randomization test of one statistic for one target."""
     config = config or TestConfig()
-    statistic = statistic or config.statistic
     return run_many(dataset, target, (statistic,), config, mechanism)[statistic]
 
 
@@ -428,7 +422,7 @@ def exact_test(
     dataset: Dataset,
     target: str,
     n_treated: int | None = None,
-    statistic: str | None = None,
+    statistic: str = "scmd",
     config: TestConfig | None = None,
 ) -> TestResult:
     """Exact randomization test over the full complete-randomization set.
@@ -439,7 +433,6 @@ def exact_test(
     ``n_treated`` defaults to the target's observed treated count.
     """
     config = config or TestConfig()
-    statistic = statistic or config.statistic
     spec = MechanismSpec(kind="complete") if n_treated is None else (
         MechanismSpec.complete(n_treated))
     return run_many(dataset, target, (statistic,), config, spec, exact=True)[statistic]

@@ -57,10 +57,10 @@ class RunReport:
         os.makedirs(directory, exist_ok=True)
         written = []
         for name, rows in self.plot_tables.items():
+            if not rows:
+                continue
             path = os.path.join(directory, f"{name}.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                if not rows:
-                    continue
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()),
                                         delimiter=delimiter)
                 writer.writeheader()
@@ -258,7 +258,7 @@ def build_report(
         if not exact:
             raise
         models, prop_section, prop_rows = None, {"error": str(err)}, []
-    if not exact and (mechanism or config.mechanism) == "bernoulli":
+    if not exact and mechanism == "bernoulli":
         mechanism = MechanismSpec.bernoulli(predict(models[0], dataset.covariates),
                                             max_redraws=config.max_redraws)
     covariate_means = {
@@ -275,7 +275,7 @@ def build_report(
         "alpha": config.alpha,
         "statistics": list(statistics),
         "mechanism": mechanism.describe() if isinstance(mechanism, MechanismSpec)
-        else {"kind": mechanism or config.mechanism},
+        else {"kind": mechanism or "complete"},
         "bias_denominator": config.bias_denominator,
         "threads": config.threads,
         "exact": exact,
@@ -342,7 +342,7 @@ def build_report(
     else:
         cr_for_comparison = None
         mech_kind = mechanism.kind if isinstance(mechanism, MechanismSpec) else (
-            mechanism or config.mechanism
+            mechanism or "complete"
         )
         if mech_kind == "complete" and "sqrt_mahalanobis" in z_results:
             cr_for_comparison = z_results["sqrt_mahalanobis"]

@@ -59,7 +59,6 @@ class DrawStream:
     ``word_block(indices, width)`` returns one row of ``width`` random
     uint64 words per draw index; row contents depend only on
     (seed, domain, index), never on which other indices are requested.
-    ``uniform_block`` is the same block mapped to floats in [0, 1).
     """
 
     seed: int
@@ -86,15 +85,6 @@ class DrawStream:
         np.multiply(x, _GOLDEN, out=x)
         np.add(x, self.key, out=x)
         return _mix64_inplace(x)
-
-    def uniform_block(self, indices: np.ndarray, width: int) -> np.ndarray:
-        words = self.word_block(indices, width)
-        # 53 mantissa bits -> uniforms in [0, 1)
-        return (words >> np.uint64(11)) * np.float64(2.0**-53)
-
-    def uniform_block_raw(self, counters: np.ndarray) -> np.ndarray:
-        words = self.word_block_raw(counters)
-        return (words >> np.uint64(11)) * np.float64(2.0**-53)
 
     def generator(self, index: int = 0) -> np.random.Generator:
         """A conventional numpy Generator seeded from this substream.

@@ -12,6 +12,7 @@ import pytest
 from ivrand import TestConfig, cli, data, exact_test, load_dataset, read_delimited, run_test
 from ivrand.cli import main
 from ivrand.comparison import RIDGE_FALLBACK
+from ivrand.report import build_report
 
 
 def _write_csv(path, header, rows):
@@ -307,6 +308,18 @@ class TestCmdExact:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "cap_exceeded"
         assert "Monte Carlo" in err["message"]
+
+    def test_plot_data_lists_every_file_written(self, tiny_file, tmp_path):
+        # an exact report has an empty SCMD dot-plot table
+        report = build_report(load_dataset(tiny_file, "z", "d"), TestConfig(n_draws=1),
+                              exact=True)
+        assert report.plot_tables["scmd_dotplot"] == []
+        plots = tmp_path / "plots"
+        written = report.write_plot_data(plots)
+        assert sorted(written) == sorted(str(p) for p in plots.iterdir())
+        for path in written:
+            with open(path) as fh:
+                assert fh.readline().strip()
 
     def test_constant_covariate_exact_p_one(self, tmp_path):
         z = [1, 1, 1, 0, 0, 0]
