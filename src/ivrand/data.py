@@ -147,6 +147,8 @@ class TestConfig:
     ``fixed_observed`` (default) holds it at the observed value,
     ``per_draw`` recomputes it per draw (draws with a zero denominator
     are recorded as undefined and excluded, with the count reported).
+    ``chunk_draws`` caps the draws evaluated per chunk; below the cap, a
+    chunk's size comes from a byte budget (``randtest.CHUNK_WORD_BYTES``).
     """
 
     n_draws: int = 10_000

@@ -136,49 +136,74 @@ class DrawTally:
     redraws: int = 0
 
 
+@dataclass(frozen=True)
+class PreparedSampler:
+    """The state every chunk of one draw set shares, for one spec and N.
+
+    Built once per draw set by ``prepare_sampler``: ``blocks`` holds each
+    block's unit positions and treated count (block mechanism), and
+    ``thresholds`` the per-unit acceptance thresholds (Bernoulli).
+    """
+
+    blocks: tuple = ()
+    thresholds: np.ndarray | None = None
+
+
+def prepare_sampler(spec: MechanismSpec, n: int) -> PreparedSampler:
+    """Validate ``spec`` for N = ``n`` and precompute its per-draw-set state."""
+    spec.validate(n)
+    if spec.kind == "block":
+        positions: dict = {}
+        for i, label in enumerate(spec.block_labels):
+            positions.setdefault(label, []).append(i)
+        blocks = tuple((np.array(positions[label], dtype=np.intp),
+                        spec.per_block_treated[label])
+                       for label in sorted(positions, key=str))
+        return PreparedSampler(blocks=blocks)
+    if spec.kind == "bernoulli":
+        return PreparedSampler(thresholds=bernoulli_thresholds(spec.propensities))
+    return PreparedSampler()
+
+
 def draw_batch(
     spec: MechanismSpec,
     n: int,
     stream: DrawStream,
     indices: np.ndarray,
     tally: DrawTally | None = None,
+    sampler: PreparedSampler | None = None,
 ) -> np.ndarray:
     """Generate the assignments for the given draw indices.
 
     Returns a (len(indices), n) 0/1 int8 matrix.  Row contents depend
     only on (stream, index), so any chunking or ordering of indices
-    yields the same draws.
+    yields the same draws.  ``sampler`` is ``prepare_sampler(spec, n)``,
+    passed in by callers that draw many chunks of one draw set and built
+    here when omitted.
     """
-    spec.validate(n)
+    if sampler is None:
+        sampler = prepare_sampler(spec, n)
     indices = np.asarray(indices, dtype=np.uint64)
+    out = np.zeros((len(indices), n), dtype=np.int8)
     if spec.kind == "complete":
         words = stream.word_block(indices, n)
         picked = np.argpartition(words, spec.n_treated - 1, axis=1)[:, : spec.n_treated]
-        out = np.zeros((len(indices), n), dtype=np.int8)
         np.put_along_axis(out, picked, np.int8(1), axis=1)
         return out
     if spec.kind == "block":
         words = stream.word_block(indices, n)
-        out = np.zeros((len(indices), n), dtype=np.int8)
-        labels = np.asarray(spec.block_labels, dtype=object)
-        for label in sorted(set(spec.block_labels), key=str):
-            cols = np.flatnonzero(labels == label)
-            k = spec.per_block_treated[label]
+        for cols, k in sampler.blocks:
             picked = np.argpartition(words[:, cols], k - 1, axis=1)[:, :k]
-            block_out = np.zeros((len(indices), len(cols)), dtype=np.int8)
-            np.put_along_axis(block_out, picked, np.int8(1), axis=1)
-            out[:, cols] = block_out
+            np.put_along_axis(out, cols[picked], np.int8(1), axis=1)
         return out
     # bernoulli with rejection of degenerate (all-0 / all-1) draws
-    thresholds = bernoulli_thresholds(spec.propensities)[None, :]
-    out = np.zeros((len(indices), n), dtype=np.int8)
     pending = np.arange(len(indices))
     for attempt in range(spec.max_redraws + 1):
         sub = indices[pending]
         base = sub * np.uint64(spec.words_per_draw(n)) + np.uint64(attempt * n)
         counters = base[:, None] + np.arange(n, dtype=np.uint64)[None, :]
         words = stream.word_block_raw(counters, reuse=True)
-        draws = (words < thresholds).astype(np.int8)
+        draws = (words < sampler.thresholds).astype(np.int8)
         sums = draws.sum(axis=1)
         good = (sums > 0) & (sums < n)
         out[pending[good]] = draws[good]

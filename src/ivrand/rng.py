@@ -10,8 +10,10 @@ generation.
 The word function is the SplitMix64 output sequence (a counter-mixing
 generator that passes BigCrush), keyed once per (seed, domain) through
 ``numpy.random.SeedSequence`` so distinct domains give unrelated
-streams.  The mixing is done in place on uint64 buffers: draw matrices
-for five-digit N are memory-bandwidth bound, not compute bound.
+streams.  The mixing is done in place on uint64 buffers, one piece of
+``MIX_PIECE_WORDS`` at a time: it is memory-bandwidth bound, not compute
+bound, and its ten passes over a cache-sized piece run about twice as
+fast as ten passes over a whole multi-megabyte draw matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ DOMAIN_TEST_EXPOSURE = 1
 DOMAIN_BT_INSTRUMENT = 2
 DOMAIN_BT_EXPOSURE = 3
 DOMAIN_SYNTH = 16
+
+MIX_PIECE_WORDS = 1 << 15   # 256 KiB
 
 
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
@@ -80,11 +84,16 @@ class DrawStream:
         With ``reuse`` the counter buffer is consumed as scratch space.
         """
         x = np.asarray(counters, dtype=np.uint64)
-        if not reuse:
+        if not reuse or not x.flags.c_contiguous:
             x = x.copy()
-        np.multiply(x, _GOLDEN, out=x)
-        np.add(x, self.key, out=x)
-        return _mix64_inplace(x)
+        key = self.key
+        flat = x.reshape(-1)
+        for lo in range(0, flat.size, MIX_PIECE_WORDS):
+            piece = flat[lo:lo + MIX_PIECE_WORDS]
+            np.multiply(piece, _GOLDEN, out=piece)
+            np.add(piece, key, out=piece)
+            _mix64_inplace(piece)
+        return x
 
     def generator(self, index: int = 0) -> np.random.Generator:
         """A conventional numpy Generator seeded from this substream.

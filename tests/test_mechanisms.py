@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from ivrand import (
@@ -17,7 +19,7 @@ from ivrand import (
     enumerate_complete,
 )
 from ivrand.errors import RedrawLimitError
-from ivrand.mechanisms import DrawTally, draw_batch, enumerate_matrix
+from ivrand.mechanisms import DrawTally, draw_batch, enumerate_matrix, prepare_sampler
 
 
 def _assignment_key(values) -> tuple:
@@ -208,3 +210,45 @@ class TestEnumerateComplete:
         expect = np.zeros(5, dtype=int)
         expect[list(first)] = 1
         assert a[0] == tuple(expect.tolist())
+
+
+def _spec(kind: str, n: int, rng: np.random.Generator) -> MechanismSpec:
+    if kind == "complete":
+        return MechanismSpec.complete(int(rng.integers(1, n)))
+    if kind == "block":
+        labels = tuple(f"b{i}" for i in rng.integers(0, 3, n))
+        counts = {label: labels.count(label) for label in set(labels)}
+        if min(counts.values()) < 2:
+            labels = ("solo",) * n
+            counts = {"solo": n}
+        return MechanismSpec.block(labels, {label: int(rng.integers(1, size))
+                                            for label, size in counts.items()})
+    return MechanismSpec.bernoulli(rng.uniform(0.02, 0.6, n), max_redraws=200)
+
+
+class TestChunkInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["complete", "block", "bernoulli"]),
+        n=st.integers(4, 40),
+        m=st.integers(1, 120),
+        cuts=st.lists(st.integers(0, 120), max_size=6),
+    )
+    def test_split_batches_equal_one_batch(self, seed, kind, n, m, cuts):
+        # draw m is a function of (stream, m) alone: any split of the
+        # indices, with or without a prepared sampler, gives the same rows
+        rng = np.random.default_rng(seed)
+        spec = _spec(kind, n, rng)
+        stream = DrawStream(seed=seed, domain=seed % 5)
+        indices = rng.permutation(np.arange(m, dtype=np.uint64) + np.uint64(seed))
+        whole_tally, split_tally = DrawTally(), DrawTally()
+        whole = draw_batch(spec, n, stream, indices, whole_tally)
+        sampler = prepare_sampler(spec, n)
+        bounds = [0, *sorted(c for c in cuts if c < m), m]
+        pieces = np.concatenate([
+            draw_batch(spec, n, stream, indices[lo:hi], split_tally, sampler)
+            for lo, hi in zip(bounds, bounds[1:])
+        ])
+        assert np.array_equal(whole, pieces)
+        assert whole_tally.redraws == split_tally.redraws

@@ -1,5 +1,7 @@
 """Randomization-test engine: p-values, exactness, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -208,6 +210,63 @@ class TestRunTest:
         engine = evaluator(ds.instrument[None, :].astype(np.float64))["mahalanobis"]
         assert np.isnan(engine[0])
         assert np.isnan(mahalanobis(ds.covariates, ds.instrument).mahalanobis)
+
+
+class TestChunking:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["complete", "block", "bernoulli"]),
+        n=st.integers(12, 40),
+        m=st.integers(1, 200),
+    )
+    def test_p_values_do_not_depend_on_chunks_or_threads(self, seed, kind, n, m):
+        ds = _dataset(n=n, k=2, seed=seed, confounded=True)
+        rng = np.random.default_rng(seed)
+        mechanism = {
+            "complete": None,
+            "block": MechanismSpec.block(tuple("ab"[i % 2] for i in range(n))),
+            "bernoulli": MechanismSpec.bernoulli(rng.uniform(0.2, 0.8, n)),
+        }[kind]
+        results = []
+        for chunk_draws in (32, 64, 1024):
+            for threads in (1, 2):
+                cfg = TestConfig(n_draws=m, seed=seed, chunk_draws=chunk_draws,
+                                 threads=threads)
+                try:
+                    res = run_many(ds, "instrument", STATISTICS, cfg, mechanism)
+                except StatisticError:
+                    assume(False)
+                results.append({s: (r.p_value, r.other_p_value, r.n_redraws)
+                                for s, r in res.items()})
+        for other in results[1:]:
+            for s, (p, other_p, redraws) in results[0].items():
+                assert np.array_equal(other[s][0], p)
+                assert np.array_equal(other[s][1], other_p, equal_nan=True)
+                assert other[s][2] == redraws
+
+    @pytest.mark.parametrize("kind", ["complete", "block"])
+    def test_peak_memory_follows_the_chunk_budget(self, kind):
+        # at N = 100,000 a chunk is the 32-row floor of 8 * N bytes per row;
+        # peak traced memory stays a few chunks above the inputs, whatever
+        # chunk_draws allows (a 128-row chunk alone would take 102 MB)
+        n = 100_000
+        rng = np.random.default_rng(5)
+        z = (rng.random(n) < 0.5).astype(np.int8)
+        ds = Dataset(covariates=rng.standard_normal((n, 2)), covariate_names=("a", "b"),
+                     instrument=z, exposure=z[::-1].copy())
+        mechanism = None
+        if kind == "block":
+            mechanism = MechanismSpec.block(tuple(f"s{i % 20}" for i in range(n)))
+        cfg = TestConfig(n_draws=128, seed=1, chunk_draws=1024)
+        chunk_bytes = 32 * 8 * n
+        tracemalloc.start()
+        try:
+            run_many(ds, "instrument", ("scmd", "sqrt_mahalanobis"), cfg, mechanism)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * chunk_bytes, f"peak {peak / 2**20:.0f} MiB"
 
 
 class TestBatchAgainstScalarOps:
