@@ -20,6 +20,7 @@ from .rng import DrawStream, bernoulli_thresholds
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 DEFAULT_MAX_REDRAWS = 1_000
+ENUMERATION_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -271,6 +272,13 @@ def enumerate_matrix(n: int, n_treated: int, cap: int = DEFAULT_ENUMERATION_CAP)
             f"C({n}, {n_treated}) = {total} exceeds the enumeration cap {cap}"
         )
     out = np.zeros((total, n), dtype=np.int8)
-    for i, combo in enumerate(itertools.combinations(range(n), n_treated)):
-        out[i, list(combo)] = 1
+    combos = itertools.combinations(range(n), n_treated)
+    # rows are filled a block at a time so the index array stays small
+    for lo in range(0, total, ENUMERATION_BLOCK_ROWS):
+        block = out[lo:lo + ENUMERATION_BLOCK_ROWS]
+        picked = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, len(block))),
+            dtype=np.intp, count=len(block) * n_treated,
+        ).reshape(len(block), n_treated)
+        np.put_along_axis(block, picked, np.int8(1), axis=1)
     return out

@@ -197,15 +197,19 @@ class _Evaluator:
             q1 = z @ self.xc_sq
             q0 = self.sq_sums[None, :] - q1
             with np.errstate(divide="ignore", invalid="ignore"):
-                v1 = np.maximum(q1 - s1**2 / n1[:, None], 0.0) / (n1 - 1.0)[:, None]
-                v0 = np.maximum(q0 - s0**2 / n0[:, None], 0.0) / (n0 - 1.0)[:, None]
-            v1 = np.where((n1 > 1)[:, None], v1, 0.0)
-            v0 = np.where((n0 > 1)[:, None], v0, 0.0)
+                ss1 = np.maximum(q1 - s1**2 / n1[:, None], 0.0)
+                ss0 = np.maximum(q0 - s0**2 / n0[:, None], 0.0)
+                v1 = np.where((n1 > 1)[:, None], ss1 / (n1 - 1.0)[:, None], 0.0)
+                v0 = np.where((n0 > 1)[:, None], ss0 / (n0 - 1.0)[:, None], 0.0)
             pooled = np.sqrt((v1 + v0) / 2.0)
+            # a covariate constant within both groups leaves a rounding
+            # residue, not 0, in ss1 + ss0; as for Mahalanobis, a within-group
+            # scatter of at most PINV_RCOND of the total makes SCMD undefined
+            constant = ss1 + ss0 <= PINV_RCOND * self.sq_sums
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = diff / pooled
             out["scmd"] = np.where(diff == 0.0, 0.0,
-                                   np.where(pooled == 0.0, np.nan, ratio))
+                                   np.where((pooled == 0.0) | constant, np.nan, ratio))
         if "iv_bias" in self.statistics:
             if own_strength or self.bias_mode == "per_draw":
                 t1 = z @ self.exposure

@@ -202,6 +202,17 @@ class TestEnumerateComplete:
         gen = np.stack([a.values for a in enumerate_complete(6, 2)])
         assert np.array_equal(mat, gen)
 
+    # (15, 7) has 6,435 rows, more than one fill block
+    @pytest.mark.parametrize("n, k", [(1, 1), (6, 2), (8, 4), (11, 1), (11, 10), (12, 5),
+                                      (15, 7)])
+    def test_matrix_matches_loop_reference(self, n, k):
+        reference = np.zeros((len(list(itertools.combinations(range(n), k))), n),
+                             dtype=np.int8)
+        for i, combo in enumerate(itertools.combinations(range(n), k)):
+            reference[i, list(combo)] = 1
+        mat = enumerate_matrix(n, k)
+        assert mat.dtype == np.int8 and np.array_equal(mat, reference)
+
     def test_deterministic_order(self):
         a = [tuple(v.values.tolist()) for v in enumerate_complete(5, 2)]
         b = [tuple(v.values.tolist()) for v in enumerate_complete(5, 2)]

@@ -211,6 +211,24 @@ class TestRunTest:
         assert np.isnan(engine[0])
         assert np.isnan(mahalanobis(ds.covariates, ds.instrument).mahalanobis)
 
+    def test_covariate_constant_within_both_groups_scmd_undefined(self):
+        # the second covariate equals the exposure: within each exposure
+        # group it is constant, so the scalar SCMD is undefined; the engine's
+        # one-pass within-group sums of squares leave a rounding residue
+        # there, and an exact-zero test would report 7.2e7 with p = 0.005
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal(80)
+        d = (rng.random(80) < rng.uniform(0.1, 0.9)).astype(np.int8)
+        z = (rng.random(80) < 0.5).astype(np.int8)
+        ds = Dataset(covariates=np.column_stack([x, d]), covariate_names=("x", "d"),
+                     instrument=z, exposure=d)
+        assert np.isnan(scmd(ds.covariates[:, 1], d))
+        with pytest.raises(StatisticError, match="observed scmd is undefined .*: d$"):
+            run_test(ds, "exposure", TestConfig(n_draws=200, seed=1), statistic="scmd")
+        evaluator = _Evaluator(ds, ("scmd",), "fixed_observed", None)
+        engine = evaluator(d[None, :].astype(np.float64))["scmd"][0]
+        assert np.isfinite(engine[0]) and np.isnan(engine[1])
+
 
 class TestChunking:
     @settings(max_examples=12, deadline=None)
