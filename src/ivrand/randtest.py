@@ -48,14 +48,16 @@ _TARGET_DOMAINS = {
 # keeps the test valid.
 TIE_RTOL = 1e-12
 
-# Bytes of random words a chunk of draws may take (8 per unit and draw).
-# The sampler's and evaluator's temporaries are a few times this, per
-# thread, whatever N is.  Chunk rows are a multiple of CHUNK_ROW_MULTIPLE
-# because OpenBLAS (0.3.31) rounds the products of 32-row panels alike and
-# the rows after the last full panel differently: with every chunk a
-# multiple of 32 rows, only the last M mod 32 draws are such rows, so a
-# draw's statistics have the same bits at every chunk size.  At desk scale
-# 16-row chunks would move 47% of the entries, 48-row chunks 0.7%.
+# Bytes of random words a chunk of draws may take (8 per unit and draw);
+# the sampler's and evaluator's temporaries are a few times a chunk, per
+# thread.  Above N = 32,768 the 32-row floor makes a chunk larger than
+# this, 256 * N bytes, still independent of chunk_draws.  Chunk rows are
+# a multiple of CHUNK_ROW_MULTIPLE because OpenBLAS (0.3.31) rounds the
+# products of 32-row panels alike and the rows after the last full panel
+# differently: with every chunk a multiple of 32 rows, only the last
+# M mod 32 draws are such rows, so a draw's statistics have the same bits
+# at every chunk size.  At desk scale 16-row chunks would move 47% of the
+# entries, 48-row chunks 0.7%.
 CHUNK_WORD_BYTES = 8 << 20
 CHUNK_ROW_MULTIPLE = 32
 
