@@ -4,6 +4,19 @@ All samplers are stateless functions of (spec, stream, draw index).  The
 batch entry point ``draw_batch`` is the canonical definition of draw m;
 the single-draw functions are thin wrappers over it, so a draw obtained
 one at a time is identical to the same index inside a batch.
+
+Draw m of a complete or block mechanism gives every unit one random
+64-bit word and treats the k units with the smallest words (within each
+block, for block randomization).  The k smallest are found by a partition
+threshold: the k-th smallest word of each row, from ``np.partition``, and
+``words <= kth``.  A row where that marks more than k units, because a
+word outside the k smallest equals the k-th (chance below N/2**64 per
+row), falls back to ``np.argpartition``, so every row picks the units
+an ``argpartition`` of that row picks.  The block sampler asks the stream
+for each row's words in block order, so that each block is a contiguous
+slice of the chunk, and puts the chunk back in unit order once.  A
+Bernoulli unit is treated when its word is below its threshold
+``floor(p * 2**64)``.
 """
 
 from __future__ import annotations
@@ -141,12 +154,17 @@ class DrawTally:
 class PreparedSampler:
     """The state every chunk of one draw set shares, for one spec and N.
 
-    Built once per draw set by ``prepare_sampler``: ``blocks`` holds each
-    block's unit positions and treated count (block mechanism), and
-    ``thresholds`` the per-unit acceptance thresholds (Bernoulli).
+    Built once per draw set by ``prepare_sampler``.  Block mechanism:
+    ``order`` lists the unit positions block by block (each block's in
+    unit order, blocks sorted by label), ``inverse`` is its inverse
+    permutation, and ``blocks`` holds each block's ``(lo, hi, treated)``
+    slice of ``order``.  Bernoulli: ``thresholds`` holds the per-unit
+    acceptance thresholds.
     """
 
     blocks: tuple = ()
+    order: np.ndarray | None = None
+    inverse: np.ndarray | None = None
     thresholds: np.ndarray | None = None
 
 
@@ -157,13 +175,38 @@ def prepare_sampler(spec: MechanismSpec, n: int) -> PreparedSampler:
         positions: dict = {}
         for i, label in enumerate(spec.block_labels):
             positions.setdefault(label, []).append(i)
-        blocks = tuple((np.array(positions[label], dtype=np.intp),
-                        spec.per_block_treated[label])
-                       for label in sorted(positions, key=str))
-        return PreparedSampler(blocks=blocks)
+        labels = sorted(positions, key=str)
+        order = np.array([i for label in labels for i in positions[label]],
+                         dtype=np.uint64)
+        bounds = np.cumsum([0] + [len(positions[label]) for label in labels])
+        blocks = tuple((int(lo), int(hi), spec.per_block_treated[label])
+                       for label, lo, hi in zip(labels, bounds, bounds[1:]))
+        return PreparedSampler(blocks=blocks, order=order,
+                               inverse=np.argsort(order))
     if spec.kind == "bernoulli":
         return PreparedSampler(thresholds=bernoulli_thresholds(spec.propensities))
     return PreparedSampler()
+
+
+def _mark_smallest(words: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Set ``out`` to 1 at the k smallest words of each row, 0 elsewhere.
+
+    ``out`` is an int8 array (or view) of the shape of ``words``.  A row
+    whose k-th smallest word ties with a larger-ranked one takes
+    ``argpartition``'s pick.
+    """
+    part = np.partition(words, k - 1, axis=1)
+    kth = part[:, k - 1]
+    np.less_equal(words, kth[:, None], out=out.view(np.bool_))   # no casting loop
+    # the threshold marks exactly k units unless a word after the k-th in
+    # the partition equals it
+    tied = np.flatnonzero(part[:, k:].min(axis=1) == kth)
+    if len(tied):
+        rows = words[tied]
+        picked = np.argpartition(rows, k - 1, axis=1)[:, :k]
+        marked = np.zeros(rows.shape, dtype=np.int8)
+        np.put_along_axis(marked, picked, np.int8(1), axis=1)
+        out[tied] = marked
 
 
 def draw_batch(
@@ -185,29 +228,36 @@ def draw_batch(
     if sampler is None:
         sampler = prepare_sampler(spec, n)
     indices = np.asarray(indices, dtype=np.uint64)
-    out = np.zeros((len(indices), n), dtype=np.int8)
     if spec.kind == "complete":
         words = stream.word_block(indices, n)
-        picked = np.argpartition(words, spec.n_treated - 1, axis=1)[:, : spec.n_treated]
-        np.put_along_axis(out, picked, np.int8(1), axis=1)
+        out = np.empty((len(indices), n), dtype=np.int8)
+        _mark_smallest(words, spec.n_treated, out)
         return out
     if spec.kind == "block":
-        words = stream.word_block(indices, n)
-        for cols, k in sampler.blocks:
-            picked = np.argpartition(words[:, cols], k - 1, axis=1)[:, :k]
-            np.put_along_axis(out, cols[picked], np.int8(1), axis=1)
-        return out
+        words = stream.word_block(indices, n, sampler.order)
+        grouped = np.empty((len(indices), n), dtype=np.int8)
+        for lo, hi, k in sampler.blocks:
+            _mark_smallest(words[:, lo:hi], k, grouped[:, lo:hi])
+        return grouped[:, sampler.inverse]
     # bernoulli with rejection of degenerate (all-0 / all-1) draws
+    out = np.empty((len(indices), n), dtype=np.int8)
     pending = np.arange(len(indices))
     for attempt in range(spec.max_redraws + 1):
         sub = indices[pending]
         base = sub * np.uint64(spec.words_per_draw(n)) + np.uint64(attempt * n)
         counters = base[:, None] + np.arange(n, dtype=np.uint64)[None, :]
         words = stream.word_block_raw(counters, reuse=True)
-        draws = (words < sampler.thresholds).astype(np.int8)
+        if attempt == 0:
+            # every row is pending: accept straight into out, and leave the
+            # rejected rows there until a later attempt overwrites them
+            draws = out
+            np.less(words, sampler.thresholds, out=out.view(np.bool_))
+        else:
+            draws = (words < sampler.thresholds).astype(np.int8)
         sums = draws.sum(axis=1)
         good = (sums > 0) & (sums < n)
-        out[pending[good]] = draws[good]
+        if attempt > 0:
+            out[pending[good]] = draws[good]
         if tally is not None:
             tally.redraws += int((~good).sum())
         pending = pending[~good]

@@ -162,20 +162,32 @@ class _Evaluator:
         x = dataset.covariates
         self.n = x.shape[0]
         self.k = x.shape[1]
-        self.xc = x - x.mean(axis=0)
-        self.col_sums = self.xc.sum(axis=0)
-        self.xc_sq = self.xc**2
-        self.sq_sums = self.xc_sq.sum(axis=0)
+        xc = x - x.mean(axis=0)
+        self.col_sums = xc.sum(axis=0)
+        xc_sq = xc**2
+        self.sq_sums = xc_sq.sum(axis=0)
+        # A zero mean difference evaluates to a rounding residue, not 0,
+        # since the centred covariates do not sum to 0 exactly.  Each group
+        # sum is off by at most N ulps of sum |xc| (a recursive sum's bound),
+        # so twice that, over the group size, bounds the residue of the
+        # difference; differences within it are set to 0.
+        self.diff_tol = 2.0 * self.n * np.finfo(np.float64).eps * np.abs(xc).sum(axis=0)
         # whiten @ whiten.T = T+, the pseudo-inverse of the total scatter
         # T = xc^T xc, cut off like the covariance pseudo-inverse in balance
-        eigval, eigvec = np.linalg.eigh(self.xc.T @ self.xc)
+        eigval, eigvec = np.linalg.eigh(xc.T @ xc)
         kept = eigval > PINV_RCOND * max(eigval[-1], 0.0)
         self.whiten = eigvec[:, kept] / np.sqrt(eigval[kept])
-        self.exposure = dataset.exposure.astype(np.float64)
-        self.exposure_sum = float(self.exposure.sum())
+        exposure = dataset.exposure.astype(np.float64)
+        self.exposure_sum = float(exposure.sum())
         self.statistics = tuple(statistics)
         self.bias_mode = bias_denominator_mode
         self.fixed_strength = fixed_strength
+        # One product z @ stacked gives every group-1 sum of a chunk:
+        # [xc | xc^2 | 1 | exposure].  The layout is the same whatever the
+        # statistics, because BLAS rounds a column by its place in the
+        # product: so a draw's statistics do not depend on which others are
+        # requested.  The last two columns sum 0/1 values, exact in any order.
+        self.stacked = np.hstack([xc, xc_sq, np.ones((self.n, 1)), exposure[:, None]])
 
     def __call__(self, z_chunk: np.ndarray, own_strength: bool = False) -> dict:
         """Statistics for a (B, N) chunk of assignments.
@@ -184,19 +196,21 @@ class _Evaluator:
         exposure prevalence difference (used for observed vectors);
         otherwise the configured mode applies.
         """
-        z = z_chunk.astype(np.float64)
-        n1 = z.sum(axis=1)
+        k = self.k
+        sums = z_chunk.astype(np.float64) @ self.stacked
+        s1 = sums[:, :k]
+        n1 = sums[:, -2]
         n0 = self.n - n1
-        s1 = z @ self.xc
         s0 = self.col_sums[None, :] - s1
         with np.errstate(divide="ignore", invalid="ignore"):
             diff = s1 / n1[:, None] - s0 / n0[:, None]
+            diff[np.abs(diff) <= self.diff_tol * (1.0 / n1 + 1.0 / n0)[:, None]] = 0.0
 
         out: dict[str, np.ndarray] = {}
         if "prevalence_diff" in self.statistics:
             out["prevalence_diff"] = diff
         if "scmd" in self.statistics:
-            q1 = z @ self.xc_sq
+            q1 = sums[:, k:2 * k]
             q0 = self.sq_sums[None, :] - q1
             with np.errstate(divide="ignore", invalid="ignore"):
                 ss1 = np.maximum(q1 - s1**2 / n1[:, None], 0.0)
@@ -214,7 +228,7 @@ class _Evaluator:
                                    np.where((pooled == 0.0) | constant, np.nan, ratio))
         if "iv_bias" in self.statistics:
             if own_strength or self.bias_mode == "per_draw":
-                t1 = z @ self.exposure
+                t1 = sums[:, -1]
                 with np.errstate(divide="ignore", invalid="ignore"):
                     strength = t1 / n1 - (self.exposure_sum - t1) / n0
                 with np.errstate(divide="ignore", invalid="ignore"):

@@ -19,6 +19,7 @@ fast as ten passes over a whole multi-megabyte draw matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,14 +69,21 @@ class DrawStream:
     seed: int
     domain: int = 0
 
-    @property
+    @cached_property
     def key(self) -> np.uint64:
         return stream_key(self.seed, self.domain)
 
-    def word_block(self, indices: np.ndarray, width: int) -> np.ndarray:
+    def word_block(self, indices: np.ndarray, width: int,
+                   columns: np.ndarray | None = None) -> np.ndarray:
+        """Words ``0 .. width - 1`` of each draw's row, one row per index.
+
+        ``columns``, a permutation of ``range(width)``, returns each row's
+        words in that order instead: column j holds word ``columns[j]``.
+        """
         indices = np.asarray(indices, dtype=np.uint64)
-        w = np.uint64(width)
-        counters = indices[:, None] * w + np.arange(width, dtype=np.uint64)[None, :]
+        if columns is None:
+            columns = np.arange(width, dtype=np.uint64)
+        counters = indices[:, None] * np.uint64(width) + np.asarray(columns, dtype=np.uint64)
         return self.word_block_raw(counters, reuse=True)
 
     def word_block_raw(self, counters: np.ndarray, reuse: bool = False) -> np.ndarray:

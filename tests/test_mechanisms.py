@@ -18,6 +18,7 @@ from ivrand import (
     draw_complete,
     enumerate_complete,
 )
+from ivrand import rng as rng_module
 from ivrand.errors import RedrawLimitError
 from ivrand.mechanisms import DrawTally, draw_batch, enumerate_matrix, prepare_sampler
 
@@ -263,3 +264,97 @@ class TestChunkInvariance:
         ])
         assert np.array_equal(whole, pieces)
         assert whole_tally.redraws == split_tally.redraws
+
+
+def _argpartition_reference(spec: MechanismSpec, n: int, stream: DrawStream,
+                            indices: np.ndarray) -> np.ndarray:
+    """The argpartition sampler that defined complete and block draws before
+    the partition threshold: kept here as the reference draw m must equal."""
+    words = stream.word_block(indices, n)
+    out = np.zeros((len(indices), n), dtype=np.int8)
+    if spec.kind == "complete":
+        picked = np.argpartition(words, spec.n_treated - 1, axis=1)[:, : spec.n_treated]
+        np.put_along_axis(out, picked, np.int8(1), axis=1)
+        return out
+    positions: dict = {}
+    for i, label in enumerate(spec.block_labels):
+        positions.setdefault(label, []).append(i)
+    for label in sorted(positions, key=str):
+        cols = np.array(positions[label], dtype=np.intp)
+        k = spec.per_block_treated[label]
+        picked = np.argpartition(words[:, cols], k - 1, axis=1)[:, :k]
+        np.put_along_axis(out, cols[picked], np.int8(1), axis=1)
+    return out
+
+
+class _CoarseStream(DrawStream):
+    """Words with 16 possible values, so most rows tie at the k-th word."""
+
+    def word_block_raw(self, counters, reuse=False):
+        return super().word_block_raw(counters, reuse) >> np.uint64(60)
+
+
+class TestPartitionThreshold:
+    @pytest.mark.parametrize("kind", ["complete", "block"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_rows_fall_back_to_argpartition(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        spec = _spec(kind, n, rng)
+        stream = _CoarseStream(seed=seed)
+        indices = np.arange(200, dtype=np.uint64)
+        drawn = draw_batch(spec, n, stream, indices)
+        assert np.array_equal(drawn, _argpartition_reference(spec, n, stream, indices))
+        # the threshold alone would treat more than k units in most rows
+        words = stream.word_block(indices, n)
+        if kind == "complete":
+            groups = [(np.arange(n), spec.n_treated)]
+        else:
+            labels = np.array(spec.block_labels)
+            groups = [(np.flatnonzero(labels == label), k)
+                      for label, k in spec.per_block_treated.items()]
+        tied = np.zeros(len(indices), dtype=bool)
+        for cols, k in groups:
+            kth = np.partition(words[:, cols], k - 1, axis=1)[:, k - 1:k]
+            tied |= (words[:, cols] <= kth).sum(axis=1) != k
+        assert tied.mean() > 0.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["complete", "block"]),
+        n=st.integers(2, 300),
+        m=st.integers(1, 70),
+    )
+    def test_matches_argpartition_reference(self, seed, kind, n, m):
+        rng = np.random.default_rng(seed)
+        spec = _spec(kind, n, rng)
+        stream = DrawStream(seed=seed, domain=seed % 5)
+        indices = np.arange(m, dtype=np.uint64) + np.uint64(seed)
+        assert np.array_equal(draw_batch(spec, n, stream, indices),
+                              _argpartition_reference(spec, n, stream, indices))
+
+
+class TestDrawStream:
+    def test_key_derived_once_per_stream(self, monkeypatch):
+        calls = []
+        original = rng_module.stream_key
+
+        def counted(seed, domain):
+            calls.append((seed, domain))
+            return original(seed, domain)
+
+        monkeypatch.setattr(rng_module, "stream_key", counted)
+        stream = DrawStream(seed=11, domain=2)
+        first = stream.word_block(np.arange(3, dtype=np.uint64), 7)
+        second = stream.word_block(np.arange(3, dtype=np.uint64), 7)
+        assert calls == [(11, 2)]
+        assert np.array_equal(first, second)
+        assert stream.key == original(11, 2)
+
+    def test_column_order_permutes_each_row(self):
+        stream = DrawStream(seed=12, domain=1)
+        indices = np.array([0, 5, 9], dtype=np.uint64)
+        columns = np.random.default_rng(0).permutation(8)
+        whole = stream.word_block(indices, 8)
+        assert np.array_equal(stream.word_block(indices, 8, columns), whole[:, columns])

@@ -106,6 +106,47 @@ class TestRunTest:
         assert res.p_value[0] == 1.0
         assert res.observed[0] == 0.0
 
+    def test_zero_mean_difference_gives_p_one(self):
+        # the binary covariate is equally common in both instrument groups:
+        # its mean difference is exactly 0, so every draw ties with it and
+        # p = 1; centring on the float mean used to leave a residue of about
+        # 1e-17 that many draws' own residues fell below (p down to 0.62 here)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n1, n0, share = [(6, 12, 3), (5, 10, 5), (10, 15, 5), (9, 18, 3),
+                             (7, 14, 7)][seed % 5]
+            g = int(rng.integers(1, share))   # g of every `share` units have b = 1
+            z = np.repeat(np.array([1, 0], dtype=np.int8), [n1, n0])
+            b = np.concatenate([rng.permutation(n1) < n1 * g // share,
+                                rng.permutation(n0) < n0 * g // share])
+            perm = rng.permutation(n1 + n0)
+            x = np.column_stack([rng.standard_normal(n1 + n0), b])[perm]
+            ds = Dataset(covariates=x, covariate_names=("x", "b"), instrument=z[perm],
+                         exposure=np.roll(z[perm], 1))
+            res = run_test(ds, "instrument", TestConfig(n_draws=200, seed=seed),
+                           statistic="scmd")
+            assert res.observed[1] == 0.0 and res.p_value[1] == 1.0
+
+    @pytest.mark.parametrize("statistic", ["prevalence_diff", "scmd", "iv_bias"])
+    def test_draws_with_zero_mean_difference_are_exactly_zero(self, statistic):
+        # exactly the enumerated assignments that split the binary covariate
+        # in equal shares (a / 5 == (3 - a) / 10) evaluate to 0
+        rng = np.random.default_rng(4)
+        n, n1 = 15, 5
+        b = np.zeros(n)
+        b[[1, 6, 10]] = 1.0
+        z = np.zeros(n, dtype=np.int8)
+        z[:n1] = 1
+        d = np.zeros(n, dtype=np.int8)
+        d[[0, 1, 2, 9]] = 1
+        ds = Dataset(covariates=np.column_stack([rng.standard_normal(n), b]),
+                     covariate_names=("x", "b"), instrument=z, exposure=d)
+        res = exact_test(ds, "instrument", statistic=statistic)
+        a = enumerate_matrix(n, n1).astype(np.int64) @ b.astype(np.int64)
+        equal_shares = a * (n - n1) == (3 - a) * n1
+        assert equal_shares.sum() == 1485   # C(3, 1) * C(12, 4)
+        assert np.array_equal(res.draws[:, 1] == 0.0, equal_shares)
+
     def test_reproducibility_bit_identical(self):
         ds = _dataset(seed=2)
         cfg = TestConfig(n_draws=500, seed=11)
