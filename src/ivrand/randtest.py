@@ -166,11 +166,12 @@ class _Evaluator:
         self.col_sums = xc.sum(axis=0)
         xc_sq = xc**2
         self.sq_sums = xc_sq.sum(axis=0)
-        # A zero mean difference evaluates to a rounding residue, not 0,
-        # since the centred covariates do not sum to 0 exactly.  Each group
-        # sum is off by at most N ulps of sum |xc| (a recursive sum's bound),
-        # so twice that, over the group size, bounds the residue of the
-        # difference; differences within it are set to 0.
+        # The centred covariates do not sum to 0 exactly, so a zero mean
+        # difference evaluates to a rounding residue.  s1 and the column sums
+        # are each off by at most N eps sum|xc_j| (a recursive sum's bound),
+        # so |diff| <= 2 N eps sum|xc_j| (1/N1 + 1/N0) is set to exactly 0:
+        # a binary covariate split in equal shares then ties with every draw
+        # that splits it so.
         self.diff_tol = 2.0 * self.n * np.finfo(np.float64).eps * np.abs(xc).sum(axis=0)
         # whiten @ whiten.T = T+, the pseudo-inverse of the total scatter
         # T = xc^T xc, cut off like the covariance pseudo-inverse in balance

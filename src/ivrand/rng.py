@@ -83,7 +83,8 @@ class DrawStream:
         indices = np.asarray(indices, dtype=np.uint64)
         if columns is None:
             columns = np.arange(width, dtype=np.uint64)
-        counters = indices[:, None] * np.uint64(width) + np.asarray(columns, dtype=np.uint64)
+        columns = np.asarray(columns, dtype=np.uint64)
+        counters = indices[:, None] * np.uint64(width) + columns
         return self.word_block_raw(counters, reuse=True)
 
     def word_block_raw(self, counters: np.ndarray, reuse: bool = False) -> np.ndarray:
