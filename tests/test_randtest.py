@@ -282,9 +282,16 @@ class TestChunking:
     def test_p_values_do_not_depend_on_chunks_or_threads(self, seed, kind, n, m):
         ds = _dataset(n=n, k=2, seed=seed, confounded=True)
         rng = np.random.default_rng(seed)
+        # alternate the two block labels within each instrument arm, so that
+        # both blocks hold treated and control units once each arm has two
+        z = ds.instrument
+        n1 = int(z.sum())
+        if kind == "block":
+            assume(2 <= n1 <= n - 2)
+        rank = np.where(z == 1, np.cumsum(z), np.cumsum(1 - z))
         mechanism = {
             "complete": None,
-            "block": MechanismSpec.block(tuple("ab"[i % 2] for i in range(n))),
+            "block": MechanismSpec.block(tuple("ab"[r % 2] for r in rank)),
             "bernoulli": MechanismSpec.bernoulli(rng.uniform(0.2, 0.8, n)),
         }[kind]
         results = []
