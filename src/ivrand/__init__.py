@@ -9,9 +9,7 @@ on a global balance scale.
 __version__ = "0.1.0"
 
 from .balance import (
-    BalanceVector,
     GlobalBalance,
-    balance_vector,
     instrument_strength,
     iv_bias,
     mahalanobis,
@@ -68,7 +66,6 @@ from .synth import PRESETS, ScenarioSpec, generate, generating_probabilities
 
 __all__ = [
     "AssignmentVector",
-    "BalanceVector",
     "CapExceededError",
     "CaseClassification",
     "ComparisonResult",
@@ -88,7 +85,6 @@ __all__ = [
     "TestConfig",
     "TestResult",
     "ValidationError",
-    "balance_vector",
     "build_report",
     "classify_case",
     "compare_mechanisms",

@@ -26,15 +26,6 @@ PINV_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
-class BalanceVector:
-    """Per-covariate balance values of one kind."""
-
-    per_covariate: np.ndarray
-    kind: str
-    covariate_names: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class GlobalBalance:
     """Mahalanobis distance of the mean-difference vector."""
 
@@ -181,26 +172,3 @@ def mahalanobis(covariates, assignment) -> GlobalBalance:
         return replace(result, mahalanobis=float("nan"), sqrt_mahalanobis=float("nan"))
     return result
 
-
-def balance_vector(covariates, covariate_names, assignment, kind: str,
-                   exposure=None, denominator: float | None = None) -> BalanceVector:
-    """Evaluate one covariate-specific statistic across all columns."""
-    x = np.asarray(covariates, dtype=np.float64)
-    if kind == "prevalence_diff":
-        vals = [prevalence_difference(x[:, j], assignment) for j in range(x.shape[1])]
-    elif kind == "scmd":
-        vals = [scmd(x[:, j], assignment) for j in range(x.shape[1])]
-    elif kind == "iv_bias":
-        if exposure is None:
-            raise StatisticError("iv_bias needs the exposure vector")
-        vals = [
-            iv_bias(x[:, j], assignment, exposure, denominator=denominator)
-            for j in range(x.shape[1])
-        ]
-    else:
-        raise StatisticError(f"unknown covariate statistic kind {kind!r}")
-    return BalanceVector(
-        per_covariate=np.asarray(vals, dtype=np.float64),
-        kind=kind,
-        covariate_names=tuple(covariate_names),
-    )

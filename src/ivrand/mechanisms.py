@@ -5,18 +5,22 @@ batch entry point ``draw_batch`` is the canonical definition of draw m;
 the single-draw functions are thin wrappers over it, so a draw obtained
 one at a time is identical to the same index inside a batch.
 
-Draw m of a complete or block mechanism gives every unit one random
-64-bit word and treats the k units with the smallest words (within each
-block, for block randomization).  The k smallest are found by a partition
-threshold: the k-th smallest word of each row, from ``np.partition``, and
-``words <= kth``.  A row where that marks more than k units, because a
-word outside the k smallest equals the k-th (chance below N/2**64 per
-row), falls back to ``np.argpartition``, so every row picks the units
-an ``argpartition`` of that row picks.  The block sampler asks the stream
-for each row's words in block order, so that each block is a contiguous
-slice of the chunk, and puts the chunk back in unit order once.  A
-Bernoulli unit is treated when its word is below its threshold
-``floor(p * 2**64)``.
+Draw m reads its random words as 32-bit keys (``rng.word_keys``), one
+key per unit: ceil(N / 2) words per draw.  A complete draw treats the k
+units with the smallest keys, a tie at the k-th key going to the lowest
+positions: the draw is the first k units of a stable sort of its keys.
+The k smallest are found by a partition threshold: the k-th smallest key
+of each row, from ``np.partition``, and ``keys <= kth``.  A row where
+that marks more than k units, because a key outside the k smallest
+equals the k-th (chance below N/2**32 per row), falls back to an
+``argpartition`` of its (key, position) pairs.  A block draw gives key p
+to the unit at position p of the block order (blocks sorted by label,
+each block's units in unit order), so that each block is a contiguous
+slice of the chunk, draws each block like a complete draw, and puts the
+chunk back in unit order once.  A Bernoulli unit is treated when its key
+is below its threshold ``floor(p * 2**32)``; attempt a of draw m reads
+the words from ``(m * (R + 1) + a) * ceil(N / 2)`` on, R the redraw
+limit.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .data import AssignmentVector
 from .errors import CapExceededError, MechanismError, RedrawLimitError
-from .rng import DrawStream, bernoulli_thresholds
+from .rng import DrawStream, bernoulli_thresholds, word_keys
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 DEFAULT_MAX_REDRAWS = 1_000
@@ -121,9 +125,10 @@ class MechanismSpec:
             raise MechanismError(f"unknown mechanism kind {self.kind!r}")
 
     def words_per_draw(self, n: int) -> int:
+        words = (n + 1) // 2
         if self.kind == "bernoulli":
-            return n * (self.max_redraws + 1)
-        return n
+            return words * (self.max_redraws + 1)
+        return words
 
     def describe(self) -> dict:
         out = {"kind": self.kind}
@@ -155,15 +160,14 @@ class PreparedSampler:
     """The state every chunk of one draw set shares, for one spec and N.
 
     Built once per draw set by ``prepare_sampler``.  Block mechanism:
-    ``order`` lists the unit positions block by block (each block's in
-    unit order, blocks sorted by label), ``inverse`` is its inverse
-    permutation, and ``blocks`` holds each block's ``(lo, hi, treated)``
-    slice of ``order``.  Bernoulli: ``thresholds`` holds the per-unit
+    ``blocks`` holds each block's ``(lo, hi, treated)`` slice of the
+    block order (block by block, blocks sorted by label, each block's
+    units in unit order), and ``inverse`` gives the block-order position
+    of each unit.  Bernoulli: ``thresholds`` holds the per-unit
     acceptance thresholds.
     """
 
     blocks: tuple = ()
-    order: np.ndarray | None = None
     inverse: np.ndarray | None = None
     thresholds: np.ndarray | None = None
 
@@ -177,34 +181,34 @@ def prepare_sampler(spec: MechanismSpec, n: int) -> PreparedSampler:
             positions.setdefault(label, []).append(i)
         labels = sorted(positions, key=str)
         order = np.array([i for label in labels for i in positions[label]],
-                         dtype=np.uint64)
+                         dtype=np.intp)
         bounds = np.cumsum([0] + [len(positions[label]) for label in labels])
         blocks = tuple((int(lo), int(hi), spec.per_block_treated[label])
                        for label, lo, hi in zip(labels, bounds, bounds[1:]))
-        return PreparedSampler(blocks=blocks, order=order,
-                               inverse=np.argsort(order))
+        return PreparedSampler(blocks=blocks, inverse=np.argsort(order))
     if spec.kind == "bernoulli":
         return PreparedSampler(thresholds=bernoulli_thresholds(spec.propensities))
     return PreparedSampler()
 
 
-def _mark_smallest(words: np.ndarray, k: int, out: np.ndarray) -> None:
-    """Set ``out`` to 1 at the k smallest words of each row, 0 elsewhere.
+def _mark_smallest(keys: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Set ``out`` to 1 at the k smallest keys of each row, 0 elsewhere.
 
-    ``out`` is an int8 array (or view) of the shape of ``words``.  A row
-    whose k-th smallest word ties with a larger-ranked one takes
-    ``argpartition``'s pick.
+    ``out`` is an int8 array (or view) of the shape of ``keys``.  Keys
+    equal to the k-th smallest are taken lowest position first.
     """
-    part = np.partition(words, k - 1, axis=1)
+    part = np.partition(keys, k - 1, axis=1)
     kth = part[:, k - 1]
-    np.less_equal(words, kth[:, None], out=out.view(np.bool_))   # no casting loop
-    # the threshold marks exactly k units unless a word after the k-th in
-    # the partition equals it
+    np.less_equal(keys, kth[:, None], out=out.view(np.bool_))   # no casting loop
+    # the threshold marks exactly k units unless a key after the k-th in
+    # the partition equals it; such rows fall back to an argpartition of
+    # (key, position) pairs, which are distinct, so its pick is the rule's
     tied = np.flatnonzero(part[:, k:].min(axis=1) == kth)
     if len(tied):
-        rows = words[tied]
-        picked = np.argpartition(rows, k - 1, axis=1)[:, :k]
-        marked = np.zeros(rows.shape, dtype=np.int8)
+        pairs = keys[tied].astype(np.uint64) << np.uint64(32)
+        pairs |= np.arange(keys.shape[1], dtype=np.uint64)
+        picked = np.argpartition(pairs, k - 1, axis=1)[:, :k]
+        marked = np.zeros(pairs.shape, dtype=np.int8)
         np.put_along_axis(marked, picked, np.int8(1), axis=1)
         out[tied] = marked
 
@@ -228,32 +232,32 @@ def draw_batch(
     if sampler is None:
         sampler = prepare_sampler(spec, n)
     indices = np.asarray(indices, dtype=np.uint64)
+    width = (n + 1) // 2   # words per draw, or per Bernoulli attempt
     if spec.kind == "complete":
-        words = stream.word_block(indices, n)
+        keys = word_keys(stream.word_block(indices, width))[:, :n]
         out = np.empty((len(indices), n), dtype=np.int8)
-        _mark_smallest(words, spec.n_treated, out)
+        _mark_smallest(keys, spec.n_treated, out)
         return out
     if spec.kind == "block":
-        words = stream.word_block(indices, n, sampler.order)
+        keys = word_keys(stream.word_block(indices, width))[:, :n]
         grouped = np.empty((len(indices), n), dtype=np.int8)
         for lo, hi, k in sampler.blocks:
-            _mark_smallest(words[:, lo:hi], k, grouped[:, lo:hi])
+            _mark_smallest(keys[:, lo:hi], k, grouped[:, lo:hi])
         return grouped[:, sampler.inverse]
     # bernoulli with rejection of degenerate (all-0 / all-1) draws
     out = np.empty((len(indices), n), dtype=np.int8)
     pending = np.arange(len(indices))
+    stride = np.uint64(spec.words_per_draw(n))
     for attempt in range(spec.max_redraws + 1):
-        sub = indices[pending]
-        base = sub * np.uint64(spec.words_per_draw(n)) + np.uint64(attempt * n)
-        counters = base[:, None] + np.arange(n, dtype=np.uint64)[None, :]
-        words = stream.word_block_raw(counters, reuse=True)
+        starts = indices[pending] * stride + np.uint64(attempt * width)
+        keys = word_keys(stream.word_block_raw(starts, width))[:, :n]
         if attempt == 0:
             # every row is pending: accept straight into out, and leave the
             # rejected rows there until a later attempt overwrites them
             draws = out
-            np.less(words, sampler.thresholds, out=out.view(np.bool_))
+            np.less(keys, sampler.thresholds, out=out.view(np.bool_))
         else:
-            draws = (words < sampler.thresholds).astype(np.int8)
+            draws = (keys < sampler.thresholds).astype(np.int8)
         sums = draws.sum(axis=1)
         good = (sums > 0) & (sums < n)
         if attempt > 0:

@@ -33,8 +33,9 @@ from .randtest import (
     run_many,
 )
 from .randtest import exact_test  # noqa: F401  wrapped by name in perfbench/layers.py
+from .rng import STREAM_VERSION
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 SCMD_REFERENCE_THRESHOLD = 0.1   # rule-of-thumb annotation, never a pass/fail rule
 DEFAULT_STATISTICS = ("scmd", "iv_bias", "sqrt_mahalanobis")
 
@@ -271,6 +272,7 @@ def build_report(
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "source": str(source),
         "seed": config.seed,
+        "stream_version": STREAM_VERSION,
         "n_draws": config.n_draws,
         "alpha": config.alpha,
         "statistics": list(statistics),

@@ -10,16 +10,24 @@ generation.
 The word function is the SplitMix64 output sequence (a counter-mixing
 generator that passes BigCrush), keyed once per (seed, domain) through
 ``numpy.random.SeedSequence`` so distinct domains give unrelated
-streams.  The mixing is done in place on uint64 buffers, one piece of
+streams: the word at counter c is ``mix64(c * G + key)`` mod 2**64, G the
+golden-ratio constant.  A row of consecutive counters starts from one
+base ``start * G + key`` and adds the precomputed steps ``j * G``.  The
+mixing is done in place on uint64 buffers, one piece of about
 ``MIX_PIECE_WORDS`` at a time: it is memory-bandwidth bound, not compute
 bound, and its ten passes over a cache-sized piece run about twice as
 fast as ten passes over a whole multi-megabyte draw matrix.
+
+Samplers read each word as two 32-bit keys (``word_keys``): key 2j is
+word j's low half and key 2j + 1 its high half, so a draw over N units
+takes ceil(N / 2) words.  ``STREAM_VERSION`` names this definition of the
+draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,6 +44,12 @@ DOMAIN_BT_EXPOSURE = 3
 DOMAIN_SYNTH = 16
 
 MIX_PIECE_WORDS = 1 << 15   # 256 KiB
+
+# The version of the draw definition: the word function, two keys per
+# word, and the samplers' use of them (``mechanisms``).  Bump it whenever
+# a draw changes for a given (seed, domain, index), which is whenever a
+# pinned draw digest in the tests has to change.
+STREAM_VERSION = 2
 
 
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
@@ -57,6 +71,14 @@ def stream_key(seed: int, domain: int) -> np.uint64:
     return np.random.SeedSequence(entropy=entropy).generate_state(1, np.uint64)[0]
 
 
+@lru_cache(maxsize=8)
+def _steps(width: int) -> np.ndarray:
+    """``j * G`` mod 2**64 for j < width: a row's offsets from its base."""
+    steps = np.arange(width, dtype=np.uint64) * _GOLDEN
+    steps.flags.writeable = False
+    return steps
+
+
 @dataclass(frozen=True)
 class DrawStream:
     """Handle for one family of counter-based substreams.
@@ -73,36 +95,28 @@ class DrawStream:
     def key(self) -> np.uint64:
         return stream_key(self.seed, self.domain)
 
-    def word_block(self, indices: np.ndarray, width: int,
-                   columns: np.ndarray | None = None) -> np.ndarray:
-        """Words ``0 .. width - 1`` of each draw's row, one row per index.
-
-        ``columns``, a permutation of ``range(width)``, returns each row's
-        words in that order instead: column j holds word ``columns[j]``.
-        """
+    def word_block(self, indices: np.ndarray, width: int) -> np.ndarray:
+        """Words ``0 .. width - 1`` of each draw's row, one row per index."""
         indices = np.asarray(indices, dtype=np.uint64)
-        if columns is None:
-            columns = np.arange(width, dtype=np.uint64)
-        columns = np.asarray(columns, dtype=np.uint64)
-        counters = indices[:, None] * np.uint64(width) + columns
-        return self.word_block_raw(counters, reuse=True)
+        return self.word_block_raw(indices * np.uint64(width), width)
 
-    def word_block_raw(self, counters: np.ndarray, reuse: bool = False) -> np.ndarray:
-        """Random words at explicit counter positions (same shape).
+    def word_block_raw(self, starts: np.ndarray, width: int) -> np.ndarray:
+        """Random words at counters ``starts[r] + j`` (mod 2**64), j < width.
 
-        With ``reuse`` the counter buffer is consumed as scratch space.
+        Returns a (len(starts), width) uint64 array, row r for ``starts[r]``.
         """
-        x = np.asarray(counters, dtype=np.uint64)
-        if not reuse or not x.flags.c_contiguous:
-            x = x.copy()
-        key = self.key
-        flat = x.reshape(-1)
-        for lo in range(0, flat.size, MIX_PIECE_WORDS):
-            piece = flat[lo:lo + MIX_PIECE_WORDS]
-            np.multiply(piece, _GOLDEN, out=piece)
-            np.add(piece, key, out=piece)
-            _mix64_inplace(piece)
-        return x
+        starts = np.asarray(starts, dtype=np.uint64).reshape(-1)
+        bases = starts * _GOLDEN + self.key
+        steps = _steps(width)
+        out = np.empty((len(starts), width), dtype=np.uint64)
+        rows = max(1, MIX_PIECE_WORDS // max(width, 1))
+        for lo in range(0, len(starts), rows):
+            for col in range(0, width, MIX_PIECE_WORDS):
+                piece = out[lo:lo + rows, col:col + MIX_PIECE_WORDS]
+                np.add(bases[lo:lo + rows, None], steps[col:col + MIX_PIECE_WORDS],
+                       out=piece)
+                _mix64_inplace(piece)
+        return out
 
     def generator(self, index: int = 0) -> np.random.Generator:
         """A conventional numpy Generator seeded from this substream.
@@ -115,14 +129,22 @@ class DrawStream:
         return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
-def bernoulli_thresholds(probabilities: np.ndarray) -> np.ndarray:
-    """uint64 acceptance thresholds so that (word < t) ~ Bernoulli(p).
+def word_keys(words: np.ndarray) -> np.ndarray:
+    """The 32-bit keys of a (rows, W) word block, as a (rows, 2W) array.
 
-    Quantizes each probability to a multiple of 2**-64, indistinguishable
-    from the real thing at any attainable draw count.
+    Key 2j of a row is word j's low half and key 2j + 1 its high half; on
+    a little-endian host this is a view of ``words``.
+    """
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def bernoulli_thresholds(probabilities: np.ndarray) -> np.ndarray:
+    """uint32 acceptance thresholds so that (key < t) ~ Bernoulli(p).
+
+    Quantizes each probability down to a multiple of 2**-32, clamped to
+    [2**-32, 1 - 2**-32]: an error of at most 2**-32 (2.3e-10), which is
+    2.3e-4 of a probability of 1e-6.
     """
     p = np.asarray(probabilities, dtype=np.float64)
-    t = np.floor(p * 2.0**64)
-    largest = np.nextafter(2.0**64, 0.0)   # biggest float castable to uint64
-    t = np.where(t >= 2.0**64, largest, np.maximum(t, 1.0))
-    return t.astype(np.uint64)
+    t = np.clip(np.floor(p * 2.0**32), 1.0, 2.0**32 - 1.0)
+    return t.astype(np.uint32)

@@ -13,6 +13,7 @@ from ivrand import TestConfig, cli, data, exact_test, load_dataset, read_delimit
 from ivrand.cli import main
 from ivrand.comparison import RIDGE_FALLBACK
 from ivrand.report import build_report
+from ivrand.rng import STREAM_VERSION
 
 
 def _write_csv(path, header, rows):
@@ -263,6 +264,16 @@ class TestCmdTest:
                          "--out", str(out), *extra]) == 0
             kinds.append(json.loads(out.read_text())["metadata"]["mechanism"])
         assert kinds == [{"kind": "complete"}, {"kind": "complete"}]
+
+    def test_schema_and_stream_version(self, tiny_file, tmp_path):
+        for command, extra in (("test", ["--draws", "50"]), ("exact", [])):
+            out = tmp_path / f"{command}.json"
+            assert main([command, str(tiny_file), "--instrument", "z",
+                         "--exposure", "d", "--statistic", "scmd",
+                         "--out", str(out), *extra]) == 0
+            report = json.loads(out.read_text())
+            assert report["schema_version"] == report["metadata"]["schema_version"] == "2"
+            assert report["metadata"]["stream_version"] == STREAM_VERSION == 2
 
 
 class TestModuleEntryPoint:

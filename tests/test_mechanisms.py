@@ -1,5 +1,6 @@
 """Sampler distribution checks against enumeration oracles."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -266,32 +267,43 @@ class TestChunkInvariance:
         assert whole_tally.redraws == split_tally.redraws
 
 
-def _argpartition_reference(spec: MechanismSpec, n: int, stream: DrawStream,
-                            indices: np.ndarray) -> np.ndarray:
-    """The argpartition sampler that defined complete and block draws before
-    the partition threshold: kept here as the reference draw m must equal."""
-    words = stream.word_block(indices, n)
-    out = np.zeros((len(indices), n), dtype=np.int8)
+def _block_order(spec: MechanismSpec, n: int) -> list:
+    """(units, lo, hi, k) per group: its units, and their slice of the keys."""
     if spec.kind == "complete":
-        picked = np.argpartition(words, spec.n_treated - 1, axis=1)[:, : spec.n_treated]
-        np.put_along_axis(out, picked, np.int8(1), axis=1)
-        return out
+        return [(np.arange(n), 0, n, spec.n_treated)]
     positions: dict = {}
     for i, label in enumerate(spec.block_labels):
         positions.setdefault(label, []).append(i)
+    groups, lo = [], 0
     for label in sorted(positions, key=str):
-        cols = np.array(positions[label], dtype=np.intp)
-        k = spec.per_block_treated[label]
-        picked = np.argpartition(words[:, cols], k - 1, axis=1)[:, :k]
-        np.put_along_axis(out, cols[picked], np.int8(1), axis=1)
+        units = np.array(positions[label], dtype=np.intp)
+        groups.append((units, lo, lo + len(units), spec.per_block_treated[label]))
+        lo += len(units)
+    return groups
+
+
+def _draw_keys(stream: DrawStream, n: int, indices: np.ndarray) -> np.ndarray:
+    return rng_module.word_keys(stream.word_block(indices, (n + 1) // 2))[:, :n]
+
+
+def _stable_sort_reference(spec: MechanismSpec, n: int, stream: DrawStream,
+                           indices: np.ndarray) -> np.ndarray:
+    """Complete and block draws by their definition: in each group the k
+    units whose (key, position) pairs are smallest, from a stable sort."""
+    keys = _draw_keys(stream, n, indices)
+    out = np.zeros((len(indices), n), dtype=np.int8)
+    for units, lo, hi, k in _block_order(spec, n):
+        picked = np.argsort(keys[:, lo:hi], axis=1, kind="stable")[:, :k]
+        np.put_along_axis(out, units[picked], np.int8(1), axis=1)
     return out
 
 
 class _CoarseStream(DrawStream):
-    """Words with 16 possible values, so most rows tie at the k-th word."""
+    """Keys with 16 possible values, so most rows tie at the k-th key."""
 
-    def word_block_raw(self, counters, reuse=False):
-        return super().word_block_raw(counters, reuse) >> np.uint64(60)
+    def word_block_raw(self, starts, width):
+        words = super().word_block_raw(starts, width)
+        return (words >> np.uint64(28)) & np.uint64(0x0000000F0000000F)
 
 
 class TestPartitionThreshold:
@@ -304,19 +316,13 @@ class TestPartitionThreshold:
         stream = _CoarseStream(seed=seed)
         indices = np.arange(200, dtype=np.uint64)
         drawn = draw_batch(spec, n, stream, indices)
-        assert np.array_equal(drawn, _argpartition_reference(spec, n, stream, indices))
+        assert np.array_equal(drawn, _stable_sort_reference(spec, n, stream, indices))
         # the threshold alone would treat more than k units in most rows
-        words = stream.word_block(indices, n)
-        if kind == "complete":
-            groups = [(np.arange(n), spec.n_treated)]
-        else:
-            labels = np.array(spec.block_labels)
-            groups = [(np.flatnonzero(labels == label), k)
-                      for label, k in spec.per_block_treated.items()]
+        keys = _draw_keys(stream, n, indices)
         tied = np.zeros(len(indices), dtype=bool)
-        for cols, k in groups:
-            kth = np.partition(words[:, cols], k - 1, axis=1)[:, k - 1:k]
-            tied |= (words[:, cols] <= kth).sum(axis=1) != k
+        for _, lo, hi, k in _block_order(spec, n):
+            kth = np.partition(keys[:, lo:hi], k - 1, axis=1)[:, k - 1:k]
+            tied |= (keys[:, lo:hi] <= kth).sum(axis=1) != k
         assert tied.mean() > 0.5
 
     @settings(max_examples=60, deadline=None)
@@ -326,13 +332,24 @@ class TestPartitionThreshold:
         n=st.integers(2, 300),
         m=st.integers(1, 70),
     )
-    def test_matches_argpartition_reference(self, seed, kind, n, m):
+    def test_matches_stable_sort_reference(self, seed, kind, n, m):
         rng = np.random.default_rng(seed)
         spec = _spec(kind, n, rng)
         stream = DrawStream(seed=seed, domain=seed % 5)
         indices = np.arange(m, dtype=np.uint64) + np.uint64(seed)
         assert np.array_equal(draw_batch(spec, n, stream, indices),
-                              _argpartition_reference(spec, n, stream, indices))
+                              _stable_sort_reference(spec, n, stream, indices))
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(key: int, counter: int) -> int:
+    """The stream's word at ``counter``, in Python integers mod 2**64."""
+    z = (counter * 0x9E3779B97F4A7C15 + key) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class TestDrawStream:
@@ -352,9 +369,75 @@ class TestDrawStream:
         assert np.array_equal(first, second)
         assert stream.key == original(11, 2)
 
-    def test_column_order_permutes_each_row(self):
-        stream = DrawStream(seed=12, domain=1)
-        indices = np.array([0, 5, 9], dtype=np.uint64)
-        columns = np.random.default_rng(0).permutation(8)
-        whole = stream.word_block(indices, 8)
-        assert np.array_equal(stream.word_block(indices, 8, columns), whole[:, columns])
+    @pytest.mark.parametrize("seed,domain,starts,width", [
+        (0, 0, [0, 1, 2], 5),
+        (11, 2, [7, 10**12], 1),
+        (2019, 1, [2**64 - 3, 2**64 - 1, 2**63], 6),    # counters wrap mod 2**64
+        (5, 16, [3], rng_module.MIX_PIECE_WORDS + 3),   # a row split in pieces
+        (6, 3, list(range(0, 9 * 5000, 5000)), 5000),  # pieces of several rows
+    ])
+    def test_words_match_python_splitmix64(self, seed, domain, starts, width):
+        stream = DrawStream(seed=seed, domain=domain)
+        words = stream.word_block_raw(np.array(starts, dtype=np.uint64), width)
+        assert words.dtype == np.uint64 and words.shape == (len(starts), width)
+        key = int(stream.key)
+        expected = [[_splitmix64(key, (start + j) & _MASK64) for j in range(width)]
+                    for start in starts]
+        assert words.tolist() == expected
+
+    def test_word_block_is_rows_of_consecutive_counters(self):
+        stream = DrawStream(seed=3, domain=1)
+        indices = np.array([0, 4, 9], dtype=np.uint64)
+        assert np.array_equal(stream.word_block(indices, 6),
+                              stream.word_block_raw(indices * np.uint64(6), 6))
+
+    def test_keys_are_low_then_high_halves(self):
+        words = DrawStream(seed=4).word_block(np.arange(3, dtype=np.uint64), 5)
+        keys = rng_module.word_keys(words)
+        assert keys.shape == (3, 10)
+        assert np.array_equal(keys[:, 0::2], words & np.uint64(0xFFFFFFFF))
+        assert np.array_equal(keys[:, 1::2], words >> np.uint64(32))
+
+
+class TestBernoulliThresholds:
+    def test_edges_and_midpoint(self):
+        t = rng_module.bernoulli_thresholds(np.array([1e-12, 0.5, 1.0 - 1e-12]))
+        assert t.dtype == np.uint32
+        assert t.tolist() == [1, 2**31, 2**32 - 1]
+
+    def test_quantization_error_at_most_two_to_minus_32(self):
+        p = np.random.default_rng(0).uniform(1e-6, 1.0 - 1e-6, 10_000)
+        t = rng_module.bernoulli_thresholds(p)
+        assert np.all(np.abs(t / 2.0**32 - p) <= 2.0**-32)
+
+
+class TestPinnedDraws:
+    """Digests of fixed draws: a change to the draw definition fails here.
+
+    When one must change, bump ``rng.STREAM_VERSION`` with the digest."""
+
+    N = 37   # odd: the last word's high half goes unused
+    INDICES = np.array([0, 1, 7, 1000, 2**40], dtype=np.uint64)
+
+    @classmethod
+    def _spec(cls, kind):
+        if kind == "complete":
+            return MechanismSpec.complete(11)
+        if kind == "block":
+            labels = tuple("abc"[i % 3] for i in range(cls.N))
+            return MechanismSpec.block(labels, {"a": 4, "b": 6, "c": 2})
+        return MechanismSpec.bernoulli(np.geomspace(0.005, 0.05, cls.N))
+
+    @pytest.mark.parametrize("kind,redraws,digest", [
+        ("complete", 0, "9f7677689285182e407e78e6f423d74a8857ba5aaa3bded9c0568acf5a182b95"),
+        ("block", 0, "989464f7fc1ba684303dfba5594a099bcdf17a2038e640b36bb6a1979b24e9b5"),
+        ("bernoulli", 7, "f87e4f03b02a4090d4212ed32ea196720f19735414ccbc4ffe6deca7fd7b2b36"),
+    ])
+    def test_draw_digest(self, kind, redraws, digest):
+        tally = DrawTally()
+        drawn = draw_batch(self._spec(kind), self.N,
+                           DrawStream(seed=1907, domain=rng_module.DOMAIN_TEST_INSTRUMENT),
+                           self.INDICES, tally)
+        assert tally.redraws == redraws
+        assert (rng_module.STREAM_VERSION,
+                hashlib.sha256(drawn.tobytes()).hexdigest()) == (2, digest)
