@@ -48,11 +48,12 @@ _TARGET_DOMAINS = {
 # keeps the test valid.
 TIE_RTOL = 1e-12
 
-# Bytes a chunk of draws may take at 8 per unit and draw, the size of the
-# evaluator's float64 copy of the chunk; the sampler's 32-bit keys and
-# int8 draws and the evaluator's other temporaries are fractions or small
-# multiples of it, per thread.  Above N = 32,768 the 32-row floor makes a
-# chunk larger than this, 256 * N bytes, still independent of chunk_draws.  Chunk rows are
+# Bytes a chunk of draws may take, at 8 per unit and draw: the size of
+# the evaluator's float64 copy of the chunk.  The sampler's 32-bit keys
+# and int8 draws are half and an eighth of it, and the temporaries are a
+# few times a chunk, per thread.  Above N = 32,768 the 32-row floor makes
+# a chunk larger than this, 256 * N bytes, still independent of
+# chunk_draws.  Chunk rows are
 # a multiple of CHUNK_ROW_MULTIPLE because OpenBLAS (0.3.31) rounds the
 # products of 32-row panels alike and the rows after the last full panel
 # differently: with every chunk a multiple of 32 rows, only the last
