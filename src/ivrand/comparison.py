@@ -27,8 +27,8 @@ from .data import Dataset, TestConfig
 from .errors import PropensityError, StatisticError
 from .mechanisms import MechanismSpec
 from .propensity import PropensityModel, fit_logistic, predict
-from .randtest import TestResult, _Evaluator, _evaluate_mechanism_draws, run_test
-from .randtest import pvalue  # noqa: F401  wrapped by name in perfbench/layers.py
+from .randtest import (TestResult, _Evaluator, _evaluate_mechanism_draws,
+                       _observed_stats, pvalue, run_test)
 from .rng import DOMAIN_BT_EXPOSURE, DOMAIN_BT_INSTRUMENT
 
 CASE_RECOMMENDATIONS = {
@@ -179,9 +179,17 @@ def compare_mechanisms(
 
     The complete-randomization benchmark permutes the instrument
     (conditioning on its observed treated count) and both observed
-    global balance values are located in that one distribution: they
-    and their p-values are read off ``cr_result``, which is identical to
-    an independent ``run_test`` with the same config.  The two
+    global balance values are located in that one distribution.  The
+    instrument's value and p-value are read off ``cr_result``, which is
+    identical to an independent ``run_test`` with the same config; the
+    exposure's value is evaluated here and its p-value is ``pvalue``
+    against the same draws.  That p-value conditions on the instrument's
+    treated count, not the exposure's: it relies on the Mahalanobis
+    distance under complete randomization being close to chi-squared
+    with K degrees of freedom whatever the treated count (Morgan & Rubin
+    2012).  The exposure's own-count test is ``global.exposure`` in the
+    report; drawing a second benchmark at the exposure's count is left
+    out, as it would add a draw set to every report.  The two
     Bernoulli-trial distributions resample assignments from the fitted
     propensities without refitting per draw; ``models`` defaults to
     ``fit_propensities(dataset, ridge)``.
@@ -197,16 +205,18 @@ def compare_mechanisms(
           cr_result.exact) != ("sqrt_mahalanobis", "instrument", config.seed,
                                config.n_draws, False):
         raise ValueError("cr_result does not match this comparison's config")
+    evaluator = _Evaluator(dataset, ("sqrt_mahalanobis",), config.bias_denominator, None)
     observed_iv, p_iv = cr_result.observed, cr_result.p_value
-    observed_exp, p_exp = cr_result.other_observed, cr_result.other_p_value
+    observed_exp = float(
+        _observed_stats(dataset, "exposure", evaluator)["sqrt_mahalanobis"])
     if not np.isfinite(observed_exp):
         raise StatisticError("observed sqrt_mahalanobis is undefined for the exposure")
+    p_exp = pvalue(observed_exp, cr_result.draws)
 
     iv_model, exp_model = models or fit_propensities(dataset, ridge)
     e_exp = predict(exp_model, dataset.covariates)
     e_iv = predict(iv_model, dataset.covariates)
 
-    evaluator = _Evaluator(dataset, ("sqrt_mahalanobis",), config.bias_denominator, None)
     iv_spec = MechanismSpec.bernoulli(e_iv, max_redraws=config.max_redraws)
     exp_spec = MechanismSpec.bernoulli(e_exp, max_redraws=config.max_redraws)
     iv_stats, iv_redraws = _evaluate_mechanism_draws(

@@ -25,7 +25,6 @@ limit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ from .rng import DrawStream, bernoulli_thresholds, word_keys
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 DEFAULT_MAX_REDRAWS = 1_000
-ENUMERATION_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -319,20 +317,31 @@ def enumerate_complete(n: int, n_treated: int, cap: int = DEFAULT_ENUMERATION_CA
 
 
 def enumerate_matrix(n: int, n_treated: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Dense 0/1 matrix of the full enumeration (rows in combination order)."""
+    """Dense 0/1 matrix of the full enumeration (rows in combination order).
+
+    Built from suffix tables: the rows of units j..n-1 with t treated are
+    ``[1 | rows(j + 1, t - 1)]`` followed by ``[0 | rows(j + 1, t)]``,
+    which is the order of ``itertools.combinations``.
+    """
     total = n_assignments(n, n_treated)
     if total > cap:
         raise CapExceededError(
             f"C({n}, {n_treated}) = {total} exceeds the enumeration cap {cap}"
         )
-    out = np.zeros((total, n), dtype=np.int8)
-    combos = itertools.combinations(range(n), n_treated)
-    # rows are filled a block at a time so the index array stays small
-    for lo in range(0, total, ENUMERATION_BLOCK_ROWS):
-        block = out[lo:lo + ENUMERATION_BLOCK_ROWS]
-        picked = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, len(block))),
-            dtype=np.intp, count=len(block) * n_treated,
-        ).reshape(len(block), n_treated)
-        np.put_along_axis(block, picked, np.int8(1), axis=1)
-    return out
+    tables = {0: np.zeros((1, 0), dtype=np.int8)}   # units n..n-1: one empty row
+    for j in range(n - 1, -1, -1):
+        width = n - j
+        level = {}
+        # the treated counts that units j..n-1 can hold in an enumerated row
+        for t in range(max(0, n_treated - j), min(n_treated, width) + 1):
+            table = np.empty((math.comb(width, t), width), dtype=np.int8)
+            ones = math.comb(width - 1, t - 1) if t else 0
+            table[:ones, 0] = 1
+            table[ones:, 0] = 0
+            if ones:
+                table[:ones, 1:] = tables[t - 1]
+            if ones < len(table):
+                table[ones:, 1:] = tables[t]
+            level[t] = table
+        tables = level
+    return tables[n_treated]

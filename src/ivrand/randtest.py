@@ -76,11 +76,8 @@ class TestResult:
     quantiles, undefined-draw counts, and rejection flags are arrays
     with one entry per covariate; for global statistics they are
     scalars.  ``draws`` holds the statistic evaluated on every draw
-    ((M,) or (M, K)).  On Monte Carlo results ``other_observed`` and
-    ``other_p_value`` locate the other vector (the exposure when the
-    target is the instrument, and vice versa) in the same draws, with
-    ``other_p_value`` NaN where its statistic is undefined; exact results
-    leave both ``None``.
+    ((M,) or (M, K)), drawn at the target's own treated count (or
+    per-block counts, or propensities).
     """
 
     target: str
@@ -100,8 +97,6 @@ class TestResult:
     reject_at_alpha: np.ndarray | bool
     exact: bool = False
     n_redraws: int = 0
-    other_observed: np.ndarray | float | None = None
-    other_p_value: np.ndarray | float | None = None
 
     __test__ = False   # keep pytest from collecting this as a test class
 
@@ -343,7 +338,6 @@ def _summarize(
     mechanism: MechanismSpec,
     exact: bool = False,
     n_redraws: int = 0,
-    other_observed=None,
 ) -> TestResult:
     vector = draws.ndim == 2
     names = dataset.covariate_names if vector else None
@@ -358,17 +352,15 @@ def _summarize(
             raise StatisticError(message)
 
     with np.errstate(all="ignore"):
+        q025, q975 = np.nanquantile(draws, (0.025, 0.975), axis=0)
         summary = {
             "observed": observed,
             "p_value": _tail_pvalue(observed, draws, offset=0 if exact else 1),
-            "q025": np.nanquantile(draws, 0.025, axis=0),
-            "q975": np.nanquantile(draws, 0.975, axis=0),
+            "q025": q025,
+            "q975": q975,
             "draw_mean": np.nanmean(draws, axis=0),
             "n_undefined": draws.shape[0] - effective,
         }
-    if other_observed is not None:
-        summary["other_observed"] = np.asarray(other_observed, dtype=np.float64)
-        summary["other_p_value"] = _tail_pvalue(summary["other_observed"], draws)
     if not vector:
         summary = {key: value.item() for key, value in summary.items()}
     return TestResult(
@@ -402,8 +394,7 @@ def run_many(
     consistent.  With ``exact`` the draw set is every assignment of a
     complete ``mechanism`` (C(N, N_T) rows, at most
     ``config.enumeration_cap``) instead of ``config.n_draws`` samples.
-    ``mechanism=None`` means complete randomization.  Monte Carlo results
-    also locate the other vector's observed statistics in the same draws.
+    ``mechanism=None`` means complete randomization.
     """
     if target not in _TARGET_DOMAINS:
         raise ValueError(f"target must be 'instrument' or 'exposure', got {target!r}")
@@ -436,12 +427,9 @@ def run_many(
     else:
         # Monte Carlo, or an exact n_treated that differs from the observed count
         observed = _observed_stats(dataset, target, evaluator)
-    other_target = "exposure" if target == "instrument" else "instrument"
-    other = {} if exact else _observed_stats(dataset, other_target, evaluator)
     return {
         name: _summarize(target, name, dataset, observed[name], draws[name],
-                         config, spec, exact=exact, n_redraws=redraws,
-                         other_observed=other.get(name))
+                         config, spec, exact=exact, n_redraws=redraws)
         for name in statistics
     }
 
@@ -491,40 +479,24 @@ def _fixed_strength_for(dataset, target, config):
     return strength
 
 
-def per_covariate_quantiles(
-    dataset: Dataset,
-    target: str,
-    mechanism: MechanismSpec | str | None,
-    config: TestConfig,
-    statistic: str = "scmd",
-    result: TestResult | None = None,
-) -> list[dict]:
-    """Per-covariate quantile bands with the observed vectors located.
+def per_covariate_quantiles(result: TestResult) -> list[dict]:
+    """One row per covariate of a covariate-specific result.
 
-    One row per covariate: the 2.5%/97.5% band of the target's
-    randomization distribution and the target's observed value and
-    p-value; Monte Carlo rows add the other vector's observed value and
-    its p-value against the same draws (``None`` where undefined).  Exact
-    rows hold the target's keys only.  Pass an already-computed ``result``
-    for this target/statistic to reuse its draws.
+    Each row holds the target's observed value, the 2.5%/97.5% band of
+    its own draw set, its p-value and the count of undefined draws:
+    ``{covariate, target, observed, q025, q975, p_value, n_undefined}``.
     """
-    if statistic not in VECTOR_STATISTICS:
+    if result.statistic not in VECTOR_STATISTICS:
         raise ValueError("per-covariate bands need a covariate-specific statistic")
-    if result is None:
-        result = run_many(dataset, target, (statistic,), config, mechanism)[statistic]
-    elif result.statistic != statistic or result.target != target:
-        raise ValueError("result does not match the requested target/statistic")
-    other = "exposure" if target == "instrument" else "instrument"
-    observed = {target: result.observed, other: result.other_observed}
-    p_value = {target: result.p_value, other: result.other_p_value}
-    vectors = [v for v in ("instrument", "exposure") if observed[v] is not None]
-    rows = []
-    for j, name in enumerate(result.covariate_names):
-        row = {"covariate": name}
-        row.update((f"observed_{v}", float(observed[v][j])) for v in vectors)
-        row.update(q025=float(result.q025[j]), q975=float(result.q975[j]))
-        row.update((f"p_{v}", float(p_value[v][j]) if np.isfinite(p_value[v][j])
-                    else None) for v in vectors)
-        row["n_undefined"] = int(result.n_undefined[j])
-        rows.append(row)
-    return rows
+    return [
+        {
+            "covariate": name,
+            "target": result.target,
+            "observed": float(result.observed[j]),
+            "q025": float(result.q025[j]),
+            "q975": float(result.q975[j]),
+            "p_value": float(result.p_value[j]),
+            "n_undefined": int(result.n_undefined[j]),
+        }
+        for j, name in enumerate(result.covariate_names)
+    ]

@@ -35,7 +35,7 @@ from .randtest import (
 from .randtest import exact_test  # noqa: F401  wrapped by name in perfbench/layers.py
 from .rng import STREAM_VERSION
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 SCMD_REFERENCE_THRESHOLD = 0.1   # rule-of-thumb annotation, never a pass/fail rule
 DEFAULT_STATISTICS = ("scmd", "iv_bias", "sqrt_mahalanobis")
 
@@ -246,8 +246,12 @@ def build_report(
 
     The propensity section, the comparison and a ``"bernoulli"`` mechanism
     all use the one pair of models from ``fit_propensities``; a negative
-    ``ridge`` raises ``ValueError``.  With ``exact`` each target's tests
-    run over one enumeration of its complete-randomization set.
+    ``ridge`` raises ``ValueError``.  Each target, the instrument and
+    then the exposure, is tested against its own draw set, conditioned
+    on its own treated count (or per-block counts) and shared by every
+    statistic; ``per_covariate`` holds the instrument's rows, then the
+    exposure's.  With ``exact`` each draw set is one enumeration of the
+    target's complete-randomization set.
     """
     statistics = tuple(statistics)
     try:
@@ -300,25 +304,26 @@ def build_report(
     vector_stats = [s for s in statistics if s in VECTOR_STATISTICS]
     global_stats = [s for s in statistics if s in GLOBAL_STATISTICS]
 
-    z_results = run_many(dataset, "instrument", statistics, config, mechanism, exact=exact)
-    d_results = (
-        run_many(dataset, "exposure", tuple(global_stats), config, mechanism, exact=exact)
-        if global_stats else {}
-    )
-    per_covariate: dict = {}
-    for s in vector_stats:
-        per_covariate[s] = per_covariate_quantiles(dataset, "instrument", mechanism,
-                                                   config, statistic=s,
-                                                   result=z_results[s])
+    per_covariate: dict = {s: [] for s in vector_stats}
+    global_results = {}
+    for target in ("instrument", "exposure"):
+        results = run_many(dataset, target, statistics, config, mechanism, exact=exact)
+        # a vector statistic's (M, K) draws are dropped once its rows are
+        # built, so only one target's are alive at a time
+        for s in vector_stats:
+            per_covariate[s] += per_covariate_quantiles(results.pop(s))
+        global_results[target] = results
 
-    scmd_rows = [] if exact else [
+    scmd = per_covariate.get("scmd", [])
+    k = dataset.n_covariates
+    scmd_rows = [
         {
-            "covariate": row["covariate"],
-            "scmd_instrument": row["observed_instrument"],
-            "scmd_exposure": row["observed_exposure"],
+            "covariate": z_row["covariate"],
+            "scmd_instrument": z_row["observed"],
+            "scmd_exposure": d_row["observed"],
             "reference_threshold": SCMD_REFERENCE_THRESHOLD,
         }
-        for row in per_covariate.get("scmd", [])
+        for z_row, d_row in zip(scmd[:k], scmd[k:])
     ]
     document["scmd_table"] = {
         "reference_threshold": SCMD_REFERENCE_THRESHOLD,
@@ -330,12 +335,8 @@ def build_report(
         tables[f"per_covariate_{s}"] = rows
 
     document["global"] = {
-        "instrument": {
-            s: _result_dict(z_results[s], hist_bins) for s in global_stats
-        },
-        "exposure": {
-            s: _result_dict(d_results[s], hist_bins) for s in global_stats
-        },
+        target: {s: _result_dict(results[s], hist_bins) for s in global_stats}
+        for target, results in global_results.items()
     }
 
     if exact:
@@ -346,8 +347,8 @@ def build_report(
         mech_kind = mechanism.kind if isinstance(mechanism, MechanismSpec) else (
             mechanism or "complete"
         )
-        if mech_kind == "complete" and "sqrt_mahalanobis" in z_results:
-            cr_for_comparison = z_results["sqrt_mahalanobis"]
+        if mech_kind == "complete" and "sqrt_mahalanobis" in global_stats:
+            cr_for_comparison = global_results["instrument"]["sqrt_mahalanobis"]
         comp = compare_mechanisms(dataset, config, ridge=ridge,
                                   cr_result=cr_for_comparison, models=models)
         document["comparison"] = section = _comparison_dict(comp, hist_bins)

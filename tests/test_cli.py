@@ -147,8 +147,10 @@ class TestCmdTest:
         assert all(float(r["bin_right"]) > float(r["bin_left"]) for r in rows)
         with open(plots / "per_covariate_scmd.csv") as fh:
             band_rows = list(csv.DictReader(fh))
-        assert {"covariate", "observed_instrument", "observed_exposure",
-                "q025", "q975"} <= set(band_rows[0])
+        assert {"covariate", "target", "observed", "q025", "q975",
+                "p_value"} <= set(band_rows[0])
+        assert [r["target"] for r in band_rows] == (
+            ["instrument"] * (len(band_rows) // 2) + ["exposure"] * (len(band_rows) // 2))
         with open(plots / "scmd_dotplot.csv") as fh:
             dot_rows = list(csv.DictReader(fh))
         assert all(float(r["reference_threshold"]) == 0.1 for r in dot_rows)
@@ -272,7 +274,7 @@ class TestCmdTest:
                          "--exposure", "d", "--statistic", "scmd",
                          "--out", str(out), *extra]) == 0
             report = json.loads(out.read_text())
-            assert report["schema_version"] == report["metadata"]["schema_version"] == "2"
+            assert report["schema_version"] == report["metadata"]["schema_version"] == "3"
             assert report["metadata"]["stream_version"] == STREAM_VERSION == 2
 
 
@@ -321,10 +323,10 @@ class TestCmdExact:
         assert "Monte Carlo" in err["message"]
 
     def test_plot_data_lists_every_file_written(self, tiny_file, tmp_path):
-        # an exact report has an empty SCMD dot-plot table
-        report = build_report(load_dataset(tiny_file, "z", "d"), TestConfig(n_draws=1),
-                              exact=True)
-        assert report.plot_tables["scmd_dotplot"] == []
+        # an exact report has no Mahalanobis tables, but an SCMD dot plot
+        ds = load_dataset(tiny_file, "z", "d")
+        report = build_report(ds, TestConfig(n_draws=1), exact=True)
+        assert len(report.plot_tables["scmd_dotplot"]) == ds.n_covariates
         plots = tmp_path / "plots"
         written = report.write_plot_data(plots)
         assert sorted(written) == sorted(str(p) for p in plots.iterdir())
@@ -342,5 +344,6 @@ class TestCmdExact:
                      "--statistic", "scmd", "--out", str(report_path)])
         assert code == 0
         report = json.loads(report_path.read_text())
-        row = report["per_covariate"]["scmd"][0]
-        assert row["p_instrument"] == 1.0
+        rows = report["per_covariate"]["scmd"]
+        assert [(row["target"], row["p_value"]) for row in rows] == [
+            ("instrument", 1.0), ("exposure", 1.0)]

@@ -153,6 +153,28 @@ class TestCompareMechanisms:
         assert ks_2samp(a, cr.draws).pvalue > 0.001
         assert ks_2samp(b, cr.draws).pvalue > 0.001
 
+    def test_benchmark_barely_depends_on_treated_count(self):
+        """The comparison places the exposure in the instrument's benchmark,
+        drawn at the instrument's treated count; under complete
+        randomization the Mahalanobis distance is close to chi-squared
+        with K degrees of freedom whatever the count.  The two draw sets
+        have different seeds: with one seed the draws at 200 treated would
+        be subsets of the draws at 1,000."""
+        rng = np.random.default_rng(11)
+        n, k = 2_000, 5
+        z = np.zeros(n, dtype=np.int8)
+        z[rng.permutation(n)[:n // 2]] = 1
+        ds = Dataset(covariates=rng.standard_normal((n, k)),
+                     covariate_names=tuple(f"c{i}" for i in range(k)),
+                     instrument=z, exposure=z[::-1].copy())
+        draws = [
+            run_test(ds, "instrument", TestConfig(n_draws=2_000, seed=seed),
+                     mechanism=MechanismSpec.complete(n_treated),
+                     statistic="sqrt_mahalanobis").draws
+            for seed, n_treated in ((1, 1_000), (2, 200))
+        ]
+        assert ks_2samp(*draws).pvalue > 0.01
+
     def test_identical_copies(self):
         rng = np.random.default_rng(7)
         n = 400
@@ -220,7 +242,6 @@ class TestCompareMechanisms:
         ds = Dataset(covariates=x, covariate_names=("a", "d"), instrument=z, exposure=d)
         cfg = TestConfig(n_draws=200, seed=4)
         res = run_test(ds, "instrument", cfg, statistic="sqrt_mahalanobis")
-        assert np.isnan(res.other_observed) and np.isnan(res.other_p_value)
         with pytest.raises(StatisticError, match="undefined for the exposure"):
             compare_mechanisms(ds, cfg, cr_result=res)
 

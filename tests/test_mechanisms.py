@@ -204,9 +204,8 @@ class TestEnumerateComplete:
         gen = np.stack([a.values for a in enumerate_complete(6, 2)])
         assert np.array_equal(mat, gen)
 
-    # (15, 7) has 6,435 rows, more than one fill block
-    @pytest.mark.parametrize("n, k", [(1, 1), (6, 2), (8, 4), (11, 1), (11, 10), (12, 5),
-                                      (15, 7)])
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (6, 2), (8, 4), (9, 8), (11, 1),
+                                      (11, 10), (12, 5), (15, 7), (20, 1), (20, 19)])
     def test_matrix_matches_loop_reference(self, n, k):
         reference = np.zeros((len(list(itertools.combinations(range(n), k))), n),
                              dtype=np.int8)

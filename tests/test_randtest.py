@@ -1,5 +1,6 @@
 """Randomization-test engine: p-values, exactness, determinism."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -276,15 +277,16 @@ class TestChunking:
     @given(
         seed=st.integers(0, 10_000),
         kind=st.sampled_from(["complete", "block", "bernoulli"]),
+        target=st.sampled_from(["instrument", "exposure"]),
         n=st.integers(12, 40),
         m=st.integers(1, 200),
     )
-    def test_p_values_do_not_depend_on_chunks_or_threads(self, seed, kind, n, m):
+    def test_p_values_do_not_depend_on_chunks_or_threads(self, seed, kind, target, n, m):
         ds = _dataset(n=n, k=2, seed=seed, confounded=True)
         rng = np.random.default_rng(seed)
-        # alternate the two block labels within each instrument arm, so that
-        # both blocks hold treated and control units once each arm has two
-        z = ds.instrument
+        # alternate the two block labels within each arm of the target, so
+        # that both blocks hold treated and control units once each arm has two
+        z = ds.target_vector(target)
         n1 = int(z.sum())
         if kind == "block":
             assume(2 <= n1 <= n - 2)
@@ -300,16 +302,14 @@ class TestChunking:
                 cfg = TestConfig(n_draws=m, seed=seed, chunk_draws=chunk_draws,
                                  threads=threads)
                 try:
-                    res = run_many(ds, "instrument", STATISTICS, cfg, mechanism)
+                    res = run_many(ds, target, STATISTICS, cfg, mechanism)
                 except StatisticError:
                     assume(False)
-                results.append({s: (r.p_value, r.other_p_value, r.n_redraws)
-                                for s, r in res.items()})
+                results.append({s: (r.p_value, r.n_redraws) for s, r in res.items()})
         for other in results[1:]:
-            for s, (p, other_p, redraws) in results[0].items():
+            for s, (p, redraws) in results[0].items():
                 assert np.array_equal(other[s][0], p)
-                assert np.array_equal(other[s][1], other_p, equal_nan=True)
-                assert other[s][2] == redraws
+                assert other[s][1] == redraws
 
     @pytest.mark.parametrize("kind", ["complete", "block"])
     def test_peak_memory_follows_the_chunk_budget(self, kind):
@@ -458,8 +458,8 @@ class TestPerCovariateQuantiles:
     def test_band_endpoints_match_draw_quantiles(self):
         ds = _dataset(seed=12)
         cfg = TestConfig(n_draws=600, seed=19)
-        rows = per_covariate_quantiles(ds, "instrument", None, cfg, "scmd")
         res = run_test(ds, "instrument", cfg, statistic="scmd")
+        rows = per_covariate_quantiles(res)
         for j, row in enumerate(rows):
             assert row["q025"] == np.nanquantile(res.draws[:, j], 0.025)
             assert row["q975"] == np.nanquantile(res.draws[:, j], 0.975)
@@ -467,7 +467,7 @@ class TestPerCovariateQuantiles:
     def test_bands_roughly_symmetric_under_null(self):
         ds = _dataset(n=80, seed=13)
         cfg = TestConfig(n_draws=3000, seed=23)
-        rows = per_covariate_quantiles(ds, "instrument", None, cfg, "scmd")
+        rows = per_covariate_quantiles(run_test(ds, "instrument", cfg, statistic="scmd"))
         for row in rows:
             width = row["q975"] - row["q025"]
             assert abs(row["q975"] + row["q025"]) < 0.25 * width
@@ -475,10 +475,10 @@ class TestPerCovariateQuantiles:
     def test_observed_inside_band_consistent_with_quantile_check(self):
         ds = _dataset(seed=14)
         cfg = TestConfig(n_draws=800, seed=29)
-        rows = per_covariate_quantiles(ds, "instrument", None, cfg, "scmd")
         res = run_test(ds, "instrument", cfg, statistic="scmd")
+        rows = per_covariate_quantiles(res)
         for j, row in enumerate(rows):
-            inside = row["q025"] <= row["observed_instrument"] <= row["q975"]
+            inside = row["q025"] <= row["observed"] <= row["q975"]
             draws = res.draws[:, j]
             lo, hi = np.nanquantile(draws, (0.025, 0.975))
             assert inside == (lo <= res.observed[j] <= hi)
@@ -486,83 +486,58 @@ class TestPerCovariateQuantiles:
     def test_both_observed_vectors_reported(self):
         ds = _dataset(seed=15)
         cfg = TestConfig(n_draws=200, seed=31)
-        rows = per_covariate_quantiles(ds, "instrument", None, cfg, "iv_bias")
+        res = run_test(ds, "exposure", cfg, statistic="iv_bias")
+        rows = per_covariate_quantiles(res)
         for j, row in enumerate(rows):
+            assert row["target"] == "exposure"
             # exposure bias equals exposure balance (its own denominator is 1)
-            assert row["observed_exposure"] == pytest.approx(
+            assert row["observed"] == pytest.approx(
                 prevalence_difference(ds.covariates[:, j], ds.exposure),
                 rel=1e-9,
             )
-            assert row["p_instrument"] is not None
+            assert row["p_value"] == res.p_value[j]
 
     def test_reuse_precomputed_result(self):
+        # rows from one statistic of a shared draw set equal a single run's
         ds = _dataset(seed=16)
         cfg = TestConfig(n_draws=300, seed=37)
-        res = run_test(ds, "instrument", cfg, statistic="scmd")
-        rows = per_covariate_quantiles(ds, "instrument", None, cfg, "scmd",
-                                       result=res)
-        fresh = per_covariate_quantiles(ds, "instrument", None, cfg, "scmd")
-        assert rows == fresh
+        shared = run_many(ds, "instrument", ("scmd", "iv_bias"), cfg)["scmd"]
+        alone = run_test(ds, "instrument", cfg, statistic="scmd")
+        assert per_covariate_quantiles(shared) == per_covariate_quantiles(alone)
 
     def test_exact_rows_hold_the_target_only(self):
+        # exact rows have the Monte Carlo layout: one vector per row
         ds = _dataset(n=12, k=3, seed=17)
-        res = exact_test(ds, "instrument", statistic="scmd")
-        assert res.other_observed is None and res.other_p_value is None
-        rows = per_covariate_quantiles(ds, "instrument", None, TestConfig(), "scmd",
-                                       result=res)
-        assert [list(row) for row in rows] == [[
-            "covariate", "observed_instrument", "q025", "q975", "p_instrument",
-            "n_undefined",
-        ]] * 3
+        for target in ("instrument", "exposure"):
+            res = exact_test(ds, target, statistic="scmd")
+            rows = per_covariate_quantiles(res)
+            assert [list(row) for row in rows] == [[
+                "covariate", "target", "observed", "q025", "q975", "p_value",
+                "n_undefined",
+            ]] * 3
+            assert all(row["target"] == target for row in rows)
+
+    def test_global_statistic_rejected(self):
+        ds = _dataset(seed=18)
+        res = run_test(ds, "instrument", TestConfig(n_draws=50),
+                       statistic="sqrt_mahalanobis")
+        with pytest.raises(ValueError, match="covariate-specific"):
+            per_covariate_quantiles(res)
 
 
-class TestLocateBothVectors:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        n=st.integers(10, 30),
-        k=st.integers(1, 3),
-        m=st.integers(5, 80),
-        target=st.sampled_from(["instrument", "exposure"]),
-        bias_denominator=st.sampled_from(["fixed_observed", "per_draw"]),
-    )
-    def test_other_vector_located_in_the_same_draws(self, seed, n, k, m, target,
-                                                    bias_denominator):
-        ds = _dataset(n=n, k=k, seed=seed, confounded=True)
-        cfg = TestConfig(n_draws=m, seed=seed, bias_denominator=bias_denominator)
-        other = "exposure" if target == "instrument" else "instrument"
-        try:
-            results = run_many(ds, target, STATISTICS, cfg)
-        except StatisticError:
-            assume(False)
-        for s, res in results.items():
-            other_observed = np.atleast_1d(res.other_observed)
-            other_p = np.atleast_1d(res.other_p_value)
-            try:
-                own = np.atleast_1d(run_test(ds, other, cfg, statistic=s).observed)
-            except StatisticError:
-                own = None   # the other vector's own test is undefined
-            if own is not None:
-                assert np.array_equal(other_observed, own)
-            assert np.array_equal(np.isnan(other_p), ~np.isfinite(other_observed))
-            draws = res.draws.reshape(m, -1)
-            for j in np.flatnonzero(np.isfinite(other_p)):
-                assert other_p[j] == pvalue(other_observed[j], draws[:, j])
+def _independent_dataset(seed, n=1_000, k=10, z_share=0.5, d_share=0.1):
+    """Instrument and exposure each completely randomized, independent of X."""
+    rng = np.random.default_rng(seed)
+    z = np.zeros(n, dtype=np.int8)
+    z[rng.permutation(n)[:int(z_share * n)]] = 1
+    d = np.zeros(n, dtype=np.int8)
+    d[rng.permutation(n)[:int(d_share * n)]] = 1
+    return Dataset(covariates=rng.standard_normal((n, k)),
+                   covariate_names=tuple(f"c{i}" for i in range(k)),
+                   instrument=z, exposure=d)
 
-    def test_undefined_other_vector(self):
-        # the exposure is as common in both instrument groups, so the
-        # instrument's own bias denominator is zero
-        z = np.repeat(np.array([1, 0], dtype=np.int8), 20)
-        d = np.tile(np.repeat(np.array([1, 0], dtype=np.int8), [5, 15]), 2)
-        x = np.random.default_rng(8).standard_normal((40, 2))
-        ds = Dataset(covariates=x, covariate_names=("a", "b"), instrument=z, exposure=d)
-        cfg = TestConfig(n_draws=100, seed=6)
-        res = run_test(ds, "exposure", cfg, statistic="iv_bias")
-        assert np.isnan(res.other_observed).all() and np.isnan(res.other_p_value).all()
-        rows = per_covariate_quantiles(ds, "exposure", None, cfg, "iv_bias", result=res)
-        assert all(row["p_instrument"] is None and row["p_exposure"] == p
-                   for row, p in zip(rows, res.p_value))
 
+class TestReportDrawSets:
     @pytest.mark.parametrize("kwargs, n_evaluators", [
         ({}, 3),                            # instrument, exposure, Bernoulli pair
         ({"mechanism": "bernoulli"}, 4),    # plus the comparison's own CR draw set
@@ -580,3 +555,42 @@ class TestLocateBothVectors:
         ds = _dataset(n=16, k=3, seed=17, confounded=True)
         build_report(ds, TestConfig(n_draws=100, seed=1), **kwargs)
         assert len(built) == n_evaluators
+
+    def test_exposure_rows_are_calibrated(self):
+        # both vectors truly randomized at different treated shares: each
+        # exposure row is tested against draws at the exposure's own count,
+        # so the rejection rate stays near alpha (iv_bias is left out: the
+        # exposure can be exactly as common in both instrument arms)
+        alpha = 0.05
+        p_values = []
+        for seed in range(20):
+            report = build_report(_independent_dataset(seed),
+                                  TestConfig(n_draws=400, seed=seed, alpha=alpha),
+                                  statistics=("scmd", "sqrt_mahalanobis"))
+            rows = report.document["per_covariate"]["scmd"]
+            p_values += [row["p_value"] for row in rows if row["target"] == "exposure"]
+        assert len(p_values) == 200
+        assert np.mean(np.array(p_values) <= alpha) <= 0.10
+
+    def test_rows_match_each_targets_own_run(self):
+        ds = _dataset(n=30, k=3, seed=21, confounded=True)
+        cfg = TestConfig(n_draws=150, seed=8)
+        report = build_report(ds, cfg)
+        rows = report.document["per_covariate"]["iv_bias"]
+        expected = [row for target in ("instrument", "exposure") for row in
+                    per_covariate_quantiles(run_test(ds, target, cfg, statistic="iv_bias"))]
+        assert rows == expected == report.plot_tables["per_covariate_iv_bias"]
+        scmd_rows = report.document["scmd_table"]["rows"]
+        assert [r["scmd_instrument"] for r in scmd_rows] == [
+            r["observed"] for r in report.document["per_covariate"]["scmd"][:3]]
+        assert [r["scmd_exposure"] for r in scmd_rows] == [
+            r["observed"] for r in report.document["per_covariate"]["scmd"][3:]]
+
+    def test_exact_report_holds_exposure_rows(self):
+        ds = _dataset(n=12, k=3, seed=17)
+        report = build_report(ds, TestConfig(n_draws=1), exact=True)
+        floor = 1 / math.comb(12, ds.n_treated_exposure)
+        rows = [row for row in report.document["per_covariate"]["scmd"]
+                if row["target"] == "exposure"]
+        assert len(rows) == 3 and all(row["p_value"] >= floor for row in rows)
+        assert len(report.plot_tables["scmd_dotplot"]) == 3
