@@ -319,29 +319,30 @@ def enumerate_complete(n: int, n_treated: int, cap: int = DEFAULT_ENUMERATION_CA
 def enumerate_matrix(n: int, n_treated: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """Dense 0/1 matrix of the full enumeration (rows in combination order).
 
-    Built from suffix tables: the rows of units j..n-1 with t treated are
-    ``[1 | rows(j + 1, t - 1)]`` followed by ``[0 | rows(j + 1, t)]``,
-    which is the order of ``itertools.combinations``.
+    The rows of m units with t treated start with those treating unit 0,
+    rows(m - 1, t - 1) in the other units; the rows whose first treated
+    unit is u > 0 repeat the last C(m - u - 1, t - 1) of those from unit
+    u + 1 on, copied within the output, so no other table is built.
     """
     total = n_assignments(n, n_treated)
     if total > cap:
         raise CapExceededError(
             f"C({n}, {n_treated}) = {total} exceeds the enumeration cap {cap}"
         )
-    tables = {0: np.zeros((1, 0), dtype=np.int8)}   # units n..n-1: one empty row
-    for j in range(n - 1, -1, -1):
-        width = n - j
-        level = {}
-        # the treated counts that units j..n-1 can hold in an enumerated row
-        for t in range(max(0, n_treated - j), min(n_treated, width) + 1):
-            table = np.empty((math.comb(width, t), width), dtype=np.int8)
-            ones = math.comb(width - 1, t - 1) if t else 0
-            table[:ones, 0] = 1
-            table[ones:, 0] = 0
-            if ones:
-                table[:ones, 1:] = tables[t - 1]
-            if ones < len(table):
-                table[ones:, 1:] = tables[t]
-            level[t] = table
-        tables = level
-    return tables[n_treated]
+    out = np.zeros((total, n), dtype=np.int8)
+    nested = []                 # (rows(m, t) view, t), outermost first
+    view, t = out, n_treated
+    while t:
+        nested.append((view, t))
+        view, t = view[:math.comb(view.shape[1] - 1, t - 1), 1:], t - 1
+    for view, t in reversed(nested):    # rows(m - 1, t - 1) is filled first
+        m = view.shape[1]
+        first = math.comb(m - 1, t - 1)
+        view[:first, 0] = 1
+        lo = first
+        for u in range(1, m - t + 1):
+            rows = math.comb(m - u - 1, t - 1)
+            view[lo:lo + rows, u] = 1
+            view[lo:lo + rows, u + 1:] = view[first - rows:first, u + 1:]
+            lo += rows
+    return out

@@ -244,14 +244,18 @@ def build_report(
 ) -> RunReport:
     """Run the full pipeline and assemble the report document.
 
-    The propensity section, the comparison and a ``"bernoulli"`` mechanism
-    all use the one pair of models from ``fit_propensities``; a negative
-    ``ridge`` raises ``ValueError``.  Each target, the instrument and
-    then the exposure, is tested against its own draw set, conditioned
-    on its own treated count (or per-block counts) and shared by every
-    statistic; ``per_covariate`` holds the instrument's rows, then the
-    exposure's.  With ``exact`` each draw set is one enumeration of the
-    target's complete-randomization set.
+    A negative ``ridge`` raises ``ValueError``.  Each target, the
+    instrument and then the exposure, is tested with every statistic
+    against its own draw set, conditioned on its own treated count (or
+    per-block counts); ``per_covariate`` holds the instrument's rows, then
+    the exposure's.  An observed statistic undefined for either target
+    raises ``StatisticError``.  With ``exact`` each draw set is one
+    enumeration of the target's complete-randomization set, and either
+    count may exceed the cap (``CapExceededError``).  The propensity
+    section, the comparison and a ``"bernoulli"`` mechanism use the one
+    pair of models from ``fit_propensities``; the mechanism comes from the
+    instrument's model and drives both targets' draws, so the exposure is
+    tested against the instrument's propensities, not its own.
     """
     statistics = tuple(statistics)
     try:

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,8 +205,9 @@ class TestEnumerateComplete:
         gen = np.stack([a.values for a in enumerate_complete(6, 2)])
         assert np.array_equal(mat, gen)
 
-    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (6, 2), (8, 4), (9, 8), (11, 1),
-                                      (11, 10), (12, 5), (15, 7), (20, 1), (20, 19)])
+    @pytest.mark.parametrize("n, k", [(0, 0), (1, 0), (1, 1), (2, 1), (6, 0), (6, 2),
+                                      (6, 6), (8, 4), (9, 8), (11, 1), (11, 10),
+                                      (12, 5), (15, 7), (20, 1), (20, 19)])
     def test_matrix_matches_loop_reference(self, n, k):
         reference = np.zeros((len(list(itertools.combinations(range(n), k))), n),
                              dtype=np.int8)
@@ -213,6 +215,18 @@ class TestEnumerateComplete:
             reference[i, list(combo)] = 1
         mat = enumerate_matrix(n, k)
         assert mat.dtype == np.int8 and np.array_equal(mat, reference)
+
+    @pytest.mark.parametrize("n, k", [(20, 10), (300, 2), (60, 57)])
+    def test_matrix_memory_is_the_output(self, n, k):
+        # balanced and skewed counts alike: no table beyond the output itself
+        tracemalloc.start()
+        try:
+            mat = enumerate_matrix(n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.sum() == k * len(mat)
+        assert peak < mat.nbytes + (1 << 16)
 
     def test_deterministic_order(self):
         a = [tuple(v.values.tolist()) for v in enumerate_complete(5, 2)]

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ivrand import (
+    CapExceededError,
     Dataset,
     MechanismSpec,
     StatisticError,
@@ -594,3 +595,32 @@ class TestReportDrawSets:
                 if row["target"] == "exposure"]
         assert len(rows) == 3 and all(row["p_value"] >= floor for row in rows)
         assert len(report.plot_tables["scmd_dotplot"]) == 3
+
+    def test_undefined_exposure_statistic_stops_the_report(self):
+        # the exposure is tested in its own right even when only covariate
+        # statistics are requested: a covariate constant within each exposure
+        # group has an undefined exposure SCMD and stops the report, as an
+        # undefined instrument SCMD does
+        base = _dataset(n=30, k=1, seed=5)
+        ds = Dataset(covariates=np.column_stack([base.covariates[:, 0], base.exposure]),
+                     covariate_names=("x", "same_as_d"),
+                     instrument=base.instrument, exposure=base.exposure)
+        assert np.isfinite(run_test(ds, "instrument", TestConfig(n_draws=20)).observed).all()
+        with pytest.raises(StatisticError, match="observed scmd is undefined.*same_as_d"):
+            build_report(ds, TestConfig(n_draws=50, seed=1), statistics=("scmd",))
+
+    def test_exact_covariate_statistics_enumerate_the_exposure(self):
+        # C(12, 2) = 66 instrument assignments fit under the cap but the
+        # exposure's C(12, 6) = 924 do not, and the exposure is enumerated for
+        # its own rows even without a global statistic
+        rng = np.random.default_rng(3)
+        z = np.zeros(12, dtype=np.int8)
+        z[:2] = 1
+        d = np.zeros(12, dtype=np.int8)
+        d[1:7] = 1
+        ds = Dataset(covariates=rng.standard_normal((12, 2)), covariate_names=("a", "b"),
+                     instrument=z, exposure=d)
+        cfg = TestConfig(n_draws=1, enumeration_cap=100)
+        assert exact_test(ds, "instrument", config=cfg).n_draws == 66
+        with pytest.raises(CapExceededError, match=r"C\(12, 6\) = 924"):
+            build_report(ds, cfg, statistics=("scmd",), exact=True)
