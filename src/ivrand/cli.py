@@ -17,6 +17,7 @@ import json
 import os
 import sys
 
+from ._blas import one_blas_thread
 from .data import TestConfig, read_delimited, validate_dataset, write_delimited
 from .data import load_dataset  # noqa: F401  wrapped by name in perfbench/layers.py
 from .errors import (
@@ -225,6 +226,7 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@one_blas_thread()
 def main(argv=None) -> int:
     handlers = {"test": _cmd_report, "exact": _cmd_report, "synth": _cmd_synth}
     try:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .data import Dataset, TestConfig
 from .errors import PropensityError, StatisticError
 from .mechanisms import MechanismSpec
@@ -168,6 +169,7 @@ def fit_propensities(dataset: Dataset, ridge: float = 0.0) -> tuple[PropensityMo
     return tuple(models)
 
 
+@one_blas_thread()
 def compare_mechanisms(
     dataset: Dataset,
     config: TestConfig | None = None,

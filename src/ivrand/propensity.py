@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import PropensityError
 
 SEPARATION_COEF_BOUND = 10.0
@@ -78,6 +79,7 @@ def _dependent_columns(x: np.ndarray, names) -> list:
     return dependent
 
 
+@one_blas_thread()
 def fit_logistic(
     covariates,
     labels,
@@ -197,6 +199,7 @@ def fit_logistic(
     )
 
 
+@one_blas_thread()
 def predict(model: PropensityModel, covariates, clamp_counter: list | None = None) -> np.ndarray:
     """Fitted probabilities for new rows, clamped to open (0, 1).
 

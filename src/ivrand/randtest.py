@@ -16,7 +16,10 @@ member of the enumeration.
 Statistic evaluation is chunked and vectorized; draw m depends only on
 (seed, domain, m), so the assignments are identical under any chunking
 or thread count.  A chunk holds as many draws as fit a fixed byte budget
-(``CHUNK_WORD_BYTES``), capped at ``TestConfig.chunk_draws``.
+(``CHUNK_WORD_BYTES``), capped at ``TestConfig.chunk_draws``.  Chunks
+are spread over ``TestConfig.threads`` pool threads, and ``run_many``
+keeps every product on one BLAS thread, so a draw's statistics do not
+depend on either thread count.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .balance import PINV_RCOND
 from .data import Dataset, TestConfig
 from .errors import MechanismError, StatisticError
@@ -42,24 +46,29 @@ _TARGET_DOMAINS = {
     "exposure": DOMAIN_TEST_EXPOSURE,
 }
 
-# Ties in |t| are counted up to this relative slack so that values that
-# are mathematically equal but rounded differently by different BLAS
-# paths still tie.  Widening ties can only increase the p-value, which
+# Ties in |t| are counted up to this relative slack, so that values that
+# are mathematically equal but rounded differently still tie.  A small mean
+# difference carries relative rounding errors of a few 1e-12: at N = 13,011
+# draws that tie a binary covariate's observed count exactly sat up to
+# 6.2e-12 below it.  Widening ties can only increase the p-value, which
 # keeps the test valid.
-TIE_RTOL = 1e-12
+TIE_RTOL = 1e-9
 
 # Bytes a chunk of draws may take, at 8 per unit and draw: the size of
 # the evaluator's float64 copy of the chunk.  The sampler's 32-bit keys
 # and int8 draws are half and an eighth of it, and the temporaries are a
 # few times a chunk, per thread.  Above N = 32,768 the 32-row floor makes
 # a chunk larger than this, 256 * N bytes, still independent of
-# chunk_draws.  Chunk rows are
-# a multiple of CHUNK_ROW_MULTIPLE because OpenBLAS (0.3.31) rounds the
-# products of 32-row panels alike and the rows after the last full panel
-# differently: with every chunk a multiple of 32 rows, only the last
-# M mod 32 draws are such rows, so a draw's statistics have the same bits
-# at every chunk size.  At desk scale 16-row chunks would move 47% of the
-# entries, 48-row chunks 0.7%.
+# chunk_draws.  Chunk rows are a multiple of CHUNK_ROW_MULTIPLE.  The
+# multiple was chosen when OpenBLAS split each product over its own
+# threads and rounded the rows after the last full 32-row panel
+# differently.  On one BLAS thread (OpenBLAS 0.3.31) desk-scale chunks of
+# 16 to 1024 rows give the same bits, but a one-row chunk (M = 1 mod 32)
+# does not, nor do small products: at N = 60, K = 5, chunks of up to 96
+# rows and of 128 or more round differently.  Chunk rows depend on N and
+# chunk_draws only, never on threads, and reports keep the default
+# chunk_draws.  Changing the multiple changes chunk sizes, so it is left
+# for a change measured on its own.
 CHUNK_WORD_BYTES = 8 << 20
 CHUNK_ROW_MULTIPLE = 32
 
@@ -180,12 +189,20 @@ class _Evaluator:
         self.statistics = tuple(statistics)
         self.bias_mode = bias_denominator_mode
         self.fixed_strength = fixed_strength
-        # One product z @ stacked gives every group-1 sum of a chunk:
-        # [xc | xc^2 | 1 | exposure].  The layout is the same whatever the
-        # statistics, because BLAS rounds a column by its place in the
-        # product: so a draw's statistics do not depend on which others are
-        # requested.  The last two columns sum 0/1 values, exact in any order.
-        self.stacked = np.hstack([xc, xc_sq, np.ones((self.n, 1)), exposure[:, None]])
+        # One product stacked_t @ z^T gives every group-1 sum of a chunk:
+        # rows [xc^T | (xc^2)^T | 1 | exposure].  The layout is the same
+        # whatever the statistics, because BLAS rounds an output by its place
+        # in the product: so a draw's statistics do not depend on which
+        # others are requested.  The last two rows sum 0/1 values, exact in
+        # any order.  Stored C-contiguous as (2K + 2, N), each row one
+        # contiguous operand: on one BLAS thread this product is faster than
+        # z @ stacked with stacked (N, 2K + 2).
+        k = self.k
+        self.stacked_t = np.empty((2 * k + 2, self.n))
+        self.stacked_t[:k] = xc.T
+        self.stacked_t[k:2 * k] = xc_sq.T
+        self.stacked_t[-2] = 1.0
+        self.stacked_t[-1] = exposure
 
     def __call__(self, z_chunk: np.ndarray, own_strength: bool = False) -> dict:
         """Statistics for a (B, N) chunk of assignments.
@@ -195,7 +212,7 @@ class _Evaluator:
         otherwise the configured mode applies.
         """
         k = self.k
-        sums = z_chunk.astype(np.float64) @ self.stacked
+        sums = (self.stacked_t @ z_chunk.astype(np.float64).T).T
         s1 = sums[:, :k]
         n1 = sums[:, -2]
         n0 = self.n - n1
@@ -379,6 +396,7 @@ def _summarize(
     )
 
 
+@one_blas_thread()
 def run_many(
     dataset: Dataset,
     target: str,

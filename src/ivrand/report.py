@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from ._blas import one_blas_thread
 from .comparison import ComparisonResult, compare_mechanisms, fit_propensities
 from .data import Dataset, TestConfig
 from .errors import PropensityError
@@ -232,6 +233,7 @@ def _mahalanobis_plot_rows(section: dict) -> tuple[list[dict], list[dict]]:
     return hist_rows, marker_rows
 
 
+@one_blas_thread()
 def build_report(
     dataset: Dataset,
     config: TestConfig,
@@ -253,9 +255,9 @@ def build_report(
     enumeration of the target's complete-randomization set, and either
     count may exceed the cap (``CapExceededError``).  The propensity
     section, the comparison and a ``"bernoulli"`` mechanism use the one
-    pair of models from ``fit_propensities``; the mechanism comes from the
-    instrument's model and drives both targets' draws, so the exposure is
-    tested against the instrument's propensities, not its own.
+    pair of models from ``fit_propensities``; with ``"bernoulli"`` each
+    target is drawn from its own model's propensities, the instrument's
+    from ``models[0]`` and the exposure's from ``models[1]``.
     """
     statistics = tuple(statistics)
     try:
@@ -267,9 +269,13 @@ def build_report(
         if not exact:
             raise
         models, prop_section, prop_rows = None, {"error": str(err)}, []
+    specs = {"instrument": mechanism, "exposure": mechanism}
     if not exact and mechanism == "bernoulli":
-        mechanism = MechanismSpec.bernoulli(predict(models[0], dataset.covariates),
+        specs = {
+            target: MechanismSpec.bernoulli(predict(model, dataset.covariates),
                                             max_redraws=config.max_redraws)
+            for target, model in zip(specs, models)
+        }
     covariate_means = {
         name: _num(dataset.covariates[:, j].mean())
         for j, name in enumerate(dataset.covariate_names)
@@ -310,8 +316,8 @@ def build_report(
 
     per_covariate: dict = {s: [] for s in vector_stats}
     global_results = {}
-    for target in ("instrument", "exposure"):
-        results = run_many(dataset, target, statistics, config, mechanism, exact=exact)
+    for target, spec in specs.items():
+        results = run_many(dataset, target, statistics, config, spec, exact=exact)
         # a vector statistic's (M, K) draws are dropped once its rows are
         # built, so only one target's are alive at a time
         for s in vector_stats:

@@ -24,11 +24,12 @@ from ivrand import (
     run_test,
     scmd,
 )
-from ivrand import randtest
+from ivrand import fit_propensities, predict, randtest
 from ivrand.mechanisms import draw_batch, enumerate_matrix
 from ivrand.randtest import STATISTICS, _Evaluator
 from ivrand.report import build_report
 from ivrand.rng import DrawStream
+from ivrand.synth import PRESETS, ScenarioSpec, generate
 
 
 def _dataset(n=24, k=3, seed=0, confounded=False):
@@ -159,16 +160,46 @@ class TestRunTest:
         assert np.array_equal(a.observed, b.observed)
 
     def test_threads_do_not_change_results(self):
-        ds = _dataset(n=60, seed=3)
-        base = run_test(ds, "instrument",
-                        TestConfig(n_draws=700, seed=5, chunk_draws=128),
-                        statistic="sqrt_mahalanobis")
-        threaded = run_test(ds, "instrument",
-                            TestConfig(n_draws=700, seed=5, chunk_draws=128,
-                                       threads=4),
-                            statistic="sqrt_mahalanobis")
-        assert np.array_equal(base.draws, threaded.draws)
-        assert base.p_value == threaded.p_value
+        # at N = 2,000 a chunk's product is large enough for OpenBLAS to
+        # thread it, at N = 60 it never is
+        for n, k in ((60, 3), (2_000, 12)):
+            ds = _dataset(n=n, k=k, seed=3)
+            base, *threaded = [
+                run_many(ds, "instrument", STATISTICS,
+                         TestConfig(n_draws=700, seed=5, chunk_draws=128,
+                                    threads=threads))
+                for threads in (1, 2, 4)
+            ]
+            for other in threaded:
+                for s in STATISTICS:
+                    assert np.array_equal(base[s].draws, other[s].draws, equal_nan=True)
+                    assert np.array_equal(base[s].p_value, other[s].p_value)
+
+    def test_binary_prevalence_p_values_match_integer_oracle(self):
+        # a draw's mean difference of a binary covariate is
+        # (c1 N - C N_T) / (N_T (N - N_T)), c1 the ones among its treated
+        # units and C among all: its p-value is a count over integers.  At
+        # N = 6,000 exactly tied differences round up to 4e-12 apart.
+        ds, _ = generate(ScenarioSpec(n_units=6_000, k_covariates=12, seed=5,
+                                      **PRESETS["confounded-exposure"]))
+        m = 1_000
+        x = ds.covariates
+        binary = [j for j in range(ds.n_covariates) if np.isin(x[:, j], (0.0, 1.0)).all()]
+        assert binary
+        ones = x[:, binary].astype(np.int64)
+        for target in ("instrument", "exposure"):
+            res = run_test(ds, target, TestConfig(n_draws=m, seed=5),
+                           statistic="prevalence_diff")
+            z = ds.target_vector(target).astype(np.int64)
+            n, n_t = ds.n_units, int(z.sum())
+            stream = DrawStream(seed=5, domain=randtest._TARGET_DOMAINS[target])
+            draws = draw_batch(MechanismSpec.complete(n_t), n, stream,
+                               np.arange(m, dtype=np.uint64)).astype(np.int64)
+            total = ones.sum(axis=0)
+            observed = np.abs(z @ ones * n - total * n_t)
+            numerators = np.abs(draws @ ones * n - total * n_t)
+            oracle = (1 + (numerators >= observed).sum(axis=0)) / (m + 1)
+            assert np.array_equal(res.p_value[binary], oracle)
 
     def test_p_lower_bound_attained(self):
         # a covariate that separates groups maximally drives p to the floor
@@ -556,6 +587,18 @@ class TestReportDrawSets:
         ds = _dataset(n=16, k=3, seed=17, confounded=True)
         build_report(ds, TestConfig(n_draws=100, seed=1), **kwargs)
         assert len(built) == n_evaluators
+
+    def test_bernoulli_exposure_draws_from_its_own_model(self):
+        ds = _dataset(n=200, k=2, seed=12, confounded=True)
+        report = build_report(ds, TestConfig(n_draws=100, seed=1), mechanism="bernoulli")
+        ranges = []
+        for target, model in zip(("instrument", "exposure"), fit_propensities(ds)):
+            p = predict(model, ds.covariates)
+            ranges.append([float(p.min()), float(p.max())])
+            for result in report.document["global"][target].values():
+                assert result["mechanism"] == {"kind": "bernoulli",
+                                               "propensity_range": ranges[-1]}
+        assert ranges[0] != ranges[1]
 
     def test_exposure_rows_are_calibrated(self):
         # both vectors truly randomized at different treated shares: each
