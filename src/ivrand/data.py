@@ -18,6 +18,7 @@ from .errors import ValidationError
 
 _TRUE_TOKENS = {"1", "true", "True", "TRUE"}
 _FALSE_TOKENS = {"0", "false", "False", "FALSE"}
+_BINARY_TOKENS = {**dict.fromkeys(_TRUE_TOKENS, 1), **dict.fromkeys(_FALSE_TOKENS, 0)}
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,22 @@ def _coerce_numeric(value, column: str, row: int, issues: list) -> float:
     return out
 
 
+def _indicator_columns(values, column: str) -> tuple[list[str], list[np.ndarray]]:
+    """Names and 0/1 float columns of a categorical column's indicators.
+
+    One indicator per non-reference level; levels are the values' ``str``
+    and the reference level is the lexicographically smallest.
+    """
+    labels = list(map(str, values))
+    levels = sorted(set(labels))
+    if len(levels) < 2:
+        raise ValidationError([f"categorical column {column} has fewer than 2 levels"])
+    code = {lv: i for i, lv in enumerate(levels)}
+    codes = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
+    names = [f"{column}={lv}" for lv in levels[1:]]
+    return names, [(codes == i).astype(np.float64) for i in range(1, len(levels))]
+
+
 def expand_categorical(records: Sequence[dict], column: str) -> list[str]:
     """Expand a categorical column into indicator columns in place.
 
@@ -216,15 +233,38 @@ def expand_categorical(records: Sequence[dict], column: str) -> list[str]:
     lexicographically smallest. Returns the new column names, each
     ``column=level``.
     """
-    levels = sorted({str(r.get(column, "")) for r in records})
-    if len(levels) < 2:
-        raise ValidationError([f"categorical column {column} has fewer than 2 levels"])
-    indicator_names = [f"{column}={lv}" for lv in levels[1:]]
-    for r in records:
-        value = str(r.get(column, ""))
-        for lv, name in zip(levels[1:], indicator_names):
-            r[name] = 1.0 if value == lv else 0.0
-    return indicator_names
+    names, indicators = _indicator_columns([r.get(column, "") for r in records], column)
+    for name, indicator in zip(names, indicators):
+        for r, value in zip(records, indicator.tolist()):
+            r[name] = value
+    return names
+
+
+def _binary_cells(values):
+    return map(_BINARY_TOKENS.__getitem__, map(str.strip, values))
+
+
+def _numeric_cells(values):
+    return map(float, values)
+
+
+def _coerce_column(values, column: str, parse, coerce, dtype, issues: list) -> np.ndarray:
+    """One column as a ``dtype`` array, parsed by ``parse`` in one pass.
+
+    A column that ``parse`` rejects is coerced cell by cell by ``coerce``,
+    which makes every issue's text, and so are the non-finite cells of a
+    parsed one; each issue is added to ``issues`` as ``(row, text)``.
+    """
+    try:
+        out = np.fromiter(parse(values), dtype, len(values))
+        rows = np.flatnonzero(~np.isfinite(out)).tolist()
+    except (ValueError, TypeError, KeyError):
+        out, rows = np.empty(len(values), dtype=dtype), range(len(values))
+    for i in rows:
+        found: list[str] = []
+        out[i] = coerce(values[i], column, i, found)
+        issues += [(i, text) for text in found]
+    return out
 
 
 def validate_dataset(
@@ -237,40 +277,49 @@ def validate_dataset(
     """Build a validated Dataset from tabular records.
 
     Collects every violation before rejecting, so a bad file is
-    reported in full rather than one error at a time. Columns listed in
-    ``categorical_cols`` are expanded to indicators first.
+    reported in full, in row order, rather than one error at a time.
+    Columns listed in ``categorical_cols`` are expanded to indicators
+    first; the records are not modified.
     """
-    records = [dict(r) for r in records]
-    issues: list[str] = []
+    records = list(records)
     if not records:
         raise ValidationError(["no data rows"])
 
     covariate_cols = list(covariate_cols)
     if not covariate_cols and not categorical_cols:
         raise ValidationError(["no covariate columns specified"])
-    present = set(records[0].keys())
-    for col in [instrument_col, exposure_col, *covariate_cols, *categorical_cols]:
-        if col not in present:
-            issues.append(f"missing column: {col}")
+    present = records[0].keys()
+    issues = [f"missing column: {col}"
+              for col in [instrument_col, exposure_col, *covariate_cols, *categorical_cols]
+              if col not in present]
     if issues:
         raise ValidationError(issues)
 
+    indicators: dict[str, np.ndarray] = {}   # expanded columns, which shadow records
+
+    def column(col: str, default=None):
+        if col in indicators:
+            return indicators[col]
+        return [r.get(col, default) for r in records]
+
     for col in categorical_cols:
-        new_names = expand_categorical(records, col)
+        new_names, new_columns = _indicator_columns(column(col, ""), col)
+        indicators.update(zip(new_names, new_columns))
         idx = covariate_cols.index(col) if col in covariate_cols else len(covariate_cols)
         if col in covariate_cols:
             covariate_cols.remove(col)
         covariate_cols[idx:idx] = new_names
 
-    n = len(records)
-    z = np.zeros(n, dtype=np.int8)
-    d = np.zeros(n, dtype=np.int8)
-    x = np.zeros((n, len(covariate_cols)), dtype=np.float64)
-    for i, rec in enumerate(records):
-        z[i] = _coerce_binary(rec.get(instrument_col), instrument_col, i, issues)
-        d[i] = _coerce_binary(rec.get(exposure_col), exposure_col, i, issues)
-        for j, col in enumerate(covariate_cols):
-            x[i, j] = _coerce_numeric(rec.get(col), col, i, issues)
+    # issues are gathered column by column as (row, text); a stable sort by
+    # row restores the row-major order: instrument, exposure, covariates
+    cells: list[tuple[int, str]] = []
+    z, d = (_coerce_column(column(col), col, _binary_cells, _coerce_binary, np.int8, cells)
+            for col in (instrument_col, exposure_col))
+    x = np.empty((len(records), len(covariate_cols)), dtype=np.float64)
+    for j, col in enumerate(covariate_cols):
+        x[:, j] = _coerce_column(column(col), col, _numeric_cells, _coerce_numeric,
+                                 np.float64, cells)
+    issues = [text for _, text in sorted(cells, key=lambda cell: cell[0])]
 
     if not issues:
         if z.min() == z.max():
@@ -288,8 +337,12 @@ def validate_dataset(
 
 
 def read_delimited(path, delimiter: str = ",") -> list[dict]:
-    """Read a delimited text file with a header row into records."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Read a delimited text file with a header row into records.
+
+    A leading UTF-8 byte-order mark, as spreadsheet programs write, is
+    dropped so that it does not become part of the first column's name.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         if reader.fieldnames is None:
             raise ValidationError([f"{path}: empty file (no header row)"])

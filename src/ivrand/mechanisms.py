@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,15 +80,24 @@ class MechanismSpec:
         if self.kind == "block" and self.per_block_treated is None:
             if self.block_labels is None or len(self.block_labels) != len(z):
                 raise MechanismError("block mechanism needs one label per unit")
-            counts: dict = {}
-            for label, zi in zip(self.block_labels, z):
-                counts[label] = counts.get(label, 0) + int(zi)
+            labels, codes = self.block_codes
+            treated = np.bincount(codes, weights=z, minlength=len(labels))
             return MechanismSpec(
                 kind="block",
                 block_labels=self.block_labels,
-                per_block_treated=counts,
+                per_block_treated=dict(zip(labels, map(int, treated))),
             )
         return self
+
+    @cached_property
+    def block_codes(self) -> tuple[tuple, np.ndarray]:
+        """Block mechanism: ``(labels, codes)``, the distinct labels in order
+        of first appearance and each unit's index into them."""
+        labels = tuple(dict.fromkeys(self.block_labels))
+        index = {label: i for i, label in enumerate(labels)}
+        codes = np.fromiter(map(index.__getitem__, self.block_labels), np.intp,
+                            len(self.block_labels))
+        return labels, codes
 
     def validate(self, n: int) -> None:
         if self.kind == "complete":
@@ -101,12 +111,10 @@ class MechanismSpec:
                 raise MechanismError("block mechanism needs one label per unit")
             if self.per_block_treated is None:
                 raise MechanismError("block mechanism has unresolved treated counts")
-            sizes: dict = {}
-            for label in self.block_labels:
-                sizes[label] = sizes.get(label, 0) + 1
-            if set(self.per_block_treated) != set(sizes):
+            labels, codes = self.block_codes
+            if set(self.per_block_treated) != set(labels):
                 raise MechanismError("per-block treated counts do not match block labels")
-            for label, size in sizes.items():
+            for label, size in zip(labels, np.bincount(codes).tolist()):
                 k = self.per_block_treated[label]
                 if not 0 < k < size:
                     raise MechanismError(
@@ -174,15 +182,14 @@ def prepare_sampler(spec: MechanismSpec, n: int) -> PreparedSampler:
     """Validate ``spec`` for N = ``n`` and precompute its per-draw-set state."""
     spec.validate(n)
     if spec.kind == "block":
-        positions: dict = {}
-        for i, label in enumerate(spec.block_labels):
-            positions.setdefault(label, []).append(i)
-        labels = sorted(positions, key=str)
-        order = np.array([i for label in labels for i in positions[label]],
-                         dtype=np.intp)
-        bounds = np.cumsum([0] + [len(positions[label]) for label in labels])
-        blocks = tuple((int(lo), int(hi), spec.per_block_treated[label])
-                       for label, lo, hi in zip(labels, bounds, bounds[1:]))
+        labels, codes = spec.block_codes
+        by_str = sorted(range(len(labels)), key=lambda c: str(labels[c]))   # stable
+        rank = np.empty(len(labels), dtype=np.intp)
+        rank[by_str] = np.arange(len(labels))
+        order = np.argsort(rank[codes], kind="stable")
+        bounds = np.cumsum([0, *np.bincount(codes)[by_str].tolist()])
+        blocks = tuple((int(lo), int(hi), spec.per_block_treated[labels[c]])
+                       for c, lo, hi in zip(by_str, bounds, bounds[1:]))
         return PreparedSampler(blocks=blocks, inverse=np.argsort(order))
     if spec.kind == "bernoulli":
         return PreparedSampler(thresholds=bernoulli_thresholds(spec.propensities))

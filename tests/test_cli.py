@@ -213,6 +213,23 @@ class TestCmdTest:
         assert code == 0
         assert reads == [str(blocked_file)]
 
+    def test_byte_order_mark_file(self, blocked_file, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a leading BOM; the
+        # first header must still read as "z", not "\ufeffz"
+        bom_file = tmp_path / "bom.csv"
+        bom_file.write_bytes(b"\xef\xbb\xbf" + blocked_file.read_bytes())
+        reports = []
+        for path in (blocked_file, bom_file):
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["test", str(path), "--instrument", "z", "--exposure", "d",
+                         "--mechanism", "block", "--block-column", "site",
+                         "--draws", "50", "--seed", "2", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            for key in ("created_utc", "source"):
+                report["metadata"].pop(key)
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("command, flags, named", [
         ("test", ["--draws", "0"], "n_draws"),
         ("test", ["--alpha", "1.5"], "alpha"),

@@ -13,7 +13,7 @@ from ivrand import (
     validate_dataset,
     write_delimited,
 )
-from ivrand.data import expand_categorical
+from ivrand.data import _coerce_binary, _coerce_numeric, expand_categorical
 
 
 def _records(z, d, cov):
@@ -233,3 +233,159 @@ class TestCategoricalExpansion:
         records = [{"lvl": "a"}, {"lvl": "a"}]
         with pytest.raises(ValidationError):
             expand_categorical(records, "lvl")
+
+
+def _expand_categorical_reference(records, column):
+    """expand_categorical's loop: one record at a time, in place."""
+    levels = sorted({str(r.get(column, "")) for r in records})
+    if len(levels) < 2:
+        raise ValidationError([f"categorical column {column} has fewer than 2 levels"])
+    indicator_names = [f"{column}={lv}" for lv in levels[1:]]
+    for r in records:
+        value = str(r.get(column, ""))
+        for lv, name in zip(levels[1:], indicator_names):
+            r[name] = 1.0 if value == lv else 0.0
+    return indicator_names
+
+
+def _validate_dataset_reference(records, instrument_col, exposure_col,
+                                covariate_cols, categorical_cols=()):
+    """validate_dataset as a row loop over copied records, cell by cell."""
+    records = [dict(r) for r in records]
+    issues = []
+    if not records:
+        raise ValidationError(["no data rows"])
+    covariate_cols = list(covariate_cols)
+    if not covariate_cols and not categorical_cols:
+        raise ValidationError(["no covariate columns specified"])
+    present = set(records[0].keys())
+    for col in [instrument_col, exposure_col, *covariate_cols, *categorical_cols]:
+        if col not in present:
+            issues.append(f"missing column: {col}")
+    if issues:
+        raise ValidationError(issues)
+    for col in categorical_cols:
+        new_names = _expand_categorical_reference(records, col)
+        idx = covariate_cols.index(col) if col in covariate_cols else len(covariate_cols)
+        if col in covariate_cols:
+            covariate_cols.remove(col)
+        covariate_cols[idx:idx] = new_names
+    n = len(records)
+    z = np.zeros(n, dtype=np.int8)
+    d = np.zeros(n, dtype=np.int8)
+    x = np.zeros((n, len(covariate_cols)), dtype=np.float64)
+    for i, rec in enumerate(records):
+        z[i] = _coerce_binary(rec.get(instrument_col), instrument_col, i, issues)
+        d[i] = _coerce_binary(rec.get(exposure_col), exposure_col, i, issues)
+        for j, col in enumerate(covariate_cols):
+            x[i, j] = _coerce_numeric(rec.get(col), col, i, issues)
+    if not issues:
+        if z.min() == z.max():
+            issues.append("constant instrument: needs at least one 0 and one 1")
+        if d.min() == d.max():
+            issues.append("constant exposure: needs at least one 0 and one 1")
+    if issues:
+        raise ValidationError(issues)
+    return Dataset(covariates=x, covariate_names=tuple(covariate_cols),
+                   instrument=z, exposure=d)
+
+
+_GOOD_BINARY = st.sampled_from([
+    "0", "1", "true", "false", "True", "FALSE", " 1", "0 ", "\t1\n",
+    0, 1, True, False, 0.0, 1.0, -0.0, np.int64(1), np.uint8(0),
+    np.float32(1.0), np.str_("0"),
+])
+_BAD_BINARY = st.sampled_from([
+    None, "", " ", "2", "yes", "T", "1.0", "nan", 2, -1, 0.5, float("nan"),
+    np.bool_(True), np.int64(3), b"1",
+])
+_GOOD_NUMERIC = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6).map(lambda v: f"  {v} "),
+    st.sampled_from([True, np.int16(-7), np.float64(2.5), "1e3", "-0", b"4.5"]),
+)
+_BAD_NUMERIC = st.sampled_from([
+    None, "", "   ", "nan", "-inf", "inf", "1e999", "NaN", "abc", "1,5",
+    float("nan"), float("inf"), np.float64("-inf"), b" ", 1j,
+])
+_COLUMNS = ("z", "d", "x0", "x1", "cat")
+
+
+@st.composite
+def _messy_records(draw):
+    """Records that are mostly valid, with bad cells and missing keys mixed in."""
+    n = draw(st.integers(1, 12))
+    p_bad = draw(st.sampled_from([0.0, 0.0, 0.1, 0.5]))
+    p_missing = draw(st.sampled_from([0.0, 0.0, 0.05]))
+    p_no_category = draw(st.sampled_from([0.0, 0.3]))
+
+    def cell(good, bad):
+        return draw(bad) if draw(st.floats(0, 1)) < p_bad else draw(good)
+
+    records = []
+    for _ in range(n):
+        rec = {
+            "z": cell(_GOOD_BINARY, _BAD_BINARY),
+            "d": cell(_GOOD_BINARY, _BAD_BINARY),
+            "x0": cell(_GOOD_NUMERIC, _BAD_NUMERIC),
+            "x1": cell(_GOOD_NUMERIC, _BAD_NUMERIC),
+            "cat": draw(st.sampled_from(["a", "b", "c", 1, 2.5, None, ""])),
+        }
+        for col in _COLUMNS:
+            if draw(st.floats(0, 1)) < (p_no_category if col == "cat" else p_missing):
+                del rec[col]
+        records.append(rec)
+    return records
+
+
+class TestColumnarValidation:
+    """validate_dataset against the row loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_messy_records(),
+           st.sampled_from([["x0", "x1"], ["x0", "cat", "x1"], ["x1"], ["cat"], []]),
+           st.sampled_from([(), ("cat",)]))
+    def test_matches_row_loop(self, records, covariates, categorical):
+        outcomes = []
+        for validate in (_validate_dataset_reference, validate_dataset):
+            try:
+                outcomes.append(validate(records, "z", "d", covariates, categorical))
+            except ValidationError as err:
+                outcomes.append(err.issues)
+        expected, got = outcomes
+        if isinstance(expected, list):
+            assert got == expected
+        else:
+            assert isinstance(got, Dataset)
+            assert got.covariate_names == expected.covariate_names
+            assert got.covariates.tobytes() == expected.covariates.tobytes()
+            assert got.instrument.tobytes() == expected.instrument.tobytes()
+            assert got.exposure.tobytes() == expected.exposure.tobytes()
+
+    def test_issues_are_in_row_order(self):
+        records = _records(["1", "x", "0", "0"], ["y", "0", "1", "0"],
+                           ["nan", "1.5", "", "2"])
+        with pytest.raises(ValidationError) as err:
+            validate_dataset(records, "z", "d", ["age"])
+        assert err.value.issues == [
+            "non-binary value 'y' in column d at row 0",
+            "non-finite covariate value in column age at row 0",
+            "non-binary value 'x' in column z at row 1",
+            "missing covariate value in column age at row 2",
+        ]
+
+    def test_records_not_mutated(self):
+        records = [
+            {"z": zi, "d": di, "age": a, "care": c}
+            for zi, di, a, c in zip(["1", "1", "0", "0"], ["1", "0", "1", "0"],
+                                    ["1.0", "2", "3", "4"], ["x", "y", "x", "z"])
+        ]
+        before = [dict(r) for r in records]
+        ds = validate_dataset(records, "z", "d", ["age", "care"],
+                              categorical_cols=["care"])
+        assert ds.covariate_names == ("age", "care=y", "care=z")
+        assert records == before
+        assert [list(r) for r in records] == [list(r) for r in before]

@@ -667,3 +667,63 @@ class TestReportDrawSets:
         assert exact_test(ds, "instrument", config=cfg).n_draws == 66
         with pytest.raises(CapExceededError, match=r"C\(12, 6\) = 924"):
             build_report(ds, cfg, statistics=("scmd",), exact=True)
+
+
+class TestEvaluatorSymmetry:
+    """Invariances of the chunk evaluator that hold for every assignment."""
+
+    @staticmethod
+    def _case(seed, decades=0.0):
+        """A dataset with covariates on scales up to ``decades`` powers of
+        10 apart and a chunk of draws whose groups each hold at least
+        max(2, K) units."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 7))
+        n = int(rng.integers(4 * k + 10, 200))
+        scales = 10.0 ** rng.uniform(-decades / 2, decades / 2, k)
+        x = rng.standard_normal((n, k)) * scales
+        floor = max(2, k)
+        chunk = np.zeros((16, n), dtype=np.int8)
+        for row in chunk:
+            row[rng.permutation(n)[: rng.integers(floor, n - floor + 1)]] = 1
+        z = chunk[0]
+        d = (rng.random(n) < 0.5).astype(np.int8)
+        d[:2] = [0, 1]
+        ds = Dataset(covariates=x, covariate_names=tuple(f"c{i}" for i in range(k)),
+                     instrument=z, exposure=d)
+        return rng, ds, chunk.astype(np.float64), scales
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_relabelling_groups(self, seed):
+        _, ds, chunk, scales = self._case(seed, decades=6.0)
+        evaluator = _Evaluator(ds, ("prevalence_diff", "scmd", "mahalanobis"),
+                               "fixed_observed", None)
+        before = evaluator(chunk)
+        after = evaluator(1.0 - chunk)
+        np.testing.assert_allclose(after["prevalence_diff"], -before["prevalence_diff"],
+                                   rtol=1e-10, atol=1e-12 * scales.max())
+        np.testing.assert_allclose(after["scmd"], -before["scmd"], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(after["mahalanobis"], before["mahalanobis"],
+                                   rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_affine_invariance_of_mahalanobis(self, seed):
+        # unit-scale covariates: A's condition number is then what limits
+        # the total scatter's, about cond(A)**2
+        rng, ds, chunk, _ = self._case(seed)
+        k = ds.n_covariates
+        q1, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        a = q1 @ np.diag(10.0 ** rng.uniform(0, 2.99, k)) @ q2
+        assert np.linalg.cond(a) < 1e3
+        b = rng.uniform(-100, 100, k)
+        moved = Dataset(covariates=ds.covariates @ a.T + b,
+                        covariate_names=ds.covariate_names,
+                        instrument=ds.instrument, exposure=ds.exposure)
+        stats = ("mahalanobis",)
+        before = _Evaluator(ds, stats, "fixed_observed", None)(chunk)["mahalanobis"]
+        after = _Evaluator(moved, stats, "fixed_observed", None)(chunk)["mahalanobis"]
+        assert np.isfinite(before).all()
+        np.testing.assert_allclose(after, before, rtol=1e-8)
