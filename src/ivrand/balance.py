@@ -7,18 +7,22 @@ divided by the exposure prevalence difference across the same
 assignment).  The global statistic is the Mahalanobis distance of the
 mean-difference vector under an estimate of its covariance.
 
-Undefined values (zero standardizer with a nonzero numerator, zero bias
-denominator, Mahalanobis distance with a perfectly separated covariate)
-are returned as NaN so callers can count and exclude them explicitly
-rather than crash mid-run.
+``_Evaluator`` defines each statistic, and when it is undefined, once:
+the test engine calls it on chunks of draws, and ``prevalence_difference``,
+``scmd``, ``iv_bias`` and ``mahalanobis`` are one-row calls of it.
+Undefined values are NaN, so callers can count and exclude them rather
+than crash mid-run.  ``mean_difference_covariance`` and
+``mahalanobis_from_components`` are an independent SVD oracle for the
+closed-form Mahalanobis distance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import StatisticError
 
 # Relative singular-value cutoff for the covariance pseudo-inverse.
@@ -35,51 +39,173 @@ class GlobalBalance:
     pseudo_inverse_used: bool
 
 
-def _split(assignment: np.ndarray):
-    z = np.asarray(assignment)
-    treated = z == 1
+class _Evaluator:
+    """Vectorized evaluation of balance statistics over draw chunks.
+
+    Uses globally centered covariates so the total-scatter identity for
+    the pooled covariance is well conditioned; centering changes no
+    statistic (mean differences and within-group covariances are shift
+    invariant).  ``covariates`` is (N, K); ``exposure=None`` fills the
+    exposure row of the product with zeros.
+    """
+
+    def __init__(self, covariates: np.ndarray, exposure: np.ndarray | None, statistics,
+                 bias_mode: str, fixed_strength: float | None):
+        self.n, self.k = covariates.shape
+        xc = covariates - covariates.mean(axis=0)
+        self.col_sums = xc.sum(axis=0)
+        xc_sq = xc**2
+        self.sq_sums = xc_sq.sum(axis=0)
+        # The centred covariates do not sum to 0 exactly, so a zero mean
+        # difference evaluates to a rounding residue.  s1 and the column sums
+        # are each off by at most N eps sum|xc_j| (a recursive sum's bound),
+        # so |diff| <= 2 N eps sum|xc_j| (1/N1 + 1/N0) is set to exactly 0:
+        # a binary covariate split in equal shares then ties with every draw
+        # that splits it so.
+        self.diff_tol = 2.0 * self.n * np.finfo(np.float64).eps * np.abs(xc).sum(axis=0)
+        # whiten @ whiten.T = T+, the pseudo-inverse of the total scatter
+        # T = xc^T xc, cut off like the covariance pseudo-inverse below
+        eigval, eigvec = np.linalg.eigh(xc.T @ xc)
+        kept = eigval > PINV_RCOND * max(eigval[-1], 0.0)
+        self.whiten = eigvec[:, kept] / np.sqrt(eigval[kept])
+        exposure = (np.zeros(self.n) if exposure is None
+                    else np.asarray(exposure, dtype=np.float64))
+        self.exposure_sum = float(exposure.sum())
+        self.statistics = tuple(statistics)
+        self.bias_mode = bias_mode
+        # a zero fixed denominator leaves bias undefined, as a zero
+        # per-draw strength does
+        self.fixed_strength = np.nan if fixed_strength == 0.0 else fixed_strength
+        # One product stacked_t @ z^T gives every group-1 sum of a chunk:
+        # rows [xc^T | (xc^2)^T | 1 | exposure].  The layout is the same
+        # whatever the statistics, because BLAS rounds an output by its place
+        # in the product: so a draw's statistics do not depend on which
+        # others are requested.  The last two rows sum 0/1 values, exact in
+        # any order.  Stored C-contiguous as (2K + 2, N), each row one
+        # contiguous operand: on one BLAS thread this product is faster than
+        # z @ stacked with stacked (N, 2K + 2).
+        k = self.k
+        self.stacked_t = np.empty((2 * k + 2, self.n))
+        self.stacked_t[:k] = xc.T
+        self.stacked_t[k:2 * k] = xc_sq.T
+        self.stacked_t[-2] = 1.0
+        self.stacked_t[-1] = exposure
+
+    def __call__(self, z_chunk: np.ndarray, own_strength: bool = False) -> dict:
+        """Statistics for a (B, N) chunk of assignments.
+
+        With ``own_strength`` the bias denominator is each row's own
+        exposure prevalence difference (used for observed vectors);
+        otherwise the configured mode applies.
+        """
+        k = self.k
+        sums = (self.stacked_t @ z_chunk.astype(np.float64).T).T
+        s1 = sums[:, :k]
+        n1 = sums[:, -2]
+        n0 = self.n - n1
+        s0 = self.col_sums[None, :] - s1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diff = s1 / n1[:, None] - s0 / n0[:, None]
+            diff[np.abs(diff) <= self.diff_tol * (1.0 / n1 + 1.0 / n0)[:, None]] = 0.0
+
+        out: dict[str, np.ndarray] = {}
+        if "prevalence_diff" in self.statistics:
+            out["prevalence_diff"] = diff
+        if "scmd" in self.statistics:
+            q1 = sums[:, k:2 * k]
+            q0 = self.sq_sums[None, :] - q1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ss1 = np.maximum(q1 - s1**2 / n1[:, None], 0.0)
+                ss0 = np.maximum(q0 - s0**2 / n0[:, None], 0.0)
+                v1 = np.where((n1 > 1)[:, None], ss1 / (n1 - 1.0)[:, None], 0.0)
+                v0 = np.where((n0 > 1)[:, None], ss0 / (n0 - 1.0)[:, None], 0.0)
+            pooled = np.sqrt((v1 + v0) / 2.0)
+            # a covariate constant within both groups leaves a rounding
+            # residue, not 0, in ss1 + ss0; as for Mahalanobis, a within-group
+            # scatter of at most PINV_RCOND of the total makes SCMD undefined
+            constant = ss1 + ss0 <= PINV_RCOND * self.sq_sums
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = diff / pooled
+            out["scmd"] = np.where(diff == 0.0, 0.0,
+                                   np.where((pooled == 0.0) | constant, np.nan, ratio))
+        if "iv_bias" in self.statistics:
+            if own_strength or self.bias_mode == "per_draw":
+                t1 = sums[:, -1]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    strength = t1 / n1 - (self.exposure_sum - t1) / n0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    bias = diff / strength[:, None]
+                out["iv_bias"] = np.where(strength[:, None] == 0.0, np.nan, bias)
+            else:
+                out["iv_bias"] = diff / self.fixed_strength
+        if "mahalanobis" in self.statistics or "sqrt_mahalanobis" in self.statistics:
+            md = self._mahalanobis(n1, n0, diff)
+            if "mahalanobis" in self.statistics:
+                out["mahalanobis"] = md
+            if "sqrt_mahalanobis" in self.statistics:
+                out["sqrt_mahalanobis"] = np.sqrt(md)
+        return out
+
+    def _mahalanobis(self, n1, n0, diff) -> np.ndarray:
+        """Closed form of d^T S+ d, S the pooled covariance of d.
+
+        The pooled within-group scatter is the rank-one downdate
+        T - c d d^T of the total scatter (c = N1 N0 / N), so by
+        Sherman-Morrison M = (N - 2) c a / (1 - c a) with a = d^T T+ d.
+        1 - c a = 0 means a covariate is constant within both groups,
+        i.e. perfectly separated, and M is undefined (NaN), as SCMD is
+        with a zero standardizer.
+        """
+        whitened = diff @ self.whiten
+        ca = n1 * n0 / self.n * np.einsum("bk,bk->b", whitened, whitened)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            md = (self.n - 2.0) * ca / (1.0 - ca)
+        defined = (n1 >= 2) & (n0 >= 2) & (1.0 - ca > PINV_RCOND)
+        return np.where(defined, md, np.nan)
+
+
+def _split(assignment):
+    treated = np.asarray(getattr(assignment, "values", assignment)) == 1
     n1 = int(treated.sum())
-    n0 = len(z) - n1
+    n0 = len(treated) - n1
     if n1 == 0 or n0 == 0:
         raise StatisticError("assignment has an empty group")
     return treated, n1, n0
 
 
+@one_blas_thread()
+def _one_row(covariates, assignment, statistic: str, exposure=None,
+             fixed_strength: float | None = None, min_group: int = 1):
+    """The evaluator of a covariate column or matrix, and ``statistic`` of one row."""
+    treated, n1, n0 = _split(assignment)
+    if min(n1, n0) < min_group:
+        raise StatisticError(
+            f"{statistic} needs >= {min_group} units per group (got {n1} and {n0})")
+    x = np.asarray(covariates, dtype=np.float64)
+    evaluator = _Evaluator(x.reshape(len(x), -1), exposure, (statistic,),
+                           "fixed_observed", fixed_strength)
+    row = treated.astype(np.float64)[None, :]
+    return evaluator, evaluator(row, own_strength=fixed_strength is None)[statistic][0]
+
+
 def prevalence_difference(covariate_column, assignment) -> float:
     """Mean of the covariate over assigned units minus unassigned units."""
-    x = np.asarray(covariate_column, dtype=np.float64)
-    treated, _, _ = _split(_values(assignment))
-    return float(x[treated].mean() - x[~treated].mean())
-
-
-def _values(assignment) -> np.ndarray:
-    return assignment.values if hasattr(assignment, "values") else np.asarray(assignment)
+    return float(_one_row(covariate_column, assignment, "prevalence_diff")[1][0])
 
 
 def scmd(covariate_column, assignment) -> float:
     """Standardized covariate mean difference.
 
     Standardizer is sqrt((s1^2 + s0^2) / 2) with N-1 variance
-    denominators.  A zero difference is 0 regardless of the
-    standardizer; a nonzero difference with a zero standardizer is NaN.
+    denominators.  A zero difference is 0; a nonzero difference whose
+    within-group scatter is at most ``PINV_RCOND`` of the total is NaN.
     """
-    x = np.asarray(covariate_column, dtype=np.float64)
-    z = _values(assignment)
-    treated, n1, n0 = _split(z)
-    diff = float(x[treated].mean() - x[~treated].mean())
-    if diff == 0.0:
-        return 0.0
-    s1 = x[treated].var(ddof=1) if n1 > 1 else 0.0
-    s0 = x[~treated].var(ddof=1) if n0 > 1 else 0.0
-    denom = np.sqrt((s1 + s0) / 2.0)
-    if denom == 0.0:
-        return float("nan")
-    return diff / float(denom)
+    return float(_one_row(covariate_column, assignment, "scmd")[1][0])
 
 
 def instrument_strength(assignment, exposure) -> float:
     """Exposure prevalence difference across the assignment."""
-    return prevalence_difference(np.asarray(exposure, dtype=np.float64), assignment)
+    return prevalence_difference(exposure, assignment)
 
 
 def iv_bias(covariate_column, assignment, exposure, denominator: float | None = None) -> float:
@@ -89,12 +215,24 @@ def iv_bias(covariate_column, assignment, exposure, denominator: float | None = 
     used; otherwise the strength is recomputed from this assignment.
     A zero denominator yields NaN.
     """
-    num = prevalence_difference(covariate_column, assignment)
-    if denominator is None:
-        denominator = instrument_strength(assignment, exposure)
-    if denominator == 0.0:
-        return float("nan")
-    return num / denominator
+    return float(_one_row(covariate_column, assignment, "iv_bias", exposure, denominator)[1][0])
+
+
+def mahalanobis(covariates, assignment) -> GlobalBalance:
+    """Global balance of an assignment over all covariates.
+
+    Undefined (NaN) when a covariate combination is constant within both
+    groups; the pooled covariance then has one rank less than the total
+    scatter.
+    """
+    evaluator, md = _one_row(covariates, assignment, "mahalanobis", min_group=2)
+    rank = evaluator.whiten.shape[1] - int(np.isnan(md))
+    return GlobalBalance(
+        mahalanobis=float(md),
+        sqrt_mahalanobis=float(np.sqrt(md)),
+        covariance_rank=rank,
+        pseudo_inverse_used=rank < evaluator.k,
+    )
 
 
 def mean_difference_covariance(covariates, assignment) -> np.ndarray:
@@ -106,7 +244,7 @@ def mean_difference_covariance(covariates, assignment) -> np.ndarray:
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    treated, n1, n0 = _split(_values(assignment))
+    treated, n1, n0 = _split(assignment)
     if n1 < 2 or n0 < 2:
         raise StatisticError(
             f"pooled covariance needs >= 2 units per group (got {n1} and {n0})"
@@ -129,7 +267,7 @@ def mahalanobis_from_components(mean_diff, covariance) -> GlobalBalance:
     d = np.asarray(mean_diff, dtype=np.float64).ravel()
     s = np.atleast_2d(np.asarray(covariance, dtype=np.float64))
     u, sv, vt = np.linalg.svd(s, hermitian=True)
-    kept = _kept(sv)
+    kept = sv > PINV_RCOND * sv.max(initial=0.0)
     rank = int(kept.sum())
     inv_sv = np.where(kept, 1.0 / np.where(kept, sv, 1.0), 0.0)
     # d^T V diag(1/s) U^T d
@@ -141,34 +279,3 @@ def mahalanobis_from_components(mean_diff, covariance) -> GlobalBalance:
         covariance_rank=rank,
         pseudo_inverse_used=rank < len(d),
     )
-
-
-def _kept(sv: np.ndarray) -> np.ndarray:
-    """Singular values above the relative pseudo-inverse cutoff."""
-    if sv.size == 0 or sv[0] <= 0.0:
-        return np.zeros_like(sv, dtype=bool)
-    return sv > PINV_RCOND * sv[0]
-
-
-def mahalanobis(covariates, assignment) -> GlobalBalance:
-    """Global balance of an assignment over all covariates.
-
-    Undefined (NaN) when the pooled covariance has lower rank than the
-    total scatter of the covariates: some combination of them is constant
-    within both groups, so the assignment separates it perfectly.
-    """
-    x = np.asarray(covariates, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    z = _values(assignment)
-    treated, _, _ = _split(z)
-    diff = x[treated].mean(axis=0) - x[~treated].mean(axis=0)
-    cov = mean_difference_covariance(x, assignment)
-    result = mahalanobis_from_components(diff, cov)
-    xc = x - x.mean(axis=0)
-    total_rank = int(_kept(np.linalg.svd(xc.T @ xc, compute_uv=False,
-                                         hermitian=True)).sum())
-    if result.covariance_rank < total_rank:
-        return replace(result, mahalanobis=float("nan"), sqrt_mahalanobis=float("nan"))
-    return result
-

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
+from .balance import _Evaluator
 from .data import Dataset, TestConfig
 from .errors import PropensityError, StatisticError
 from .mechanisms import MechanismSpec
 from .propensity import PropensityModel, fit_logistic, predict
-from .randtest import (TestResult, _Evaluator, _evaluate_mechanism_draws,
-                       _observed_stats, pvalue, run_test)
+from .randtest import (TestResult, _evaluate_mechanism_draws, _observed_stats, pvalue,
+                       run_test)
 from .rng import DOMAIN_BT_EXPOSURE, DOMAIN_BT_INSTRUMENT
 
 CASE_RECOMMENDATIONS = {
@@ -207,7 +208,8 @@ def compare_mechanisms(
           cr_result.exact) != ("sqrt_mahalanobis", "instrument", config.seed,
                                config.n_draws, False):
         raise ValueError("cr_result does not match this comparison's config")
-    evaluator = _Evaluator(dataset, ("sqrt_mahalanobis",), config.bias_denominator, None)
+    evaluator = _Evaluator(dataset.covariates, dataset.exposure, ("sqrt_mahalanobis",),
+                           config.bias_denominator, None)
     observed_iv, p_iv = cr_result.observed, cr_result.p_value
     observed_exp = float(
         _observed_stats(dataset, "exposure", evaluator)["sqrt_mahalanobis"])

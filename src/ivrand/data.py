@@ -202,6 +202,9 @@ def _coerce_numeric(value, column: str, row: int, issues: list) -> float:
         return np.nan
     try:
         out = float(value)
+    except OverflowError:
+        issues.append(f"covariate value out of float range in column {column} at row {row}")
+        return np.nan
     except (TypeError, ValueError):
         issues.append(f"non-numeric covariate value {value!r} in column {column} at row {row}")
         return np.nan
@@ -258,7 +261,7 @@ def _coerce_column(values, column: str, parse, coerce, dtype, issues: list) -> n
     try:
         out = np.fromiter(parse(values), dtype, len(values))
         rows = np.flatnonzero(~np.isfinite(out)).tolist()
-    except (ValueError, TypeError, KeyError):
+    except (ValueError, TypeError, KeyError, OverflowError):
         out, rows = np.empty(len(values), dtype=dtype), range(len(values))
     for i in rows:
         found: list[str] = []
@@ -346,7 +349,7 @@ def read_delimited(path, delimiter: str = ",") -> list[dict]:
         reader = csv.DictReader(fh, delimiter=delimiter)
         if reader.fieldnames is None:
             raise ValidationError([f"{path}: empty file (no header row)"])
-        return [dict(row) for row in reader]
+        return list(reader)
 
 
 def load_dataset(

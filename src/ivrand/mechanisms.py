@@ -82,11 +82,14 @@ class MechanismSpec:
                 raise MechanismError("block mechanism needs one label per unit")
             labels, codes = self.block_codes
             treated = np.bincount(codes, weights=z, minlength=len(labels))
-            return MechanismSpec(
+            spec = MechanismSpec(
                 kind="block",
                 block_labels=self.block_labels,
                 per_block_treated=dict(zip(labels, map(int, treated))),
             )
+            # same labels, so the same codes: cached_property reads __dict__
+            spec.__dict__["block_codes"] = self.block_codes
+            return spec
         return self
 
     @cached_property

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .balance import PINV_RCOND
+from .balance import _Evaluator
 from .data import Dataset, TestConfig
 from .errors import MechanismError, StatisticError
 from .mechanisms import (DrawTally, MechanismSpec, draw_batch, enumerate_matrix,
@@ -152,129 +152,6 @@ def pvalue(t_obs: float, draws) -> float:
     if not np.isfinite(d).any():
         raise StatisticError("all draws are undefined")
     return float(_tail_pvalue(t_obs, d))
-
-
-class _Evaluator:
-    """Vectorized evaluation of balance statistics over draw chunks.
-
-    Uses globally centered covariates so the total-scatter identity for
-    the pooled covariance is well conditioned; centering changes no
-    statistic (mean differences and within-group covariances are shift
-    invariant).
-    """
-
-    def __init__(self, dataset: Dataset, statistics, bias_denominator_mode: str,
-                 fixed_strength: float | None):
-        x = dataset.covariates
-        self.n = x.shape[0]
-        self.k = x.shape[1]
-        xc = x - x.mean(axis=0)
-        self.col_sums = xc.sum(axis=0)
-        xc_sq = xc**2
-        self.sq_sums = xc_sq.sum(axis=0)
-        # The centred covariates do not sum to 0 exactly, so a zero mean
-        # difference evaluates to a rounding residue.  s1 and the column sums
-        # are each off by at most N eps sum|xc_j| (a recursive sum's bound),
-        # so |diff| <= 2 N eps sum|xc_j| (1/N1 + 1/N0) is set to exactly 0:
-        # a binary covariate split in equal shares then ties with every draw
-        # that splits it so.
-        self.diff_tol = 2.0 * self.n * np.finfo(np.float64).eps * np.abs(xc).sum(axis=0)
-        # whiten @ whiten.T = T+, the pseudo-inverse of the total scatter
-        # T = xc^T xc, cut off like the covariance pseudo-inverse in balance
-        eigval, eigvec = np.linalg.eigh(xc.T @ xc)
-        kept = eigval > PINV_RCOND * max(eigval[-1], 0.0)
-        self.whiten = eigvec[:, kept] / np.sqrt(eigval[kept])
-        exposure = dataset.exposure.astype(np.float64)
-        self.exposure_sum = float(exposure.sum())
-        self.statistics = tuple(statistics)
-        self.bias_mode = bias_denominator_mode
-        self.fixed_strength = fixed_strength
-        # One product stacked_t @ z^T gives every group-1 sum of a chunk:
-        # rows [xc^T | (xc^2)^T | 1 | exposure].  The layout is the same
-        # whatever the statistics, because BLAS rounds an output by its place
-        # in the product: so a draw's statistics do not depend on which
-        # others are requested.  The last two rows sum 0/1 values, exact in
-        # any order.  Stored C-contiguous as (2K + 2, N), each row one
-        # contiguous operand: on one BLAS thread this product is faster than
-        # z @ stacked with stacked (N, 2K + 2).
-        k = self.k
-        self.stacked_t = np.empty((2 * k + 2, self.n))
-        self.stacked_t[:k] = xc.T
-        self.stacked_t[k:2 * k] = xc_sq.T
-        self.stacked_t[-2] = 1.0
-        self.stacked_t[-1] = exposure
-
-    def __call__(self, z_chunk: np.ndarray, own_strength: bool = False) -> dict:
-        """Statistics for a (B, N) chunk of assignments.
-
-        With ``own_strength`` the bias denominator is each row's own
-        exposure prevalence difference (used for observed vectors);
-        otherwise the configured mode applies.
-        """
-        k = self.k
-        sums = (self.stacked_t @ z_chunk.astype(np.float64).T).T
-        s1 = sums[:, :k]
-        n1 = sums[:, -2]
-        n0 = self.n - n1
-        s0 = self.col_sums[None, :] - s1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = s1 / n1[:, None] - s0 / n0[:, None]
-            diff[np.abs(diff) <= self.diff_tol * (1.0 / n1 + 1.0 / n0)[:, None]] = 0.0
-
-        out: dict[str, np.ndarray] = {}
-        if "prevalence_diff" in self.statistics:
-            out["prevalence_diff"] = diff
-        if "scmd" in self.statistics:
-            q1 = sums[:, k:2 * k]
-            q0 = self.sq_sums[None, :] - q1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ss1 = np.maximum(q1 - s1**2 / n1[:, None], 0.0)
-                ss0 = np.maximum(q0 - s0**2 / n0[:, None], 0.0)
-                v1 = np.where((n1 > 1)[:, None], ss1 / (n1 - 1.0)[:, None], 0.0)
-                v0 = np.where((n0 > 1)[:, None], ss0 / (n0 - 1.0)[:, None], 0.0)
-            pooled = np.sqrt((v1 + v0) / 2.0)
-            # a covariate constant within both groups leaves a rounding
-            # residue, not 0, in ss1 + ss0; as for Mahalanobis, a within-group
-            # scatter of at most PINV_RCOND of the total makes SCMD undefined
-            constant = ss1 + ss0 <= PINV_RCOND * self.sq_sums
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = diff / pooled
-            out["scmd"] = np.where(diff == 0.0, 0.0,
-                                   np.where((pooled == 0.0) | constant, np.nan, ratio))
-        if "iv_bias" in self.statistics:
-            if own_strength or self.bias_mode == "per_draw":
-                t1 = sums[:, -1]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    strength = t1 / n1 - (self.exposure_sum - t1) / n0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    bias = diff / strength[:, None]
-                out["iv_bias"] = np.where(strength[:, None] == 0.0, np.nan, bias)
-            else:
-                out["iv_bias"] = diff / self.fixed_strength
-        if "mahalanobis" in self.statistics or "sqrt_mahalanobis" in self.statistics:
-            md = self._mahalanobis(n1, n0, diff)
-            if "mahalanobis" in self.statistics:
-                out["mahalanobis"] = md
-            if "sqrt_mahalanobis" in self.statistics:
-                out["sqrt_mahalanobis"] = np.sqrt(md)
-        return out
-
-    def _mahalanobis(self, n1, n0, diff) -> np.ndarray:
-        """Closed form of d^T S+ d, S the pooled covariance of d.
-
-        The pooled within-group scatter is the rank-one downdate
-        T - c d d^T of the total scatter (c = N1 N0 / N), so by
-        Sherman-Morrison M = (N - 2) c a / (1 - c a) with a = d^T T+ d.
-        1 - c a = 0 means a covariate is constant within both groups,
-        i.e. perfectly separated, and M is undefined (NaN), as SCMD is
-        with a zero standardizer.
-        """
-        whitened = diff @ self.whiten
-        ca = n1 * n0 / self.n * np.einsum("bk,bk->b", whitened, whitened)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            md = (self.n - 2.0) * ca / (1.0 - ca)
-        defined = (n1 >= 2) & (n0 >= 2) & (1.0 - ca > PINV_RCOND)
-        return np.where(defined, md, np.nan)
 
 
 def _resolve_mechanism(mechanism, dataset: Dataset, target: str) -> MechanismSpec:
@@ -423,8 +300,8 @@ def run_many(
     fixed_strength = None
     if "iv_bias" in statistics:
         fixed_strength = _fixed_strength_for(dataset, target, config)
-    evaluator = _Evaluator(dataset, tuple(statistics), config.bias_denominator,
-                           fixed_strength)
+    evaluator = _Evaluator(dataset.covariates, dataset.exposure, tuple(statistics),
+                           config.bias_denominator, fixed_strength)
     if exact:
         if spec.kind != "complete":
             raise MechanismError("exact tests enumerate complete randomization only")

@@ -157,6 +157,12 @@ class TestMahalanobis:
         assert gb.mahalanobis == 0.0
         assert gb.sqrt_mahalanobis == 0.0
 
+    def test_small_or_empty_group_errors(self):
+        x = np.arange(6.0)[:, None]
+        for z in ([1, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1]):
+            with pytest.raises(StatisticError):
+                mahalanobis(x, z)
+
     def test_scalar_oracle(self):
         # diff = 3, cov = 2 -> M = 9/2
         gb = mahalanobis(np.array([4.0, 6.0, 1.0, 3.0])[:, None], [1, 1, 0, 0])

@@ -10,7 +10,7 @@ import pytest
 
 import ivrand
 from ivrand import TestConfig, build_report
-from ivrand import _blas, randtest
+from ivrand import _blas, balance, randtest
 from ivrand._blas import blas_thread_counts, one_blas_thread
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ivrand.__file__)))
@@ -92,6 +92,27 @@ def test_pool_workers_compute_on_one_blas_thread(two_blas_threads, monkeypatch):
     build_report(ds, TestConfig(n_draws=200, seed=1, chunk_draws=32, threads=2))
     assert len({ident for ident, _ in seen}) > 1
     assert {counts for _, counts in seen} == {(1,) * len(_blas._openblas())}
+    assert set(blas_thread_counts()) == {2}
+
+
+@needs_openblas
+def test_scalar_statistics_compute_on_one_blas_thread(two_blas_threads, monkeypatch):
+    seen = []
+    original = balance._Evaluator.__call__
+
+    def recorded(self, *args, **kwargs):
+        seen.append(tuple(blas_thread_counts()))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(balance._Evaluator, "__call__", recorded)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((50, 3))
+    z = np.arange(50) % 2
+    ivrand.prevalence_difference(x[:, 0], z)
+    ivrand.scmd(x[:, 0], z)
+    ivrand.iv_bias(x[:, 0], z, z[::-1])
+    ivrand.mahalanobis(x, z)
+    assert seen == [(1,) * len(_blas._openblas())] * 4
     assert set(blas_thread_counts()) == {2}
 
 

@@ -141,7 +141,8 @@ class TestCompareMechanisms:
         cfg = TestConfig(n_draws=2000, seed=5)
         cr = run_test(ds, "instrument", cfg, statistic="sqrt_mahalanobis")
         p_const = np.full(ds.n_units, ds.n_treated_instrument / ds.n_units)
-        evaluator = _Evaluator(ds, ("sqrt_mahalanobis",), "fixed_observed", None)
+        evaluator = _Evaluator(ds.covariates, None, ("sqrt_mahalanobis",), "fixed_observed",
+                               None)
         spec = MechanismSpec.bernoulli(p_const)
         bt1, _ = _evaluate_mechanism_draws(spec, ds, evaluator, cfg,
                                            DOMAIN_BT_INSTRUMENT)

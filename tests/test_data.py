@@ -50,6 +50,12 @@ class TestValidateDataset:
         assert "row 3" in str(err.value)
         assert "age" in str(err.value)
 
+    def test_int_too_large_for_a_float_is_an_issue(self):
+        records = [{"z": 1, "d": 0, "a": 10**400}, {"z": 0, "d": 1, "a": 1}]
+        with pytest.raises(ValidationError) as err:
+            validate_dataset(records, "z", "d", ["a"])
+        assert err.value.issues == ["covariate value out of float range in column a at row 0"]
+
     def test_all_violations_reported_not_just_first(self):
         records = _records([1, 2, 0, 0], [1, 0, 1, 0], [1.0, "", 3.0, "oops"])
         with pytest.raises(ValidationError) as err:

@@ -93,6 +93,12 @@ class TestDrawBlock:
         expected = {(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)}
         assert seen == expected
 
+    def test_resolved_spec_shares_the_block_codes(self):
+        spec = MechanismSpec.block(("a", "b", "a", "b"))
+        resolved = spec.resolved(np.array([1, 0, 0, 1]))
+        assert resolved.per_block_treated == {"a": 1, "b": 1}
+        assert resolved.block_codes is spec.block_codes
+
     def test_single_block_matches_complete_distribution(self):
         stream = DrawStream(seed=5)
         draws = draw_batch(MechanismSpec.block(("x",) * 6, {"x": 2}), 6, stream,

@@ -17,6 +17,8 @@ from ivrand import (
     exact_test,
     iv_bias,
     mahalanobis,
+    mahalanobis_from_components,
+    mean_difference_covariance,
     per_covariate_quantiles,
     prevalence_difference,
     pvalue,
@@ -280,7 +282,7 @@ class TestRunTest:
                            match="observed sqrt_mahalanobis is undefined"):
             run_test(ds, "instrument", TestConfig(n_draws=500, seed=1),
                      statistic="sqrt_mahalanobis")
-        evaluator = _Evaluator(ds, ("mahalanobis",), "fixed_observed", None)
+        evaluator = _Evaluator(ds.covariates, None, ("mahalanobis",), "fixed_observed", None)
         engine = evaluator(ds.instrument[None, :].astype(np.float64))["mahalanobis"]
         assert np.isnan(engine[0])
         assert np.isnan(mahalanobis(ds.covariates, ds.instrument).mahalanobis)
@@ -299,7 +301,7 @@ class TestRunTest:
         assert np.isnan(scmd(ds.covariates[:, 1], d))
         with pytest.raises(StatisticError, match="observed scmd is undefined .*: d$"):
             run_test(ds, "exposure", TestConfig(n_draws=200, seed=1), statistic="scmd")
-        evaluator = _Evaluator(ds, ("scmd",), "fixed_observed", None)
+        evaluator = _Evaluator(ds.covariates, None, ("scmd",), "fixed_observed", None)
         engine = evaluator(d[None, :].astype(np.float64))["scmd"][0]
         assert np.isfinite(engine[0]) and np.isnan(engine[1])
 
@@ -368,41 +370,95 @@ class TestChunking:
 
 
 class TestBatchAgainstScalarOps:
-    """The vectorized engine must agree with the scalar definitions."""
+    """The vectorized engine must agree with plain two-group formulas and,
+    for Mahalanobis, with the SVD pseudo-inverse of the pooled covariance."""
 
     def test_all_statistics_agree_per_draw(self):
         ds = _dataset(n=40, k=4, seed=9)
-        evaluator = _Evaluator(ds, ("prevalence_diff", "scmd", "iv_bias",
-                                    "mahalanobis", "sqrt_mahalanobis"),
-                               "per_draw", None)
+        evaluator = _Evaluator(ds.covariates, ds.exposure, STATISTICS, "per_draw", None)
         stream = DrawStream(seed=17, domain=0)
         draws = draw_batch(MechanismSpec.complete(20), 40, stream,
                            np.arange(50, dtype=np.uint64))
         batch = evaluator(draws.astype(np.float64))
+        d = ds.exposure.astype(np.float64)
         for m in range(50):
-            z = draws[m]
+            t = draws[m] == 1
+            x1, x0 = ds.covariates[t], ds.covariates[~t]
+            diff = x1.mean(axis=0) - x0.mean(axis=0)
+            scmd_expected = diff / np.sqrt((x1.var(axis=0, ddof=1)
+                                            + x0.var(axis=0, ddof=1)) / 2.0)
+            strength = d[t].mean() - d[~t].mean()
             for j in range(4):
-                col = ds.covariates[:, j]
                 assert batch["prevalence_diff"][m, j] == pytest.approx(
-                    prevalence_difference(col, z), rel=1e-9, abs=1e-12
+                    diff[j], rel=1e-9, abs=1e-12
                 )
                 assert batch["scmd"][m, j] == pytest.approx(
-                    scmd(col, z), rel=1e-9, abs=1e-12
+                    scmd_expected[j], rel=1e-9, abs=1e-12
                 )
-                expected_bias = iv_bias(col, z, ds.exposure)
-                if np.isnan(expected_bias):
+                if strength == 0.0:
                     assert np.isnan(batch["iv_bias"][m, j])
                 else:
                     assert batch["iv_bias"][m, j] == pytest.approx(
-                        expected_bias, rel=1e-9, abs=1e-12
+                        diff[j] / strength, rel=1e-9, abs=1e-12
                     )
-            gb = mahalanobis(ds.covariates, z)
+            gb = mahalanobis_from_components(
+                diff, mean_difference_covariance(ds.covariates, draws[m]))
             assert batch["mahalanobis"][m] == pytest.approx(
                 gb.mahalanobis, rel=1e-9
             )
             assert batch["sqrt_mahalanobis"][m] == pytest.approx(
                 gb.sqrt_mahalanobis, rel=1e-9
             )
+
+
+def _near_separated_dataset():
+    """One covariate 1000 z + 1e-4 noise: its within-group scatter is 1e-16
+    of its total, under the PINV_RCOND cutoff, though not exactly zero."""
+    rng = np.random.default_rng(0)
+    z = (rng.random(200) < 0.5).astype(np.int8)
+    x = 1000.0 * z + 1e-4 * rng.standard_normal(200)
+    d = (rng.random(200) < 0.3 + 0.4 * z).astype(np.int8)
+    return Dataset(covariates=x[:, None], covariate_names=("near",), instrument=z,
+                   exposure=d)
+
+
+class TestScalarApiIsTheEngine:
+    """The public scalar statistics are one-row calls of the engine's evaluator."""
+
+    def test_near_separated_covariate_is_undefined(self):
+        # a zero-variance test alone gives SCMD 1e7 and Mahalanobis 5e15 here
+        ds = _near_separated_dataset()
+        evaluator = _Evaluator(ds.covariates, None, ("scmd", "mahalanobis"),
+                               "fixed_observed", None)
+        engine = evaluator(ds.instrument[None, :].astype(np.float64))
+        assert np.isnan(engine["scmd"][0, 0]) and np.isnan(engine["mahalanobis"][0])
+        assert np.isnan(scmd(ds.covariates[:, 0], ds.instrument))
+        gb = mahalanobis(ds.covariates, ds.instrument)
+        assert np.isnan(gb.mahalanobis) and np.isnan(gb.sqrt_mahalanobis)
+        assert gb.covariance_rank == 0 and gb.pseudo_inverse_used
+
+    @pytest.mark.parametrize("target", ["instrument", "exposure"])
+    @pytest.mark.parametrize("case", range(12))
+    def test_observed_values_match(self, case, target):
+        ds = {10: _separated_dataset, 11: _near_separated_dataset}.get(
+            case, lambda: _dataset(n=60, k=4, seed=case, confounded=True))()
+        z = ds.target_vector(target)
+        engine = randtest._observed_stats(
+            ds, target, _Evaluator(ds.covariates, ds.exposure, STATISTICS, "per_draw", None))
+        columns = ds.covariates.T
+        scalar = {
+            "prevalence_diff": [prevalence_difference(col, z) for col in columns],
+            "scmd": [scmd(col, z) for col in columns],
+            "iv_bias": [iv_bias(col, z, ds.exposure) for col in columns],
+        }
+        for name, values in scalar.items():
+            np.testing.assert_allclose(values, engine[name], rtol=1e-12, atol=0)
+        gb = mahalanobis(ds.covariates, z)
+        np.testing.assert_array_equal(gb.mahalanobis, engine["mahalanobis"])
+        np.testing.assert_array_equal(gb.sqrt_mahalanobis, engine["sqrt_mahalanobis"])
+        if np.isfinite(gb.mahalanobis):
+            result = run_many(ds, target, ("mahalanobis",), TestConfig(n_draws=20, seed=1))
+            assert gb.mahalanobis == result["mahalanobis"].observed
 
 
 class TestExactTest:
@@ -697,7 +753,7 @@ class TestEvaluatorSymmetry:
     @given(st.integers(0, 2**31 - 1))
     def test_relabelling_groups(self, seed):
         _, ds, chunk, scales = self._case(seed, decades=6.0)
-        evaluator = _Evaluator(ds, ("prevalence_diff", "scmd", "mahalanobis"),
+        evaluator = _Evaluator(ds.covariates, None, ("prevalence_diff", "scmd", "mahalanobis"),
                                "fixed_observed", None)
         before = evaluator(chunk)
         after = evaluator(1.0 - chunk)
@@ -706,6 +762,27 @@ class TestEvaluatorSymmetry:
         np.testing.assert_allclose(after["scmd"], -before["scmd"], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(after["mahalanobis"], before["mahalanobis"],
                                    rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["per_draw", "own", "fixed"]))
+    def test_relabelling_groups_bias(self, seed, denominator):
+        # z -> 1 - z flips the mean difference; a per-draw or own strength
+        # flips with it and leaves bias unchanged, a fixed one does not
+        rng, ds, chunk, scales = self._case(seed, decades=6.0)
+        d = ds.exposure.astype(np.float64)
+        if denominator == "fixed":
+            strength = np.full(len(chunk), rng.uniform(0.05, 1.0) * rng.choice([-1.0, 1.0]))
+            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), "fixed_observed",
+                                   strength[0])
+        else:
+            strength = chunk @ d / chunk.sum(axis=1) - (1 - chunk) @ d / (1 - chunk).sum(axis=1)
+            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), "per_draw", None)
+        own = denominator == "own"
+        before = evaluator(chunk, own_strength=own)["iv_bias"]
+        after = evaluator(1.0 - chunk, own_strength=own)["iv_bias"]
+        sign = -1.0 if denominator == "fixed" else 1.0
+        atol = 1e-12 * scales.max() / np.abs(strength[strength != 0.0]).min(initial=np.inf)
+        np.testing.assert_allclose(after, sign * before, rtol=1e-10, atol=atol)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -719,11 +796,8 @@ class TestEvaluatorSymmetry:
         a = q1 @ np.diag(10.0 ** rng.uniform(0, 2.99, k)) @ q2
         assert np.linalg.cond(a) < 1e3
         b = rng.uniform(-100, 100, k)
-        moved = Dataset(covariates=ds.covariates @ a.T + b,
-                        covariate_names=ds.covariate_names,
-                        instrument=ds.instrument, exposure=ds.exposure)
-        stats = ("mahalanobis",)
-        before = _Evaluator(ds, stats, "fixed_observed", None)(chunk)["mahalanobis"]
-        after = _Evaluator(moved, stats, "fixed_observed", None)(chunk)["mahalanobis"]
+        before, after = (
+            _Evaluator(x, None, ("mahalanobis",), "fixed_observed", None)(chunk)["mahalanobis"]
+            for x in (ds.covariates, ds.covariates @ a.T + b))
         assert np.isfinite(before).all()
         np.testing.assert_allclose(after, before, rtol=1e-8)
