@@ -39,6 +39,12 @@ class GlobalBalance:
     pseudo_inverse_used: bool
 
 
+def _strength(t1, n1, n0, exposure_sum):
+    """Exposure prevalence difference, the bias denominator, from the group-1
+    exposure sum ``t1``: for a 0/1 exposure each group mean is correctly rounded."""
+    return t1 / n1 - (exposure_sum - t1) / n0
+
+
 class _Evaluator:
     """Vectorized evaluation of balance statistics over draw chunks.
 
@@ -91,13 +97,8 @@ class _Evaluator:
         self.stacked_t[-2] = 1.0
         self.stacked_t[-1] = exposure
 
-    def __call__(self, z_chunk: np.ndarray, own_strength: bool = False) -> dict:
-        """Statistics for a (B, N) chunk of assignments.
-
-        With ``own_strength`` the bias denominator is each row's own
-        exposure prevalence difference (used for observed vectors);
-        otherwise the configured mode applies.
-        """
+    def __call__(self, z_chunk: np.ndarray) -> dict:
+        """Statistics for a (B, N) chunk of assignments."""
         k = self.k
         sums = (self.stacked_t @ z_chunk.astype(np.float64).T).T
         s1 = sums[:, :k]
@@ -129,11 +130,9 @@ class _Evaluator:
             out["scmd"] = np.where(diff == 0.0, 0.0,
                                    np.where((pooled == 0.0) | constant, np.nan, ratio))
         if "iv_bias" in self.statistics:
-            if own_strength or self.bias_mode == "per_draw":
-                t1 = sums[:, -1]
+            if self.bias_mode == "per_draw":
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    strength = t1 / n1 - (self.exposure_sum - t1) / n0
-                with np.errstate(divide="ignore", invalid="ignore"):
+                    strength = _strength(sums[:, -1], n1, n0, self.exposure_sum)
                     bias = diff / strength[:, None]
                 out["iv_bias"] = np.where(strength[:, None] == 0.0, np.nan, bias)
             else:
@@ -183,9 +182,9 @@ def _one_row(covariates, assignment, statistic: str, exposure=None,
             f"{statistic} needs >= {min_group} units per group (got {n1} and {n0})")
     x = np.asarray(covariates, dtype=np.float64)
     evaluator = _Evaluator(x.reshape(len(x), -1), exposure, (statistic,),
-                           "fixed_observed", fixed_strength)
-    row = treated.astype(np.float64)[None, :]
-    return evaluator, evaluator(row, own_strength=fixed_strength is None)[statistic][0]
+                           "per_draw" if fixed_strength is None else "fixed_observed",
+                           fixed_strength)
+    return evaluator, evaluator(treated.astype(np.float64)[None, :])[statistic][0]
 
 
 def prevalence_difference(covariate_column, assignment) -> float:
@@ -204,8 +203,14 @@ def scmd(covariate_column, assignment) -> float:
 
 
 def instrument_strength(assignment, exposure) -> float:
-    """Exposure prevalence difference across the assignment."""
-    return prevalence_difference(exposure, assignment)
+    """Exposure prevalence difference across the assignment.
+
+    The test engine's fixed bias denominator; for a 0/1 exposure it has
+    the same bits as the per-draw denominator of the same assignment.
+    """
+    treated, n1, n0 = _split(assignment)
+    d = np.asarray(exposure, dtype=np.float64)
+    return float(_strength(d[treated].sum(), n1, n0, d.sum()))
 
 
 def iv_bias(covariate_column, assignment, exposure, denominator: float | None = None) -> float:

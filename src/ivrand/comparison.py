@@ -24,13 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .balance import _Evaluator
+from .balance import _Evaluator  # noqa: F401  wrapped by name in perfbench/layers.py
 from .data import Dataset, TestConfig
-from .errors import PropensityError, StatisticError
+from .errors import PropensityError
 from .mechanisms import MechanismSpec
 from .propensity import PropensityModel, fit_logistic, predict
-from .randtest import (TestResult, _evaluate_mechanism_draws, _observed_stats, pvalue,
-                       run_test)
+from .randtest import TestResult, _draw_set, pvalue, run_test
+from .randtest import _evaluate_mechanism_draws  # noqa: F401  wrapped in perfbench/layers.py
 from .rng import DOMAIN_BT_EXPOSURE, DOMAIN_BT_INSTRUMENT
 
 CASE_RECOMMENDATIONS = {
@@ -62,9 +62,13 @@ class SeparationDiagnostics:
 
 @dataclass(frozen=True)
 class ComparisonResult:
+    """``iv_bt`` and ``exp_bt`` are the ``sqrt_mahalanobis`` tests of the
+    instrument and the exposure in draws from their own fitted
+    Bernoulli-trial mechanisms (``n_redraws``: degenerate draws redrawn)."""
+
     cr_result: TestResult
-    iv_bt_draws: np.ndarray
-    exp_bt_draws: np.ndarray
+    iv_bt: TestResult
+    exp_bt: TestResult
     observed_iv: float
     observed_exp: float
     p_iv: float
@@ -76,21 +80,11 @@ class ComparisonResult:
     iv_closer: bool
     instrument_model: PropensityModel
     exposure_model: PropensityModel
-    iv_bt_redraws: int
-    exp_bt_redraws: int
     ridge_fallback_used: bool
 
     def band(self, which: str) -> tuple[float, float]:
-        draws = {
-            "cr": self.cr_result.draws,
-            "iv_bt": self.iv_bt_draws,
-            "exp_bt": self.exp_bt_draws,
-        }[which]
-        finite = draws[np.isfinite(draws)]
-        return (
-            float(np.quantile(finite, 0.025)),
-            float(np.quantile(finite, 0.975)),
-        )
+        result = {"cr": self.cr_result, "iv_bt": self.iv_bt, "exp_bt": self.exp_bt}[which]
+        return result.q025, result.q975
 
 
 def classify_case(p_exposure: float, p_instrument: float, alpha: float) -> CaseClassification:
@@ -185,8 +179,9 @@ def compare_mechanisms(
     global balance values are located in that one distribution.  The
     instrument's value and p-value are read off ``cr_result``, which is
     identical to an independent ``run_test`` with the same config; the
-    exposure's value is evaluated here and its p-value is ``pvalue``
-    against the same draws.  That p-value conditions on the instrument's
+    exposure's value is read off its Bernoulli-trial ``TestResult``
+    (``exp_bt.observed``) and its p-value is ``pvalue`` against the
+    complete-randomization draws.  That p-value conditions on the instrument's
     treated count, not the exposure's: it relies on the Mahalanobis
     distance under complete randomization being close to chi-squared
     with K degrees of freedom whatever the treated count (Morgan & Rubin
@@ -208,43 +203,29 @@ def compare_mechanisms(
           cr_result.exact) != ("sqrt_mahalanobis", "instrument", config.seed,
                                config.n_draws, False):
         raise ValueError("cr_result does not match this comparison's config")
-    evaluator = _Evaluator(dataset.covariates, dataset.exposure, ("sqrt_mahalanobis",),
-                           config.bias_denominator, None)
-    observed_iv, p_iv = cr_result.observed, cr_result.p_value
-    observed_exp = float(
-        _observed_stats(dataset, "exposure", evaluator)["sqrt_mahalanobis"])
-    if not np.isfinite(observed_exp):
-        raise StatisticError("observed sqrt_mahalanobis is undefined for the exposure")
-    p_exp = pvalue(observed_exp, cr_result.draws)
-
     iv_model, exp_model = models or fit_propensities(dataset, ridge)
-    e_exp = predict(exp_model, dataset.covariates)
-    e_iv = predict(iv_model, dataset.covariates)
-
-    iv_spec = MechanismSpec.bernoulli(e_iv, max_redraws=config.max_redraws)
-    exp_spec = MechanismSpec.bernoulli(e_exp, max_redraws=config.max_redraws)
-    iv_stats, iv_redraws = _evaluate_mechanism_draws(
-        iv_spec, dataset, evaluator, config, DOMAIN_BT_INSTRUMENT
-    )
-    exp_stats, exp_redraws = _evaluate_mechanism_draws(
-        exp_spec, dataset, evaluator, config, DOMAIN_BT_EXPOSURE
-    )
-    iv_bt = iv_stats["sqrt_mahalanobis"]
-    exp_bt = exp_stats["sqrt_mahalanobis"]
-
-    cr_draws = cr_result.draws
+    iv_bt, exp_bt = (
+        _draw_set(dataset, target, ("sqrt_mahalanobis",), config,
+                  MechanismSpec.bernoulli(predict(model, dataset.covariates),
+                                          max_redraws=config.max_redraws),
+                  domain, exact=False)["sqrt_mahalanobis"]
+        for target, model, domain in (("instrument", iv_model, DOMAIN_BT_INSTRUMENT),
+                                      ("exposure", exp_model, DOMAIN_BT_EXPOSURE)))
+    observed_iv, p_iv = cr_result.observed, cr_result.p_value
+    observed_exp = exp_bt.observed
+    p_exp = pvalue(observed_exp, cr_result.draws)
     case = classify_case(p_exp, p_iv, config.alpha)
 
-    iv_vs_exp = separation_diagnostics(iv_bt, exp_bt)
-    iv_vs_cr = separation_diagnostics(iv_bt, cr_draws)
-    exp_vs_cr = separation_diagnostics(exp_bt, cr_draws)
+    iv_vs_exp = separation_diagnostics(iv_bt.draws, exp_bt.draws)
+    iv_vs_cr = separation_diagnostics(iv_bt.draws, cr_result.draws)
+    exp_vs_cr = separation_diagnostics(exp_bt.draws, cr_result.draws)
     iv_closer = bool(
         iv_vs_exp.intervals_disjoint and iv_vs_cr.mean_gap < exp_vs_cr.mean_gap
     )
     return ComparisonResult(
         cr_result=cr_result,
-        iv_bt_draws=iv_bt,
-        exp_bt_draws=exp_bt,
+        iv_bt=iv_bt,
+        exp_bt=exp_bt,
         observed_iv=observed_iv,
         observed_exp=observed_exp,
         p_iv=p_iv,
@@ -256,7 +237,5 @@ def compare_mechanisms(
         iv_closer=iv_closer,
         instrument_model=iv_model,
         exposure_model=exp_model,
-        iv_bt_redraws=iv_redraws,
-        exp_bt_redraws=exp_redraws,
         ridge_fallback_used=iv_model.ridge != ridge or exp_model.ridge != ridge,
     )

@@ -24,13 +24,14 @@ depend on either thread count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._blas import one_blas_thread
-from .balance import _Evaluator
+from .balance import _Evaluator, instrument_strength
 from .data import Dataset, TestConfig
 from .errors import MechanismError, StatisticError
 from .mechanisms import (DrawTally, MechanismSpec, draw_batch, enumerate_matrix,
@@ -216,10 +217,20 @@ def _evaluate_mechanism_draws(
     return _evaluate_rows(rows, config.n_draws, evaluator, config)
 
 
-def _observed_stats(dataset: Dataset, target: str, evaluator: _Evaluator) -> dict:
-    vec = dataset.target_vector(target).astype(np.float64)[None, :]
-    stats = evaluator(vec, own_strength=True)
-    return {name: values[0] for name, values in stats.items()}
+def _combination_rank(vec) -> int:
+    """Row of the 0/1 vector ``vec`` in ``enumerate_matrix(len(vec), sum(vec))``.
+
+    With ``left`` units still to treat, the C(n - i - 1, left - 1) rows
+    that treat unit i come before those that skip it."""
+    rank, left, n = 0, int(vec.sum()), len(vec)
+    for i, treated in enumerate(vec.tolist()):
+        if not left:
+            break
+        if treated:
+            left -= 1
+        else:
+            rank += math.comb(n - i - 1, left - 1)
+    return rank
 
 
 def _summarize(
@@ -237,7 +248,8 @@ def _summarize(
     names = dataset.covariate_names if vector else None
     observed = np.asarray(observed, dtype=np.float64)
     effective = np.isfinite(draws).sum(axis=0)
-    for bad, message in ((~np.isfinite(observed), f"observed {statistic} is undefined"),
+    for bad, message in ((~np.isfinite(observed),
+                          f"observed {statistic} is undefined for the {target}"),
                          (effective == 0, "all draws are undefined")):
         if bad.any():
             if vector:
@@ -297,31 +309,45 @@ def run_many(
         if s not in STATISTICS:
             raise ValueError(f"unknown statistic {s!r}; choose from {STATISTICS}")
     spec = _resolve_mechanism(mechanism, dataset, target)
+    if exact and spec.kind != "complete":
+        raise MechanismError("exact tests enumerate complete randomization only")
+    return _draw_set(dataset, target, tuple(statistics), config, spec,
+                     _TARGET_DOMAINS[target], exact)
+
+
+def _draw_set(dataset: Dataset, target: str, statistics: tuple, config: TestConfig,
+              spec: MechanismSpec, domain: int, exact: bool) -> dict[str, TestResult]:
+    """Draw (or enumerate) one draw set of a resolved ``spec``, keyed by
+    ``domain``, and locate the target in it: every randomization
+    distribution goes through here.  The fixed bias denominator is the
+    target's own instrument strength.
+    """
+    vec = dataset.target_vector(target)
     fixed_strength = None
-    if "iv_bias" in statistics:
-        fixed_strength = _fixed_strength_for(dataset, target, config)
-    evaluator = _Evaluator(dataset.covariates, dataset.exposure, tuple(statistics),
+    if "iv_bias" in statistics and config.bias_denominator == "fixed_observed":
+        fixed_strength = instrument_strength(vec, dataset.exposure)
+        if fixed_strength == 0.0:
+            raise StatisticError(
+                "observed exposure prevalence difference across the target is zero")
+    evaluator = _Evaluator(dataset.covariates, dataset.exposure, statistics,
                            config.bias_denominator, fixed_strength)
     if exact:
-        if spec.kind != "complete":
-            raise MechanismError("exact tests enumerate complete randomization only")
         matrix = enumerate_matrix(dataset.n_units, spec.n_treated,
                                   cap=config.enumeration_cap)
         draws, redraws = _evaluate_rows(lambda lo, hi, tally: matrix[lo:hi],
                                         len(matrix), evaluator, config)
-        vec = dataset.target_vector(target).astype(np.int8)
-        match = np.flatnonzero((matrix == vec[None, :]).all(axis=1))
     else:
         draws, redraws = _evaluate_mechanism_draws(spec, dataset, evaluator, config,
-                                                   _TARGET_DOMAINS[target])
-        match = []
-    if len(match):
+                                                   domain)
+    if exact and vec.sum() == spec.n_treated:
         # the observed assignment's own enumerated row, evaluated exactly as
         # every draw is, so it always counts itself in the tail
-        observed = {name: values[match[0]] for name, values in draws.items()}
+        row = _combination_rank(vec)
+        observed = {name: values[row] for name, values in draws.items()}
     else:
         # Monte Carlo, or an exact n_treated that differs from the observed count
-        observed = _observed_stats(dataset, target, evaluator)
+        stats = evaluator(vec.astype(np.float64)[None, :])
+        observed = {name: values[0] for name, values in stats.items()}
     return {
         name: _summarize(target, name, dataset, observed[name], draws[name],
                          config, spec, exact=exact, n_redraws=redraws)
@@ -359,19 +385,6 @@ def exact_test(
     spec = MechanismSpec(kind="complete") if n_treated is None else (
         MechanismSpec.complete(n_treated))
     return run_many(dataset, target, (statistic,), config, spec, exact=True)[statistic]
-
-
-def _fixed_strength_for(dataset, target, config):
-    if config.bias_denominator != "fixed_observed":
-        return None
-    z = dataset.target_vector(target)
-    d = dataset.exposure.astype(np.float64)
-    strength = float(d[z == 1].mean() - d[z == 0].mean())
-    if strength == 0.0:
-        raise StatisticError(
-            "observed exposure prevalence difference across the target is zero"
-        )
-    return strength
 
 
 def per_covariate_quantiles(result: TestResult) -> list[dict]:

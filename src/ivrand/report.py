@@ -163,19 +163,14 @@ def _propensity_section(dataset: Dataset, models, bins) -> tuple[dict, list[dict
 
 
 def _comparison_dict(comp: ComparisonResult, bins) -> dict:
-    def dist(draws):
-        finite = draws[np.isfinite(draws)]
-        counts, edges = np.histogram(finite, bins=bins)
+    def dist(result: TestResult):
         return {
-            "q025": _num(np.quantile(finite, 0.025)),
-            "q975": _num(np.quantile(finite, 0.975)),
-            "mean": _num(finite.mean()),
-            "n_draws": int(draws.shape[0]),
-            "n_undefined": int(draws.shape[0] - finite.shape[0]),
-            "histogram": {
-                "bin_edges": [float(e) for e in edges],
-                "counts": [int(c) for c in counts],
-            },
+            "q025": _num(result.q025),
+            "q975": _num(result.q975),
+            "mean": _num(result.draw_mean),
+            "n_draws": int(result.n_draws),
+            "n_undefined": int(result.n_undefined),
+            "histogram": result.histogram(bins),
         }
 
     def sep(d):
@@ -186,9 +181,9 @@ def _comparison_dict(comp: ComparisonResult, bins) -> dict:
         }
 
     return {
-        "complete_randomization": dist(comp.cr_result.draws),
-        "bernoulli_instrument": dist(comp.iv_bt_draws),
-        "bernoulli_exposure": dist(comp.exp_bt_draws),
+        "complete_randomization": dist(comp.cr_result),
+        "bernoulli_instrument": dist(comp.iv_bt),
+        "bernoulli_exposure": dist(comp.exp_bt),
         "observed_sqrt_mahalanobis": {
             "instrument": _num(comp.observed_iv),
             "exposure": _num(comp.observed_exp),
@@ -202,8 +197,8 @@ def _comparison_dict(comp: ComparisonResult, bins) -> dict:
             "iv_closer": comp.iv_closer,
         },
         "bernoulli_redraws": {
-            "instrument": comp.iv_bt_redraws,
-            "exposure": comp.exp_bt_redraws,
+            "instrument": comp.iv_bt.n_redraws,
+            "exposure": comp.exp_bt.n_redraws,
         },
         "ridge_fallback_used": comp.ridge_fallback_used,
     }

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ivrand import (
     StatisticError,
+    instrument_strength,
     iv_bias,
     mahalanobis,
     mahalanobis_from_components,
@@ -104,6 +105,19 @@ class TestIvBias:
         z = np.array([1, 1, 0, 0])
         d = np.array([1, 0, 1, 0])
         assert iv_bias(x, z, d, denominator=0.5) == pytest.approx(-4.0)
+
+
+class TestInstrumentStrength:
+    def test_equals_difference_of_group_means(self):
+        # the engine's fixed bias denominator once had this formula of its own
+        rng = np.random.default_rng(4)
+        for _ in range(400):
+            n = int(rng.integers(4, 3_000))
+            z = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.int8)
+            d = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.int8)
+            z[:2] = [0, 1]
+            d = d.astype(np.float64)
+            assert instrument_strength(z, d) == d[z == 1].mean() - d[z == 0].mean()
 
 
 class TestMeanDifferenceCovariance:

@@ -188,7 +188,7 @@ class TestCompareMechanisms:
         assert comp.observed_iv == pytest.approx(comp.observed_exp, rel=1e-12)
         assert comp.p_iv == comp.p_exp
         assert comp.case.label in ("case3", "case4")
-        ks = ks_2samp(comp.iv_bt_draws, comp.exp_bt_draws)
+        ks = ks_2samp(comp.iv_bt.draws, comp.exp_bt.draws)
         assert ks.pvalue > 0.001
 
     def test_cr_distribution_single_source_of_truth(self):
@@ -227,11 +227,38 @@ class TestCompareMechanisms:
         assert 0.0 <= comp.iv_vs_exp.overlap_fraction <= 1.0
         assert comp.case.label in RECOMMENDATIONS
         assert comp.case.recommendation == RECOMMENDATIONS[comp.case.label]
-        assert len(comp.iv_bt_draws) == cfg.n_draws
-        assert len(comp.exp_bt_draws) == cfg.n_draws
+        assert len(comp.iv_bt.draws) == cfg.n_draws
+        assert len(comp.exp_bt.draws) == cfg.n_draws
         lo, hi = comp.band("iv_bt")
         assert lo <= hi
 
+    def test_distributions_are_summarized_once(self):
+        # 2 of 12 treated: Bernoulli draws are often degenerate (redrawn) or
+        # have a single treated unit (an undefined Mahalanobis distance)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((12, 2))
+        z = np.zeros(12, dtype=np.int8)
+        z[rng.permutation(12)[:2]] = 1
+        d = np.zeros(12, dtype=np.int8)
+        d[rng.permutation(12)[:3]] = 1
+        ds = Dataset(covariates=x, covariate_names=("a", "b"), instrument=z, exposure=d)
+        cfg = TestConfig(n_draws=400, seed=1)
+        doc = build_report(ds, cfg, statistics=("sqrt_mahalanobis",)).document
+        section = doc["comparison"]
+        cr = section["complete_randomization"]
+        own = doc["global"]["instrument"]["sqrt_mahalanobis"]
+        for key in ("q025", "q975", "histogram", "n_undefined", "n_draws"):
+            assert cr[key] == own[key]
+        assert cr["mean"] == own["draw_mean"]
+        comp = compare_mechanisms(ds, cfg)
+        assert comp.iv_bt.n_redraws > 0 and comp.iv_bt.n_undefined > 0
+        for target, result in (("instrument", comp.iv_bt), ("exposure", comp.exp_bt)):
+            assert result.n_redraws == section["bernoulli_redraws"][target]
+            dist = section[f"bernoulli_{target}"]
+            assert (dist["q025"], dist["q975"]) == (result.q025, result.q975)
+            assert dist["n_undefined"] == result.n_undefined
+        assert comp.observed_exp == comp.exp_bt.observed
+        assert comp.band("exp_bt") == (comp.exp_bt.q025, comp.exp_bt.q975)
 
     def test_undefined_exposure_balance(self):
         # the second covariate equals the exposure, so the exposure's

@@ -15,6 +15,7 @@ from ivrand import (
     StatisticError,
     TestConfig,
     exact_test,
+    instrument_strength,
     iv_bias,
     mahalanobis,
     mahalanobis_from_components,
@@ -265,6 +266,22 @@ class TestRunTest:
         ])
         np.testing.assert_allclose(res.observed, manual, rtol=1e-9)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("target", ["instrument", "exposure"])
+    def test_observed_bias_same_bits_in_both_modes(self, target, exact):
+        # the fixed denominator is the target's own strength, so the observed
+        # row is the same number whichever denominator the draws use
+        for seed in range(8):
+            ds = _dataset(n=12, k=3, seed=seed, confounded=True)
+            if instrument_strength(ds.target_vector(target), ds.exposure) == 0.0:
+                continue
+            observed = [
+                run_many(ds, target, ("iv_bias",),
+                         TestConfig(n_draws=40, seed=1, bias_denominator=mode),
+                         exact=exact)["iv_bias"].observed
+                for mode in ("fixed_observed", "per_draw")]
+            np.testing.assert_array_equal(*observed)
+
     def test_zero_strength_fixed_bias_errors(self):
         x = np.random.default_rng(8).standard_normal((8, 1))
         z = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.int8)
@@ -443,8 +460,9 @@ class TestScalarApiIsTheEngine:
         ds = {10: _separated_dataset, 11: _near_separated_dataset}.get(
             case, lambda: _dataset(n=60, k=4, seed=case, confounded=True))()
         z = ds.target_vector(target)
-        engine = randtest._observed_stats(
-            ds, target, _Evaluator(ds.covariates, ds.exposure, STATISTICS, "per_draw", None))
+        evaluator = _Evaluator(ds.covariates, ds.exposure, STATISTICS, "per_draw", None)
+        engine = {name: values[0] for name, values in
+                  evaluator(z.astype(np.float64)[None, :]).items()}
         columns = ds.covariates.T
         scalar = {
             "prevalence_diff": [prevalence_difference(col, z) for col in columns],
@@ -481,6 +499,13 @@ class TestExactTest:
                      exposure=np.roll(z, 1))
         res = exact_test(ds, "instrument", statistic="scmd")
         assert res.p_value[0] == 1.0
+
+    def test_combination_rank_is_the_row_index(self):
+        for n in range(1, 11):
+            for t in range(n + 1):
+                matrix = enumerate_matrix(n, t)
+                assert ([randtest._combination_rank(row) for row in matrix]
+                        == list(range(len(matrix))))
 
     def test_monte_carlo_converges_to_exact(self):
         ds = _dataset(n=10, k=1, seed=10)
@@ -627,8 +652,8 @@ def _independent_dataset(seed, n=1_000, k=10, z_share=0.5, d_share=0.1):
 
 class TestReportDrawSets:
     @pytest.mark.parametrize("kwargs, n_evaluators", [
-        ({}, 3),                            # instrument, exposure, Bernoulli pair
-        ({"mechanism": "bernoulli"}, 4),    # plus the comparison's own CR draw set
+        ({}, 4),                            # instrument, exposure, Bernoulli pair
+        ({"mechanism": "bernoulli"}, 5),    # plus the comparison's own CR draw set
         ({"exact": True}, 2),
     ])
     def test_one_evaluator_per_draw_set(self, monkeypatch, kwargs, n_evaluators):
@@ -764,23 +789,21 @@ class TestEvaluatorSymmetry:
                                    rtol=1e-10, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.sampled_from(["per_draw", "own", "fixed"]))
-    def test_relabelling_groups_bias(self, seed, denominator):
-        # z -> 1 - z flips the mean difference; a per-draw or own strength
-        # flips with it and leaves bias unchanged, a fixed one does not
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["per_draw", "fixed_observed"]))
+    def test_relabelling_groups_bias(self, seed, bias_mode):
+        # z -> 1 - z flips the mean difference; a per-draw strength flips
+        # with it and leaves bias unchanged, a fixed one does not
         rng, ds, chunk, scales = self._case(seed, decades=6.0)
         d = ds.exposure.astype(np.float64)
-        if denominator == "fixed":
+        if bias_mode == "fixed_observed":
             strength = np.full(len(chunk), rng.uniform(0.05, 1.0) * rng.choice([-1.0, 1.0]))
-            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), "fixed_observed",
-                                   strength[0])
+            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), bias_mode, strength[0])
         else:
             strength = chunk @ d / chunk.sum(axis=1) - (1 - chunk) @ d / (1 - chunk).sum(axis=1)
-            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), "per_draw", None)
-        own = denominator == "own"
-        before = evaluator(chunk, own_strength=own)["iv_bias"]
-        after = evaluator(1.0 - chunk, own_strength=own)["iv_bias"]
-        sign = -1.0 if denominator == "fixed" else 1.0
+            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), bias_mode, None)
+        before = evaluator(chunk)["iv_bias"]
+        after = evaluator(1.0 - chunk)["iv_bias"]
+        sign = -1.0 if bias_mode == "fixed_observed" else 1.0
         atol = 1e-12 * scales.max() / np.abs(strength[strength != 0.0]).min(initial=np.inf)
         np.testing.assert_allclose(after, sign * before, rtol=1e-10, atol=atol)
 
