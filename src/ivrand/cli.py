@@ -18,7 +18,8 @@ import os
 import sys
 
 from ._blas import one_blas_thread
-from .data import TestConfig, read_delimited, validate_dataset, write_delimited
+from .data import (BIAS_DENOMINATORS, TestConfig, read_delimited, validate_dataset,
+                   write_delimited)
 from .data import load_dataset  # noqa: F401  wrapped by name in perfbench/layers.py
 from .errors import (
     CapExceededError,
@@ -83,10 +84,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--statistic", action="append", default=None,
                         help="statistic to run (repeatable); default scmd, bias, "
                              "sqrt_mahalanobis")
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--bias-denominator", default="fixed_observed",
-                        choices=["fixed_observed", "per_draw"])
+    parser.add_argument("--alpha", type=float, default=TestConfig.alpha)
+    parser.add_argument("--seed", type=int, default=TestConfig.seed)
+    parser.add_argument("--bias-denominator", default=TestConfig.bias_denominator,
+                        choices=BIAS_DENOMINATORS)
     parser.add_argument("--ridge", type=float, default=0.0,
                         help="ridge penalty for the propensity fits")
     parser.add_argument("--hist-bins", default="fd",
@@ -110,11 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["complete", "block", "bernoulli"])
     p_test.add_argument("--block-column", default=None,
                         help="column holding block labels (mechanism=block)")
-    p_test.add_argument("--draws", type=int, default=10_000)
+    p_test.add_argument("--draws", type=int, default=TestConfig.n_draws)
 
     p_exact = sub.add_parser("exact", help="exact enumeration tests (small N)")
     _add_common_flags(p_exact)
-    p_exact.add_argument("--cap", type=int, default=1_000_000,
+    p_exact.add_argument("--cap", type=int, default=TestConfig.enumeration_cap,
                          help="largest allowed C(N, N_T)")
 
     p_synth = sub.add_parser("synth", help="generate synthetic data")
@@ -142,7 +143,8 @@ def _statistics_from_args(args) -> tuple:
 
 
 def _load(args):
-    """Read the file once; return the dataset and the mechanism (None: complete)."""
+    """Read the file once; return the dataset and the mechanism: a block
+    ``MechanismSpec``, or the ``--mechanism`` name (None for ``exact``)."""
     records = read_delimited(args.data, delimiter=args.delimiter)
     if not records:
         raise ValidationError([f"{args.data}: no data rows"])
@@ -164,9 +166,7 @@ def _load(args):
         categorical_cols=categorical,
     )
     mechanism = getattr(args, "mechanism", None)
-    if mechanism == "complete":
-        mechanism = MechanismSpec(kind="complete")
-    elif mechanism == "block":
+    if mechanism == "block":
         if not block_column:
             raise ValidationError(["--mechanism block needs --block-column"])
         if block_column not in records[0]:
@@ -192,7 +192,7 @@ def _cmd_report(args) -> int:
     size = {"n_draws": 1, "enumeration_cap": args.cap} if exact else {"n_draws": args.draws}
     config = TestConfig(alpha=args.alpha, seed=args.seed,
                         bias_denominator=args.bias_denominator,
-                        threads=max(1, args.threads), **size)
+                        threads=args.threads, **size)
     bins = _parse_bins(args.hist_bins)
     statistics = _statistics_from_args(args)
     dataset, mechanism = _load(args)

@@ -206,8 +206,7 @@ def compare_mechanisms(
     iv_model, exp_model = models or fit_propensities(dataset, ridge)
     iv_bt, exp_bt = (
         _draw_set(dataset, target, ("sqrt_mahalanobis",), config,
-                  MechanismSpec.bernoulli(predict(model, dataset.covariates),
-                                          max_redraws=config.max_redraws),
+                  MechanismSpec.bernoulli(predict(model, dataset.covariates)),
                   domain, exact=False)["sqrt_mahalanobis"]
         for target, model, domain in (("instrument", iv_model, DOMAIN_BT_INSTRUMENT),
                                       ("exposure", exp_model, DOMAIN_BT_EXPOSURE)))

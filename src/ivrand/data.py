@@ -19,6 +19,7 @@ from .errors import ValidationError
 _TRUE_TOKENS = {"1", "true", "True", "TRUE"}
 _FALSE_TOKENS = {"0", "false", "False", "FALSE"}
 _BINARY_TOKENS = {**dict.fromkeys(_TRUE_TOKENS, 1), **dict.fromkeys(_FALSE_TOKENS, 0)}
+BIAS_DENOMINATORS = ("fixed_observed", "per_draw")
 
 
 @dataclass(frozen=True)
@@ -141,15 +142,17 @@ class AssignmentVector:
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Knobs for a randomization test run.
+    """The settings of a randomization test run.
 
     ``bias_denominator`` controls how the bias statistic treats the
     exposure prevalence difference across permuted draws:
     ``fixed_observed`` (default) holds it at the observed value,
     ``per_draw`` recomputes it per draw (draws with a zero denominator
     are recorded as undefined and excluded, with the count reported).
-    ``chunk_draws`` caps the draws evaluated per chunk; below the cap, a
-    chunk's size comes from a byte budget (``randtest.CHUNK_WORD_BYTES``).
+    ``enumeration_cap`` bounds C(N, N_T) for exact tests.  A chunk's
+    size is not a setting: it comes from a byte budget
+    (``randtest.CHUNK_WORD_BYTES``, at most ``randtest.CHUNK_MAX_ROWS``
+    rows), and the Bernoulli redraw limit is ``MechanismSpec.max_redraws``.
     """
 
     n_draws: int = 10_000
@@ -157,8 +160,6 @@ class TestConfig:
     seed: int = 0
     bias_denominator: str = "fixed_observed"
     enumeration_cap: int = 1_000_000
-    max_redraws: int = 1_000
-    chunk_draws: int = 1_024
     threads: int = 1
 
     __test__ = False   # keep pytest from collecting this as a test class
@@ -168,12 +169,10 @@ class TestConfig:
             raise ValueError("n_draws must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be strictly between 0 and 1")
-        if self.bias_denominator not in ("fixed_observed", "per_draw"):
-            raise ValueError("bias_denominator must be fixed_observed or per_draw")
-        if self.threads < 1 or self.chunk_draws < 1:
-            raise ValueError("threads and chunk_draws must be >= 1")
-        if self.max_redraws < 0:
-            raise ValueError("max_redraws must be >= 0")
+        if self.bias_denominator not in BIAS_DENOMINATORS:
+            raise ValueError("bias_denominator must be " + " or ".join(BIAS_DENOMINATORS))
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if self.enumeration_cap < 1:
             raise ValueError("enumeration_cap must be >= 1")
 
@@ -227,20 +226,6 @@ def _indicator_columns(values, column: str) -> tuple[list[str], list[np.ndarray]
     codes = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
     names = [f"{column}={lv}" for lv in levels[1:]]
     return names, [(codes == i).astype(np.float64) for i in range(1, len(levels))]
-
-
-def expand_categorical(records: Sequence[dict], column: str) -> list[str]:
-    """Expand a categorical column into indicator columns in place.
-
-    One indicator per non-reference level; the reference level is the
-    lexicographically smallest. Returns the new column names, each
-    ``column=level``.
-    """
-    names, indicators = _indicator_columns([r.get(column, "") for r in records], column)
-    for name, indicator in zip(names, indicators):
-        for r, value in zip(records, indicator.tolist()):
-            r[name] = value
-    return names
 
 
 def _binary_cells(values):
@@ -324,11 +309,6 @@ def validate_dataset(
                                  np.float64, cells)
     issues = [text for _, text in sorted(cells, key=lambda cell: cell[0])]
 
-    if not issues:
-        if z.min() == z.max():
-            issues.append("constant instrument: needs at least one 0 and one 1")
-        if d.min() == d.max():
-            issues.append("constant exposure: needs at least one 0 and one 1")
     if issues:
         raise ValidationError(issues)
     return Dataset(

@@ -31,11 +31,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import AssignmentVector
+from .data import AssignmentVector, TestConfig
 from .errors import CapExceededError, MechanismError, RedrawLimitError
 from .rng import DrawStream, bernoulli_thresholds, word_keys
 
-DEFAULT_ENUMERATION_CAP = 1_000_000
 DEFAULT_MAX_REDRAWS = 1_000
 
 
@@ -168,12 +167,13 @@ class DrawTally:
 class PreparedSampler:
     """The state every chunk of one draw set shares, for one spec and N.
 
-    Built once per draw set by ``prepare_sampler``.  Block mechanism:
-    ``blocks`` holds each block's ``(lo, hi, treated)`` slice of the
-    block order (block by block, blocks sorted by label, each block's
-    units in unit order), and ``inverse`` gives the block-order position
-    of each unit.  Bernoulli: ``thresholds`` holds the per-unit
-    acceptance thresholds.
+    Built once per draw set by ``prepare_sampler``.  Complete and block
+    mechanisms: ``blocks`` holds each block's ``(lo, hi, treated)`` slice
+    of the block order (block by block, blocks sorted by label, each
+    block's units in unit order), and ``inverse`` gives the block-order
+    position of each unit; complete randomization is the one block
+    ``(0, N, n_treated)`` already in unit order, with no ``inverse``.
+    Bernoulli: ``thresholds`` holds the per-unit acceptance thresholds.
     """
 
     blocks: tuple = ()
@@ -196,7 +196,7 @@ def prepare_sampler(spec: MechanismSpec, n: int) -> PreparedSampler:
         return PreparedSampler(blocks=blocks, inverse=np.argsort(order))
     if spec.kind == "bernoulli":
         return PreparedSampler(thresholds=bernoulli_thresholds(spec.propensities))
-    return PreparedSampler()
+    return PreparedSampler(blocks=((0, n, spec.n_treated),))
 
 
 def _mark_smallest(keys: np.ndarray, k: int, out: np.ndarray) -> None:
@@ -241,17 +241,12 @@ def draw_batch(
         sampler = prepare_sampler(spec, n)
     indices = np.asarray(indices, dtype=np.uint64)
     width = (n + 1) // 2   # words per draw, or per Bernoulli attempt
-    if spec.kind == "complete":
-        keys = word_keys(stream.word_block(indices, width))[:, :n]
-        out = np.empty((len(indices), n), dtype=np.int8)
-        _mark_smallest(keys, spec.n_treated, out)
-        return out
-    if spec.kind == "block":
+    if spec.kind != "bernoulli":
         keys = word_keys(stream.word_block(indices, width))[:, :n]
         grouped = np.empty((len(indices), n), dtype=np.int8)
         for lo, hi, k in sampler.blocks:
             _mark_smallest(keys[:, lo:hi], k, grouped[:, lo:hi])
-        return grouped[:, sampler.inverse]
+        return grouped if sampler.inverse is None else grouped[:, sampler.inverse]
     # bernoulli with rejection of degenerate (all-0 / all-1) draws
     out = np.empty((len(indices), n), dtype=np.int8)
     pending = np.arange(len(indices))
@@ -316,17 +311,13 @@ def draw_bernoulli(
     return AssignmentVector(values=row[0])
 
 
-def n_assignments(n: int, n_treated: int) -> int:
-    return math.comb(n, n_treated)
-
-
-def enumerate_complete(n: int, n_treated: int, cap: int = DEFAULT_ENUMERATION_CAP):
+def enumerate_complete(n: int, n_treated: int, cap: int = TestConfig.enumeration_cap):
     """All assignments with exactly n_treated ones, in combination order."""
     for values in enumerate_matrix(n, n_treated, cap=cap):
         yield AssignmentVector(values=values.copy(), n_treated=n_treated)
 
 
-def enumerate_matrix(n: int, n_treated: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def enumerate_matrix(n: int, n_treated: int, cap: int = TestConfig.enumeration_cap) -> np.ndarray:
     """Dense 0/1 matrix of the full enumeration (rows in combination order).
 
     The rows of m units with t treated start with those treating unit 0,
@@ -334,7 +325,7 @@ def enumerate_matrix(n: int, n_treated: int, cap: int = DEFAULT_ENUMERATION_CAP)
     unit is u > 0 repeat the last C(m - u - 1, t - 1) of those from unit
     u + 1 on, copied within the output, so no other table is built.
     """
-    total = n_assignments(n, n_treated)
+    total = math.comb(n, n_treated)
     if total > cap:
         raise CapExceededError(
             f"C({n}, {n_treated}) = {total} exceeds the enumeration cap {cap}"

@@ -19,6 +19,8 @@ from .errors import PropensityError
 
 SEPARATION_COEF_BOUND = 10.0
 PREDICT_EPS = 1e-6
+MAX_ITER = 100
+TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,6 @@ def _dependent_columns(x: np.ndarray, names) -> list:
 def fit_logistic(
     covariates,
     labels,
-    max_iter: int = 100,
-    tolerance: float = 1e-8,
     ridge: float = 0.0,
     covariate_names=None,
 ) -> PropensityModel:
@@ -93,7 +93,7 @@ def fit_logistic(
     ``deviance`` is the objective actually minimized: -2 log-likelihood
     plus ``ridge`` times the squared slope norm (on the standardized
     scale).  ``converged`` is True when the objective change fell below
-    ``tolerance`` within ``max_iter`` iterations.  Non-convergence is
+    ``TOLERANCE`` within ``MAX_ITER`` iterations.  Non-convergence is
     reported on the model, not raised.  A negative ``ridge`` (which would
     reward large coefficients) raises ``ValueError``.
     """
@@ -144,7 +144,7 @@ def fit_logistic(
     converged = False
     separation = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         p = _expit(eta)
         w = np.clip(p * (1.0 - p), 1e-10, None)
         grad = design.T @ (y - p) - 2.0 * penalty * beta
@@ -167,7 +167,7 @@ def fit_logistic(
         delta = objective - cand_obj
         beta, eta, objective = candidate, cand_eta, cand_obj
         trace.append(objective)
-        if abs(delta) < tolerance:
+        if abs(delta) < TOLERANCE:
             # A plateau with runaway unpenalized coefficients is not an
             # interior optimum: the likelihood is unbounded along a
             # separating direction, so refuse to call it converged.

@@ -16,7 +16,7 @@ member of the enumeration.
 Statistic evaluation is chunked and vectorized; draw m depends only on
 (seed, domain, m), so the assignments are identical under any chunking
 or thread count.  A chunk holds as many draws as fit a fixed byte budget
-(``CHUNK_WORD_BYTES``), capped at ``TestConfig.chunk_draws``.  Chunks
+(``CHUNK_WORD_BYTES``), capped at ``CHUNK_MAX_ROWS``.  Chunks
 are spread over ``TestConfig.threads`` pool threads, and ``run_many``
 keeps every product on one BLAS thread, so a draw's statistics do not
 depend on either thread count.
@@ -60,18 +60,19 @@ TIE_RTOL = 1e-9
 # and int8 draws are half and an eighth of it, and the temporaries are a
 # few times a chunk, per thread.  Above N = 32,768 the 32-row floor makes
 # a chunk larger than this, 256 * N bytes, still independent of
-# chunk_draws.  Chunk rows are a multiple of CHUNK_ROW_MULTIPLE.  The
+# CHUNK_MAX_ROWS.  Chunk rows are a multiple of CHUNK_ROW_MULTIPLE.  The
 # multiple was chosen when OpenBLAS split each product over its own
 # threads and rounded the rows after the last full 32-row panel
 # differently.  On one BLAS thread (OpenBLAS 0.3.31) desk-scale chunks of
 # 16 to 1024 rows give the same bits, but a one-row chunk (M = 1 mod 32)
 # does not, nor do small products: at N = 60, K = 5, chunks of up to 96
-# rows and of 128 or more round differently.  Chunk rows depend on N and
-# chunk_draws only, never on threads, and reports keep the default
-# chunk_draws.  Changing the multiple changes chunk sizes, so it is left
-# for a change measured on its own.
+# rows and of 128 or more round differently.  Chunk rows depend on N
+# only, never on threads, so at small N the cap CHUNK_MAX_ROWS sets the
+# products' rounding.  Changing the multiple or the cap changes chunk
+# sizes, so either is left for a change measured on its own.
 CHUNK_WORD_BYTES = 8 << 20
 CHUNK_ROW_MULTIPLE = 32
+CHUNK_MAX_ROWS = 1024
 
 
 def _tie_threshold(abs_obs):
@@ -178,7 +179,7 @@ def _evaluate_rows(rows, m: int, evaluator: _Evaluator, config: TestConfig
     }
     out = {name: np.empty(shape) for name, shape in shapes.items()}
     budget_rows = CHUNK_WORD_BYTES // (8 * evaluator.n)
-    rows_per_chunk = min(config.chunk_draws, max(
+    rows_per_chunk = min(CHUNK_MAX_ROWS, max(
         CHUNK_ROW_MULTIPLE, budget_rows // CHUNK_ROW_MULTIPLE * CHUNK_ROW_MULTIPLE))
     bounds = list(range(0, m, rows_per_chunk)) + [m]
     chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]

@@ -78,32 +78,7 @@ def _num(value):
 
 
 def _result_dict(result: TestResult, bins="fd") -> dict:
-    vector = result.covariate_names is not None
-    if vector:
-        per_cov = {
-            name: {
-                "observed": _num(result.observed[j]),
-                "p_value": _num(result.p_value[j]),
-                "q025": _num(result.q025[j]),
-                "q975": _num(result.q975[j]),
-                "draw_mean": _num(result.draw_mean[j]),
-                "n_undefined": int(result.n_undefined[j]),
-                "reject_at_alpha": bool(result.reject_at_alpha[j]),
-            }
-            for j, name in enumerate(result.covariate_names)
-        }
-        body = {"per_covariate": per_cov}
-    else:
-        body = {
-            "observed": _num(result.observed),
-            "p_value": _num(result.p_value),
-            "q025": _num(result.q025),
-            "q975": _num(result.q975),
-            "draw_mean": _num(result.draw_mean),
-            "n_undefined": int(result.n_undefined),
-            "reject_at_alpha": bool(result.reject_at_alpha),
-            "histogram": result.histogram(bins),
-        }
+    """Report entry of a global statistic's result."""
     return {
         "target": result.target,
         "statistic": result.statistic,
@@ -113,7 +88,14 @@ def _result_dict(result: TestResult, bins="fd") -> dict:
         "mechanism": result.mechanism,
         "exact": result.exact,
         "n_redraws": int(result.n_redraws),
-        **body,
+        "observed": _num(result.observed),
+        "p_value": _num(result.p_value),
+        "q025": _num(result.q025),
+        "q975": _num(result.q975),
+        "draw_mean": _num(result.draw_mean),
+        "n_undefined": int(result.n_undefined),
+        "reject_at_alpha": bool(result.reject_at_alpha),
+        "histogram": result.histogram(bins),
     }
 
 
@@ -267,8 +249,7 @@ def build_report(
     specs = {"instrument": mechanism, "exposure": mechanism}
     if not exact and mechanism == "bernoulli":
         specs = {
-            target: MechanismSpec.bernoulli(predict(model, dataset.covariates),
-                                            max_redraws=config.max_redraws)
+            target: MechanismSpec.bernoulli(predict(model, dataset.covariates))
             for target, model in zip(specs, models)
         }
     covariate_means = {

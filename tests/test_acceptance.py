@@ -26,6 +26,7 @@ from ivrand import (
     mahalanobis_from_components,
     mean_difference_covariance,
     predict,
+    randtest,
     run_test,
 )
 from ivrand.mechanisms import DrawTally, draw_batch, enumerate_complete
@@ -39,11 +40,12 @@ def _report(number: int, passed: bool, detail: str) -> None:
           flush=True)
 
 
-def test_criterion_1_exactness_oracle():
+def test_criterion_1_exactness_oracle(monkeypatch):
     """MC p (M=10,000) vs exact enumeration p within 0.02, 50 instances, <5 s."""
     rng = np.random.default_rng(20260811)
     start = time.perf_counter()
     worst = 0.0
+    monkeypatch.setattr(randtest, "CHUNK_MAX_ROWS", 10_000)
     for instance in range(50):
         x = rng.standard_normal(8)
         z = np.zeros(8, dtype=np.int8)
@@ -52,7 +54,7 @@ def test_criterion_1_exactness_oracle():
         d[rng.permutation(8)[:4]] = 1
         ds = Dataset(covariates=x[:, None], covariate_names=("c",),
                      instrument=z, exposure=d)
-        cfg = TestConfig(n_draws=10_000, seed=instance, chunk_draws=10_000)
+        cfg = TestConfig(n_draws=10_000, seed=instance)
         mc = run_test(ds, "instrument", cfg, statistic="scmd")
         ex = exact_test(ds, "instrument", statistic="scmd", config=cfg)
         worst = max(worst, abs(float(mc.p_value[0]) - float(ex.p_value[0])))

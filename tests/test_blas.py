@@ -89,7 +89,8 @@ def test_pool_workers_compute_on_one_blas_thread(two_blas_threads, monkeypatch):
     d = (rng.random(300) < 0.3 + 0.4 * z).astype(np.int8)
     ds = ivrand.Dataset(covariates=x, covariate_names=("a", "b", "c"),
                         instrument=z, exposure=d)
-    build_report(ds, TestConfig(n_draws=200, seed=1, chunk_draws=32, threads=2))
+    monkeypatch.setattr(randtest, "CHUNK_MAX_ROWS", 32)
+    build_report(ds, TestConfig(n_draws=200, seed=1, threads=2))
     assert len({ident for ident, _ in seen}) > 1
     assert {counts for _, counts in seen} == {(1,) * len(_blas._openblas())}
     assert set(blas_thread_counts()) == {2}

@@ -239,6 +239,7 @@ class TestCmdTest:
         ("test", ["--draws", "abc"], "--draws"),
         ("test", ["--ridge", "-1"], "ridge"),
         ("exact", ["--statistic", "nope"], "nope"),
+        ("test", ["--threads", "0"], "threads"),
     ])
     def test_out_of_range_flag_exit_2(self, synth_file, tmp_path, capsys,
                                       command, flags, named):

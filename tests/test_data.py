@@ -13,7 +13,7 @@ from ivrand import (
     validate_dataset,
     write_delimited,
 )
-from ivrand.data import _coerce_binary, _coerce_numeric, expand_categorical
+from ivrand.data import _coerce_binary, _coerce_numeric
 
 
 def _records(z, d, cov):
@@ -133,8 +133,6 @@ class TestConfigBounds:
         ("alpha", 1.0),
         ("bias_denominator", "median"),
         ("threads", 0),
-        ("chunk_draws", 0),
-        ("max_redraws", -1),
         ("enumeration_cap", 0),
     ])
     def test_out_of_range_rejected(self, field, value):
@@ -142,8 +140,8 @@ class TestConfigBounds:
             TestConfig(**{field: value})
 
     def test_boundary_values_accepted(self):
-        cfg = TestConfig(n_draws=1, max_redraws=0, enumeration_cap=1)
-        assert (cfg.max_redraws, cfg.enumeration_cap) == (0, 1)
+        cfg = TestConfig(n_draws=1, enumeration_cap=1)
+        assert (cfg.n_draws, cfg.enumeration_cap) == (1, 1)
 
 
 class TestRoundTrip:
@@ -218,11 +216,12 @@ class TestTotality:
 
 class TestCategoricalExpansion:
     def test_expand_levels(self):
-        records = [{"lvl": v} for v in ["0", "1", "2", "1"]]
-        names = expand_categorical(records, "lvl")
-        assert names == ["lvl=1", "lvl=2"]
-        assert [r["lvl=1"] for r in records] == [0.0, 1.0, 0.0, 1.0]
-        assert [r["lvl=2"] for r in records] == [0.0, 0.0, 1.0, 0.0]
+        records = [{"z": zi, "d": di, "lvl": v}
+                   for zi, di, v in zip([1, 0, 1, 0], [0, 1, 1, 0], ["0", "1", "2", "1"])]
+        ds = validate_dataset(records, "z", "d", [], categorical_cols=["lvl"])
+        assert ds.covariate_names == ("lvl=1", "lvl=2")
+        assert ds.covariates[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert ds.covariates[:, 1].tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_ingestion_with_categoricals(self):
         records = [
@@ -236,13 +235,13 @@ class TestCategoricalExpansion:
         assert ds.covariate_names == ("age", "care=1", "care=2")
 
     def test_single_level_rejected(self):
-        records = [{"lvl": "a"}, {"lvl": "a"}]
-        with pytest.raises(ValidationError):
-            expand_categorical(records, "lvl")
+        records = [{"z": 1, "d": 0, "lvl": "a"}, {"z": 0, "d": 1, "lvl": "a"}]
+        with pytest.raises(ValidationError, match="fewer than 2 levels"):
+            validate_dataset(records, "z", "d", [], categorical_cols=["lvl"])
 
 
 def _expand_categorical_reference(records, column):
-    """expand_categorical's loop: one record at a time, in place."""
+    """Categorical expansion as a loop: one record at a time, in place."""
     levels = sorted({str(r.get(column, "")) for r in records})
     if len(levels) < 2:
         raise ValidationError([f"categorical column {column} has fewer than 2 levels"])

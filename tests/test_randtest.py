@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -162,15 +163,15 @@ class TestRunTest:
         assert np.array_equal(a.p_value, b.p_value)
         assert np.array_equal(a.observed, b.observed)
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
         # at N = 2,000 a chunk's product is large enough for OpenBLAS to
         # thread it, at N = 60 it never is
+        monkeypatch.setattr(randtest, "CHUNK_MAX_ROWS", 128)
         for n, k in ((60, 3), (2_000, 12)):
             ds = _dataset(n=n, k=k, seed=3)
             base, *threaded = [
                 run_many(ds, "instrument", STATISTICS,
-                         TestConfig(n_draws=700, seed=5, chunk_draws=128,
-                                    threads=threads))
+                         TestConfig(n_draws=700, seed=5, threads=threads))
                 for threads in (1, 2, 4)
             ]
             for other in threaded:
@@ -348,12 +349,13 @@ class TestChunking:
             "bernoulli": MechanismSpec.bernoulli(rng.uniform(0.2, 0.8, n)),
         }[kind]
         results = []
-        for chunk_draws in (32, 64, 1024):
+        for max_rows in (32, 64, 1024):
             for threads in (1, 2):
-                cfg = TestConfig(n_draws=m, seed=seed, chunk_draws=chunk_draws,
-                                 threads=threads)
+                cfg = TestConfig(n_draws=m, seed=seed, threads=threads)
                 try:
-                    res = run_many(ds, target, STATISTICS, cfg, mechanism)
+                    # a Hypothesis test takes no function-scoped monkeypatch
+                    with mock.patch.object(randtest, "CHUNK_MAX_ROWS", max_rows):
+                        res = run_many(ds, target, STATISTICS, cfg, mechanism)
                 except StatisticError:
                     assume(False)
                 results.append({s: (r.p_value, r.n_redraws) for s, r in res.items()})
@@ -366,7 +368,7 @@ class TestChunking:
     def test_peak_memory_follows_the_chunk_budget(self, kind):
         # at N = 100,000 a chunk is the 32-row floor of 8 * N bytes per row;
         # peak traced memory stays a few chunks above the inputs, whatever
-        # chunk_draws allows (a 128-row chunk alone would take 102 MB)
+        # CHUNK_MAX_ROWS allows (a 128-row chunk alone would take 102 MB)
         n = 100_000
         rng = np.random.default_rng(5)
         z = (rng.random(n) < 0.5).astype(np.int8)
@@ -375,7 +377,7 @@ class TestChunking:
         mechanism = None
         if kind == "block":
             mechanism = MechanismSpec.block(tuple(f"s{i % 20}" for i in range(n)))
-        cfg = TestConfig(n_draws=128, seed=1, chunk_draws=1024)
+        cfg = TestConfig(n_draws=128, seed=1)
         chunk_bytes = 32 * 8 * n
         tracemalloc.start()
         try:
@@ -507,9 +509,10 @@ class TestExactTest:
                 assert ([randtest._combination_rank(row) for row in matrix]
                         == list(range(len(matrix))))
 
-    def test_monte_carlo_converges_to_exact(self):
+    def test_monte_carlo_converges_to_exact(self, monkeypatch):
         ds = _dataset(n=10, k=1, seed=10)
-        cfg = TestConfig(n_draws=100_000, seed=3, chunk_draws=20_000)
+        monkeypatch.setattr(randtest, "CHUNK_MAX_ROWS", 20_000)
+        cfg = TestConfig(n_draws=100_000, seed=3)
         mc = run_test(ds, "instrument", cfg, statistic="scmd")
         ex = exact_test(ds, "instrument", statistic="scmd", config=cfg)
         assert abs(float(mc.p_value[0]) - float(ex.p_value[0])) <= 0.01
@@ -535,10 +538,11 @@ class TestExactTest:
         # of the ten 3-subsets only (0, 0, 0) reaches |difference| = 10
         assert res.p_value[0] == pytest.approx(0.1)
 
-    def test_shared_enumeration_matches_single_statistic_runs(self):
+    def test_shared_enumeration_matches_single_statistic_runs(self, monkeypatch):
         ds = _dataset(n=12, k=3, seed=17)
         single = {s: exact_test(ds, "instrument", statistic=s) for s in STATISTICS}
-        cfg = TestConfig(n_draws=1, chunk_draws=100, threads=2)
+        monkeypatch.setattr(randtest, "CHUNK_MAX_ROWS", 100)
+        cfg = TestConfig(n_draws=1, threads=2)
         shared = run_many(ds, "instrument", STATISTICS, cfg, exact=True)
         for s in STATISTICS:
             assert shared[s].exact and shared[s].n_draws == 924
