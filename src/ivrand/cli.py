@@ -18,9 +18,8 @@ import os
 import sys
 
 from ._blas import one_blas_thread
-from .data import (BIAS_DENOMINATORS, TestConfig, read_delimited, validate_dataset,
-                   write_delimited)
-from .data import load_dataset  # noqa: F401  wrapped by name in perfbench/layers.py
+from .data import BIAS_DENOMINATORS, TestConfig, load_dataset, write_delimited
+from .data import read_delimited  # noqa: F401  wrapped by name in perfbench/layers.py
 from .errors import (
     CapExceededError,
     IvrandError,
@@ -65,11 +64,24 @@ def _fail(kind: str, message: str, code: int, details=None) -> int:
 
 
 def _default_threads() -> int:
-    env = os.environ.get("IVRAND_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    """``IVRAND_THREADS``, or 1 when it is unset."""
+    env = os.environ.get("IVRAND_THREADS")
+    if env is None:
         return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValidationError(
+            [f"IVRAND_THREADS={env!r}: threads must be a positive integer"])
+    return threads
+
+
+def _one_character(value: str) -> str:
+    if len(value) != 1:
+        raise argparse.ArgumentTypeError(f"must be one character, got {value!r}")
+    return value
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -80,7 +92,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated covariate columns (default: all others)")
     parser.add_argument("--categorical-covariates", default="",
                         help="comma-separated columns to expand into indicators")
-    parser.add_argument("--delimiter", default=",")
+    parser.add_argument("--delimiter", default=",", type=_one_character)
     parser.add_argument("--statistic", action="append", default=None,
                         help="statistic to run (repeatable); default scmd, bias, "
                              "sqrt_mahalanobis")
@@ -95,7 +107,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="ivrand_report.json")
     parser.add_argument("--plots-dir", default=None,
                         help="directory for plot-data tables")
-    parser.add_argument("--threads", type=int, default=_default_threads())
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker threads (default: IVRAND_THREADS, else 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,33 +158,24 @@ def _statistics_from_args(args) -> tuple:
 def _load(args):
     """Read the file once; return the dataset and the mechanism: a block
     ``MechanismSpec``, or the ``--mechanism`` name (None for ``exact``)."""
-    records = read_delimited(args.data, delimiter=args.delimiter)
-    if not records:
-        raise ValidationError([f"{args.data}: no data rows"])
     block_column = getattr(args, "block_column", None)
-    skip = {args.instrument, args.exposure}
+    covariates = None   # every other column, block labels left out
     if args.covariates:
-        covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
-    else:
-        # default to every other column, keeping block labels out
-        skip.add(block_column)
-        covariates = list(records[0])
+        skip = {args.instrument, args.exposure}
+        covariates = [c for c in map(str.strip, args.covariates.split(","))
+                      if c and c not in skip]
     categorical = [c.strip() for c in args.categorical_covariates.split(",")
                    if c.strip()]
-    dataset = validate_dataset(
-        records,
-        instrument_col=args.instrument,
-        exposure_col=args.exposure,
-        covariate_cols=[c for c in covariates if c not in skip],
-        categorical_cols=categorical,
-    )
+    loaded = load_dataset(args.data, args.instrument, args.exposure, covariates,
+                          categorical, args.delimiter, block_column=block_column)
+    dataset, labels = loaded if block_column is not None else (loaded, None)
     mechanism = getattr(args, "mechanism", None)
     if mechanism == "block":
         if not block_column:
             raise ValidationError(["--mechanism block needs --block-column"])
-        if block_column not in records[0]:
+        if labels is None:
             raise ValidationError([f"missing column: {block_column}"])
-        mechanism = MechanismSpec.block(r[block_column] for r in records)
+        mechanism = MechanismSpec.block(labels)
     return dataset, mechanism
 
 
@@ -190,9 +194,9 @@ def _cmd_report(args) -> int:
     """``test`` and ``exact``: run the pipeline and write the report."""
     exact = args.command == "exact"
     size = {"n_draws": 1, "enumeration_cap": args.cap} if exact else {"n_draws": args.draws}
+    threads = _default_threads() if args.threads is None else args.threads
     config = TestConfig(alpha=args.alpha, seed=args.seed,
-                        bias_denominator=args.bias_denominator,
-                        threads=args.threads, **size)
+                        bias_denominator=args.bias_denominator, threads=threads, **size)
     bins = _parse_bins(args.hist_bins)
     statistics = _statistics_from_args(args)
     dataset, mechanism = _load(args)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,10 @@ _TRUE_TOKENS = {"1", "true", "True", "TRUE"}
 _FALSE_TOKENS = {"0", "false", "False", "FALSE"}
 _BINARY_TOKENS = {**dict.fromkeys(_TRUE_TOKENS, 1), **dict.fromkeys(_FALSE_TOKENS, 0)}
 BIAS_DENOMINATORS = ("fixed_observed", "per_draw")
+# cells of a delimited file held at once while it is read: one block of
+# READ_BLOCK_CELLS // width rows, about 5 MB of str objects and row lists
+# for a file of floats written with repr
+READ_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -236,12 +241,14 @@ def _numeric_cells(values):
     return map(float, values)
 
 
-def _coerce_column(values, column: str, parse, coerce, dtype, issues: list) -> np.ndarray:
+def _coerce_column(values, column: str, parse, coerce, dtype, issues: list,
+                   start: int = 0) -> np.ndarray:
     """One column as a ``dtype`` array, parsed by ``parse`` in one pass.
 
     A column that ``parse`` rejects is coerced cell by cell by ``coerce``,
     which makes every issue's text, and so are the non-finite cells of a
-    parsed one; each issue is added to ``issues`` as ``(row, text)``.
+    parsed one; each issue is added to ``issues`` as ``(row, text)``, where
+    ``values[0]`` is row ``start``.
     """
     try:
         out = np.fromiter(parse(values), dtype, len(values))
@@ -250,9 +257,121 @@ def _coerce_column(values, column: str, parse, coerce, dtype, issues: list) -> n
         out, rows = np.empty(len(values), dtype=dtype), range(len(values))
     for i in rows:
         found: list[str] = []
-        out[i] = coerce(values[i], column, i, found)
-        issues += [(i, text) for text in found]
+        out[i] = coerce(values[i], column, start + i, found)
+        issues += [(start + i, text) for text in found]
     return out
+
+
+_BINARY = (_binary_cells, _coerce_binary, np.int8)
+_NUMERIC = (_numeric_cells, _coerce_numeric, np.float64)
+
+
+class _Table:
+    """The columns of a table that arrives in row blocks, parsed as they come.
+
+    The shared core of ``validate_dataset`` (its records are one block) and
+    ``load_dataset`` (a delimited file read in blocks of
+    ``READ_BLOCK_CELLS`` cells).  ``add`` parses one block; what outlives
+    it is the parsed instrument, exposure and covariates, the issue texts,
+    and the cells of the categorical and ``keep`` columns.  ``dataset``
+    then expands the categorical columns and builds the Dataset, or raises
+    every issue in row order.
+    """
+
+    def __init__(self, present, instrument_col: str, exposure_col: str,
+                 covariate_cols: Sequence[str], categorical_cols: Sequence[str],
+                 keep: Sequence[str] = ()):
+        covariate_cols = list(covariate_cols)
+        if not covariate_cols and not categorical_cols:
+            raise ValidationError(["no covariate columns specified"])
+        issues = [f"missing column: {col}"
+                  for col in [instrument_col, exposure_col, *covariate_cols,
+                              *categorical_cols]
+                  if col not in present]
+        if issues:
+            raise ValidationError(issues)
+        self.instrument_col, self.exposure_col = instrument_col, exposure_col
+        self.covariate_cols = covariate_cols
+        self.categorical_cols = list(categorical_cols)
+        # the covariates not named as categorical are parsed as they arrive,
+        # into one row-major matrix that grows by each block
+        self.numeric = list(dict.fromkeys(c for c in covariate_cols
+                                          if c not in self.categorical_cols))
+        self.z = np.empty(0, dtype=np.int8)
+        self.d = np.empty(0, dtype=np.int8)
+        self.x = np.empty((0, len(self.numeric)), dtype=np.float64)
+        self.issues: dict[tuple, list] = {
+            key: [] for key in [(instrument_col, _BINARY), (exposure_col, _BINARY),
+                                *((col, _NUMERIC) for col in self.numeric)]}
+        self.kept: dict[str, list] = {
+            col: [] for col in dict.fromkeys([*self.categorical_cols, *keep])}
+        self.n_rows = 0
+
+    def add(self, cells, n_rows: int) -> None:
+        """Parse one block of ``n_rows`` rows; ``cells(col, default)`` gives
+        the block's cells of ``col``, ``default`` where a row has none."""
+        start, self.n_rows = self.n_rows, self.n_rows + n_rows
+        # resize grows each array in place, so the rows parsed so far are
+        # never held twice
+        for a in (self.z, self.d, self.x):
+            a.resize((self.n_rows, *a.shape[1:]), refcheck=False)
+        for out, col in ((self.z, self.instrument_col), (self.d, self.exposure_col)):
+            out[start:] = _coerce_column(cells(col, None), col, *_BINARY,
+                                         self.issues[col, _BINARY], start)
+        for j, col in enumerate(self.numeric):
+            self.x[start:, j] = _coerce_column(cells(col, None), col, *_NUMERIC,
+                                               self.issues[col, _NUMERIC], start)
+        for col, values in self.kept.items():
+            values += cells(col, "")
+
+    def dataset(self) -> Dataset:
+        """The Dataset of every row added, or a ValidationError naming every
+        issue found, in row order."""
+        indicators: dict[str, np.ndarray] = {}   # expanded columns, which shadow the rest
+
+        def kept(col: str):
+            return indicators[col] if col in indicators else self.kept[col]
+
+        covariate_cols = list(self.covariate_cols)
+        for col in self.categorical_cols:
+            new_names, new_columns = _indicator_columns(kept(col), col)
+            indicators.update(zip(new_names, new_columns))
+            idx = covariate_cols.index(col) if col in covariate_cols else len(covariate_cols)
+            if col in covariate_cols:
+                covariate_cols.remove(col)
+            covariate_cols[idx:idx] = new_names
+
+        parsed = {(self.instrument_col, _BINARY): self.z,
+                  (self.exposure_col, _BINARY): self.d,
+                  **{(col, _NUMERIC): self.x[:, j] for j, col in enumerate(self.numeric)}}
+
+        def column(col: str, kind) -> tuple[np.ndarray, list]:
+            if col not in indicators and (col, kind) in parsed:
+                return parsed[col, kind], self.issues[col, kind]
+            found: list[tuple[int, str]] = []
+            return _coerce_column(kept(col), col, *kind, found), found
+
+        (z, z_issues), (d, d_issues) = (column(col, _BINARY)
+                                        for col in (self.instrument_col, self.exposure_col))
+        covariates = [column(col, _NUMERIC) for col in covariate_cols]
+        if covariate_cols == self.numeric:
+            x = self.x
+        else:
+            x = np.empty((self.n_rows, len(covariate_cols)), dtype=np.float64)
+            for j, (values, _) in enumerate(covariates):
+                x[:, j] = values
+        # issues were gathered column by column as (row, text); a stable sort
+        # by row restores the row-major order: instrument, exposure, covariates
+        cells_found = [*z_issues, *d_issues, *(i for _, found in covariates for i in found)]
+        issues = [text for _, text in sorted(cells_found, key=lambda cell: cell[0])]
+        if issues:
+            raise ValidationError(issues)
+        return Dataset(
+            covariates=x,
+            covariate_names=tuple(covariate_cols),
+            instrument=z,
+            exposure=d,
+        )
 
 
 def validate_dataset(
@@ -272,51 +391,14 @@ def validate_dataset(
     records = list(records)
     if not records:
         raise ValidationError(["no data rows"])
+    table = _Table(records[0].keys(), instrument_col, exposure_col, covariate_cols,
+                   categorical_cols)
+    table.add(lambda col, default: [r.get(col, default) for r in records], len(records))
+    return table.dataset()
 
-    covariate_cols = list(covariate_cols)
-    if not covariate_cols and not categorical_cols:
-        raise ValidationError(["no covariate columns specified"])
-    present = records[0].keys()
-    issues = [f"missing column: {col}"
-              for col in [instrument_col, exposure_col, *covariate_cols, *categorical_cols]
-              if col not in present]
-    if issues:
-        raise ValidationError(issues)
 
-    indicators: dict[str, np.ndarray] = {}   # expanded columns, which shadow records
-
-    def column(col: str, default=None):
-        if col in indicators:
-            return indicators[col]
-        return [r.get(col, default) for r in records]
-
-    for col in categorical_cols:
-        new_names, new_columns = _indicator_columns(column(col, ""), col)
-        indicators.update(zip(new_names, new_columns))
-        idx = covariate_cols.index(col) if col in covariate_cols else len(covariate_cols)
-        if col in covariate_cols:
-            covariate_cols.remove(col)
-        covariate_cols[idx:idx] = new_names
-
-    # issues are gathered column by column as (row, text); a stable sort by
-    # row restores the row-major order: instrument, exposure, covariates
-    cells: list[tuple[int, str]] = []
-    z, d = (_coerce_column(column(col), col, _binary_cells, _coerce_binary, np.int8, cells)
-            for col in (instrument_col, exposure_col))
-    x = np.empty((len(records), len(covariate_cols)), dtype=np.float64)
-    for j, col in enumerate(covariate_cols):
-        x[:, j] = _coerce_column(column(col), col, _numeric_cells, _coerce_numeric,
-                                 np.float64, cells)
-    issues = [text for _, text in sorted(cells, key=lambda cell: cell[0])]
-
-    if issues:
-        raise ValidationError(issues)
-    return Dataset(
-        covariates=x,
-        covariate_names=tuple(covariate_cols),
-        instrument=z,
-        exposure=d,
-    )
+def _unreadable(path, reader, exc: csv.Error) -> ValidationError:
+    return ValidationError([f"{path}: unreadable at line {reader.line_num}: {exc}"])
 
 
 def read_delimited(path, delimiter: str = ",") -> list[dict]:
@@ -327,9 +409,32 @@ def read_delimited(path, delimiter: str = ",") -> list[dict]:
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
-        if reader.fieldnames is None:
-            raise ValidationError([f"{path}: empty file (no header row)"])
-        return list(reader)
+        try:
+            if reader.fieldnames is None:
+                raise ValidationError([f"{path}: empty file (no header row)"])
+            return list(reader)
+        except csv.Error as exc:
+            raise _unreadable(path, reader.reader, exc) from None
+
+
+def _block_cells(rows: list[list[str]], header: list[str], labels: dict):
+    """``cells(col, default)`` of one block of csv rows, as ``csv.DictReader``
+    gives them: the cell at the column's last header position, None past a
+    short row's end (every column asked for is in the header, so ``default``
+    is never needed).  The cells of a column in ``labels`` are canonicalised
+    through the dict ``labels[col]``, so that no block's strings outlive it."""
+    index = {col: j for j, col in enumerate(header)}
+    columns = list(zip(*rows)) if min(map(len, rows)) >= len(header) else None
+
+    def cells(col, default):
+        j = index[col]
+        values = (columns[j] if columns is not None
+                  else [r[j] if j < len(r) else None for r in rows])
+        if col in labels:
+            return list(map(labels[col].setdefault, values, values))
+        return values
+
+    return cells
 
 
 def load_dataset(
@@ -339,21 +444,55 @@ def load_dataset(
     covariate_cols: Sequence[str] | None = None,
     categorical_cols: Sequence[str] = (),
     delimiter: str = ",",
-) -> Dataset:
-    """Read and validate a delimited file in one step.
+    *,
+    block_column: str | None = None,
+):
+    """Read and validate a delimited file in one streaming pass.
 
-    When ``covariate_cols`` is None, every column other than the
-    instrument and exposure is used as a covariate.
+    The file is read in blocks of ``READ_BLOCK_CELLS`` cells, that is
+    ``READ_BLOCK_CELLS // width`` rows of the header's width.  Only the
+    parsed arrays, the issue texts and the labels of the categorical
+    columns outlive a block, so ingestion holds one block beside its
+    output.  The result is that of ``validate_dataset`` on
+    ``read_delimited(path, delimiter)``, except that a missing column is
+    reported once the first data row is read, without reading the rest of
+    the file (and so without finding a malformed record further on).
+
+    When ``covariate_cols`` is None, every header column other than the
+    instrument, the exposure and ``block_column`` is a covariate.  With a
+    ``block_column``, returns ``(dataset, labels)``: the column's cells in
+    row order, one object per distinct label, or None when the file has
+    no such column.
     """
-    records = read_delimited(path, delimiter=delimiter)
-    if covariate_cols is None:
-        if not records:
-            raise ValidationError([f"{path}: no data rows"])
-        skip = {instrument_col, exposure_col}
-        covariate_cols = [c for c in records[0].keys() if c not in skip]
-    return validate_dataset(
-        records, instrument_col, exposure_col, covariate_cols, categorical_cols
-    )
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows = filter(None, reader)   # skips blank lines, as csv.DictReader does
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError([f"{path}: empty file (no header row)"])
+            block_rows = max(1, READ_BLOCK_CELLS // max(1, len(header)))
+            block = list(islice(rows, block_rows))
+            if not block:
+                raise ValidationError([f"{path}: no data rows"])
+            present = dict.fromkeys(header)
+            if covariate_cols is None:
+                skip = {instrument_col, exposure_col, block_column}
+                covariate_cols = [c for c in present if c not in skip]
+            keep = [block_column] if block_column in present else []
+            table = _Table(present, instrument_col, exposure_col, covariate_cols,
+                           categorical_cols, keep)
+            labels = {col: {} for col in table.kept}
+            while block:
+                table.add(_block_cells(block, header, labels), len(block))
+                del block   # before the next block is read
+                block = list(islice(rows, block_rows))
+        except csv.Error as exc:
+            raise _unreadable(path, reader, exc) from None
+    dataset = table.dataset()
+    if block_column is None:
+        return dataset
+    return dataset, table.kept.get(block_column)
 
 
 def write_delimited(

@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from ivrand import TestConfig, cli, data, exact_test, load_dataset, read_delimited, run_test
+from ivrand import TestConfig, cli, exact_test, load_dataset, read_delimited, run_test
 from ivrand.cli import main
 from ivrand.comparison import RIDGE_FALLBACK
+from ivrand.errors import ValidationError
 from ivrand.report import build_report
 from ivrand.rng import STREAM_VERSION
 
@@ -199,19 +200,19 @@ class TestCmdTest:
         assert report["comparison"]["ridge_fallback_used"] is True
 
     def test_csv_read_once(self, blocked_file, tmp_path, monkeypatch):
-        reads = []
+        opened = []
+        real_open = open
 
-        def counted(*args, **kwargs):
-            reads.append(args[0])
-            return read_delimited(*args, **kwargs)
+        def counted(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
 
-        for module in (cli, data):
-            monkeypatch.setattr(module, "read_delimited", counted)
+        monkeypatch.setattr("builtins.open", counted)
         code = main(["test", str(blocked_file), "--instrument", "z", "--exposure", "d",
                      "--mechanism", "block", "--block-column", "site",
                      "--draws", "50", "--out", str(tmp_path / "r.json")])
         assert code == 0
-        assert reads == [str(blocked_file)]
+        assert opened.count(str(blocked_file)) == 1
 
     def test_byte_order_mark_file(self, blocked_file, tmp_path):
         # spreadsheet programs save "CSV UTF-8" with a leading BOM; the
@@ -240,6 +241,8 @@ class TestCmdTest:
         ("test", ["--ridge", "-1"], "ridge"),
         ("exact", ["--statistic", "nope"], "nope"),
         ("test", ["--threads", "0"], "threads"),
+        ("test", ["--delimiter", "ab"], "--delimiter"),
+        ("test", ["--delimiter", "\\t"], "--delimiter"),
     ])
     def test_out_of_range_flag_exit_2(self, synth_file, tmp_path, capsys,
                                       command, flags, named):
@@ -251,6 +254,43 @@ class TestCmdTest:
         assert err["error"] == "validation"
         assert named in err["message"]
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", ""])
+    def test_bad_threads_variable_exit_2(self, synth_file, tmp_path, capsys,
+                                         monkeypatch, value):
+        monkeypatch.setenv("IVRAND_THREADS", value)
+        code = main(["test", str(synth_file), "--instrument", "instrument",
+                     "--exposure", "exposure", "--draws", "20",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "IVRAND_THREADS" in err["message"] and "threads" in err["message"]
+
+    @pytest.mark.parametrize("value, threads", [(None, 1), ("2", 2)])
+    def test_threads_variable_default(self, synth_file, tmp_path, monkeypatch,
+                                      value, threads):
+        if value is None:
+            monkeypatch.delenv("IVRAND_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("IVRAND_THREADS", value)
+        out = tmp_path / "r.json"
+        assert main(["test", str(synth_file), "--instrument", "instrument",
+                     "--exposure", "exposure", "--draws", "20", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["metadata"]["threads"] == threads
+
+    def test_unclosed_quote_exit_2(self, tmp_path, capsys):
+        # the stray quote swallows the rest of the file into one field, which
+        # outgrows the csv module's field limit many lines later
+        path = tmp_path / "quote.csv"
+        path.write_text("z,d,x\n" + '1,0,"1.5\n' + "0,1,2.5\n" * 20_000)
+        code = main(["test", str(path), "--instrument", "z", "--exposure", "d",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert str(path) in err["message"] and "line" in err["message"]
+        with pytest.raises(ValidationError, match="line"):
+            read_delimited(path)
 
     def test_missing_required_flag_exit_2(self, synth_file, capsys):
         code = main(["test", str(synth_file), "--exposure", "exposure"])

@@ -1,5 +1,10 @@
 """Dataset construction, validation, and ingestion round trips."""
 
+import csv
+import io
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +14,9 @@ from ivrand import (
     Dataset,
     TestConfig,
     ValidationError,
+    data,
     load_dataset,
+    read_delimited,
     validate_dataset,
     write_delimited,
 )
@@ -394,3 +401,153 @@ class TestColumnarValidation:
         assert ds.covariate_names == ("age", "care=y", "care=z")
         assert records == before
         assert [list(r) for r in records] == [list(r) for r in before]
+
+
+_CSV_GOOD = {
+    "z": ["0", "1", "true", "FALSE", " 1", "0 "],
+    "d": ["0", "1", "True", "false", "1\t"],
+    "x": ["1.5", "-0", "1e3", "  4 ", "0.1", "-2.25e-3", "7"],
+    "label": ["a", "b", "c", "a,b", "b;c", "b\tc"],
+}
+_CSV_BAD = {
+    "z": ["2", "yes", "", "1.0", "nan"],
+    "d": ["-1", "", "T"],
+    "x": ["", " ", "nan", "inf", "-inf", "1e999", "abc", "1,5", "2;5"],
+    "label": [""],
+}
+_CSV_KIND = {"z": "z", "d": "d", "x0": "x", "x1": "x", "cat": "label", "site": "label"}
+
+
+@st.composite
+def _messy_csv(draw):
+    """CSV text that is mostly valid, with ragged rows, blank lines, a BOM,
+    quoted delimiters, bad cells, and missing or repeated header columns."""
+    header = list(draw(st.permutations(list(_CSV_KIND))))
+    if draw(st.integers(0, 4)) == 0:
+        del header[draw(st.integers(0, len(header) - 1))]
+    if draw(st.integers(0, 4)) == 0:
+        header.append(draw(st.sampled_from(header)))
+    p_bad = draw(st.sampled_from([0.0, 0.0, 0.1, 0.4]))
+    p_ragged = draw(st.sampled_from([0.0, 0.0, 0.2]))
+
+    def cell(kind):
+        pool = _CSV_BAD if draw(st.floats(0, 1)) < p_bad else _CSV_GOOD
+        return draw(st.sampled_from(pool[kind]))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([])   # a blank line
+            continue
+        width = len(header)
+        if draw(st.floats(0, 1)) < p_ragged:
+            width = max(1, width + draw(st.sampled_from([-2, -1, 1, 2])))
+        kinds = [_CSV_KIND[c] for c in header] + ["x"] * 2
+        rows.append([cell(kind) for kind in kinds[:width]])
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter,
+                        lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + buffer.getvalue(), delimiter, len(header)
+
+
+def _load_reference(path, covariates, categorical, delimiter, block_column):
+    """load_dataset as validate_dataset over the records read_delimited returns."""
+    records = read_delimited(path, delimiter)
+    if not records:
+        raise ValidationError([f"{path}: no data rows"])
+    if covariates is None:
+        skip = {"z", "d", block_column, None}
+        covariates = [c for c in records[0] if c not in skip]
+    dataset = validate_dataset(records, "z", "d", covariates, categorical)
+    if block_column is None or block_column not in records[0]:
+        return dataset, None
+    return dataset, [r[block_column] for r in records]
+
+
+def _load_streaming(path, covariates, categorical, delimiter, block_column):
+    loaded = load_dataset(path, "z", "d", covariates, categorical, delimiter,
+                          block_column=block_column)
+    return loaded if block_column is not None else (loaded, None)
+
+
+class TestStreamingLoad:
+    """load_dataset, read in blocks, against the records read whole."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_messy_csv(),
+           st.sampled_from([None, ["x0", "x1"], ["x0", "cat", "x1"], ["cat"], [],
+                            ["x1", "nope"]]),
+           st.sampled_from([(), ("cat",), ("site", "cat")]),
+           st.sampled_from([None, "site", "nope"]),
+           st.sampled_from([1, 2, 3, None]))
+    def test_matches_whole_file_read(self, tmp_path_factory, table, covariates,
+                                     categorical, block_column, block_rows):
+        text, delimiter, width = table
+        path = tmp_path_factory.mktemp("stream") / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        budget = data.READ_BLOCK_CELLS if block_rows is None else block_rows * width
+        outcomes = []
+        for load in (_load_reference, _load_streaming):
+            try:
+                with mock.patch.object(data, "READ_BLOCK_CELLS", budget):
+                    outcomes.append(load(path, covariates, categorical, delimiter,
+                                         block_column))
+            except ValidationError as err:
+                outcomes.append(err.issues)
+        expected, got = outcomes
+        if isinstance(expected, list):
+            assert got == expected
+        else:
+            (want, want_labels), (ds, labels) = expected, got
+            assert ds.covariate_names == want.covariate_names
+            assert ds.covariates.tobytes() == want.covariates.tobytes()
+            assert ds.instrument.tobytes() == want.instrument.tobytes()
+            assert ds.exposure.tobytes() == want.exposure.tobytes()
+            assert labels == want_labels
+
+    def test_labels_are_one_object_per_value(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("z,d,x,site\n" + "".join(
+            f"{i % 2},{i // 2 % 2},{i},s{i % 3}\n" for i in range(40)))
+        with mock.patch.object(data, "READ_BLOCK_CELLS", 4 * 5):
+            _, labels = load_dataset(path, "z", "d", block_column="site")
+        assert labels == [f"s{i % 3}" for i in range(40)]
+        assert len({id(label) for label in labels}) == 3
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        """Ingestion holds one block of rows beyond what building the Dataset
+        from its finished arrays takes (the output and the Dataset's own
+        checks), at any number of rows."""
+        monkeypatch.setattr(data, "READ_BLOCK_CELLS", 5 * 1_000, raising=False)
+        rng = np.random.default_rng(0)
+
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = call()
+                return result, tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        excess = {}
+        for n in (10_000, 40_000):
+            path = tmp_path / f"{n}.csv"
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["z", "d", "x0", "x1", "x2"])
+                x = rng.standard_normal((n, 3)).tolist()
+                writer.writerows([i % 2, i // 2 % 2, *map(repr, row)]
+                                 for i, row in enumerate(x))
+            ds, read_peak = traced_peak(lambda: load_dataset(path, "z", "d"))
+            _, build_peak = traced_peak(lambda: Dataset(
+                covariates=ds.covariates.copy(), covariate_names=ds.covariate_names,
+                instrument=ds.instrument.copy(), exposure=ds.exposure.copy()))
+            excess[n] = read_peak - build_peak
+        # reading the whole file first would add about 400 bytes a row here,
+        # 12 MB over the 30,000 rows between the two files
+        assert excess[40_000] <= excess[10_000] + 64 * 1024
