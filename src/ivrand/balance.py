@@ -23,10 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
+from ._workspace import Workspace
 from .errors import StatisticError
 
 # Relative singular-value cutoff for the covariance pseudo-inverse.
 PINV_RCOND = 1e-10
+
+# Above this many units the evaluator's product is summed over panels of
+# this many units: a 32-row float64 panel is 256 KiB, which stays in a
+# core's L2 cache.
+PANEL_UNITS = 1024
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,7 @@ class _Evaluator:
         # a zero fixed denominator leaves bias undefined, as a zero
         # per-draw strength does
         self.fixed_strength = np.nan if fixed_strength == 0.0 else fixed_strength
-        # One product stacked_t @ z^T gives every group-1 sum of a chunk:
+        # The product stacked_t @ z^T gives every group-1 sum of a chunk:
         # rows [xc^T | (xc^2)^T | 1 | exposure].  The layout is the same
         # whatever the statistics, because BLAS rounds an output by its place
         # in the product: so a draw's statistics do not depend on which
@@ -97,10 +103,38 @@ class _Evaluator:
         self.stacked_t[-2] = 1.0
         self.stacked_t[-1] = exposure
 
-    def __call__(self, z_chunk: np.ndarray) -> dict:
+    def group_sums(self, z_chunk: np.ndarray, workspace: Workspace | None = None
+                   ) -> np.ndarray:
+        """(B, 2K + 2) group-1 sums of a (B, N) chunk: (stacked_t @ z^T)^T.
+
+        Up to ``PANEL_UNITS`` units this is one product of the chunk's
+        float64 copy.  Above, the sums are accumulated over panels of
+        ``PANEL_UNITS`` units, each cast into one reused (B, PANEL_UNITS)
+        float64 buffer (the ``workspace``'s ``"panel"``) that stays in
+        cache, so no float64 copy of the whole chunk is made.  The panel
+        sums round differently from one product, in the last bits.
+        """
+        if self.n <= PANEL_UNITS:
+            return (self.stacked_t @ z_chunk.astype(np.float64).T).T
+        rows = len(z_chunk)
+        panel = (workspace or Workspace()).get("panel", (rows, PANEL_UNITS), np.float64)
+        sums = np.empty((len(self.stacked_t), rows))
+        term = np.empty_like(sums)
+        for lo in range(0, self.n, PANEL_UNITS):
+            hi = min(lo + PANEL_UNITS, self.n)
+            cast = panel[:, :hi - lo]
+            np.copyto(cast, z_chunk[:, lo:hi])
+            if lo == 0:
+                np.matmul(self.stacked_t[:, lo:hi], cast.T, out=sums)
+            else:
+                np.matmul(self.stacked_t[:, lo:hi], cast.T, out=term)
+                sums += term
+        return sums.T
+
+    def __call__(self, z_chunk: np.ndarray, workspace: Workspace | None = None) -> dict:
         """Statistics for a (B, N) chunk of assignments."""
         k = self.k
-        sums = (self.stacked_t @ z_chunk.astype(np.float64).T).T
+        sums = self.group_sums(z_chunk, workspace)
         s1 = sums[:, :k]
         n1 = sums[:, -2]
         n0 = self.n - n1

@@ -397,8 +397,27 @@ def validate_dataset(
     return table.dataset()
 
 
-def _unreadable(path, reader, exc: csv.Error) -> ValidationError:
-    return ValidationError([f"{path}: unreadable at line {reader.line_num}: {exc}"])
+class _Records:
+    """Iterates a csv reader (or ``csv.DictReader``) and keeps ``ended``, the
+    line on which the last record it gave ended.
+
+    The csv module reports the line where it gave up on a malformed record,
+    which for an unclosed quote is many lines on; the record began on the
+    line after ``ended`` (or after blank lines there, which a
+    ``csv.DictReader`` skips inside its read of the next record).
+    """
+
+    def __init__(self, reader):
+        self.reader = reader
+        self.ended = 0
+
+    def __iter__(self):
+        for record in self.reader:
+            self.ended = self.reader.line_num
+            yield record
+
+    def unreadable(self, path, exc: csv.Error) -> ValidationError:
+        return ValidationError([f"{path}: unreadable at line {self.ended + 1}: {exc}"])
 
 
 def read_delimited(path, delimiter: str = ",") -> list[dict]:
@@ -409,12 +428,14 @@ def read_delimited(path, delimiter: str = ",") -> list[dict]:
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
+        records = _Records(reader)
         try:
             if reader.fieldnames is None:
                 raise ValidationError([f"{path}: empty file (no header row)"])
-            return list(reader)
+            records.ended = reader.line_num
+            return list(records)
         except csv.Error as exc:
-            raise _unreadable(path, reader.reader, exc) from None
+            raise records.unreadable(path, exc) from None
 
 
 def _block_cells(rows: list[list[str]], header: list[str], labels: dict):
@@ -465,7 +486,8 @@ def load_dataset(
     no such column.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        records = _Records(csv.reader(fh, delimiter=delimiter))
+        reader = iter(records)
         rows = filter(None, reader)   # skips blank lines, as csv.DictReader does
         try:
             header = next(reader, None)
@@ -488,7 +510,7 @@ def load_dataset(
                 del block   # before the next block is read
                 block = list(islice(rows, block_rows))
         except csv.Error as exc:
-            raise _unreadable(path, reader, exc) from None
+            raise records.unreadable(path, exc) from None
     dataset = table.dataset()
     if block_column is None:
         return dataset

@@ -10,14 +10,14 @@ key per unit: ceil(N / 2) words per draw.  A complete draw treats the k
 units with the smallest keys, a tie at the k-th key going to the lowest
 positions: the draw is the first k units of a stable sort of its keys.
 The k smallest are found by a partition threshold: the k-th smallest key
-of each row, from ``np.partition``, and ``keys <= kth``.  A row where
-that marks more than k units, because a key outside the k smallest
-equals the k-th (chance below N/2**32 per row), falls back to an
-``argpartition`` of its (key, position) pairs.  A block draw gives key p
-to the unit at position p of the block order (blocks sorted by label,
-each block's units in unit order), so that each block is a contiguous
-slice of the chunk, draws each block like a complete draw, and puts the
-chunk back in unit order once.  A Bernoulli unit is treated when its key
+of each row, from a copy of the keys partitioned in place, and
+``keys <= kth``.  A row where that marks more than k units, because a
+key outside the k smallest equals the k-th (chance below N/2**32 per
+row), falls back to an ``argpartition`` of its (key, position) pairs.
+A block draw gives key p to the unit at position p of the block order
+(blocks sorted by label, each block's units in unit order), so that each
+block is a contiguous slice of the chunk, draws each block like a
+complete draw, and puts the chunk back in unit order once.  A Bernoulli unit is treated when its key
 is below its threshold ``floor(p * 2**32)``; attempt a of draw m reads
 the words from ``(m * (R + 1) + a) * ceil(N / 2)`` on, R the redraw
 limit.
@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._workspace import Workspace
 from .data import AssignmentVector, TestConfig
 from .errors import CapExceededError, MechanismError, RedrawLimitError
 from .rng import DrawStream, bernoulli_thresholds, word_keys
@@ -199,13 +200,16 @@ def prepare_sampler(spec: MechanismSpec, n: int) -> PreparedSampler:
     return PreparedSampler(blocks=((0, n, spec.n_treated),))
 
 
-def _mark_smallest(keys: np.ndarray, k: int, out: np.ndarray) -> None:
+def _mark_smallest(keys: np.ndarray, k: int, out: np.ndarray, part: np.ndarray) -> None:
     """Set ``out`` to 1 at the k smallest keys of each row, 0 elsewhere.
 
-    ``out`` is an int8 array (or view) of the shape of ``keys``.  Keys
-    equal to the k-th smallest are taken lowest position first.
+    ``out`` is an int8 array (or view) of the shape of ``keys``, and
+    ``part`` a uint32 array of that shape that the keys are copied into
+    and partitioned in place.  Keys equal to the k-th smallest are taken
+    lowest position first.
     """
-    part = np.partition(keys, k - 1, axis=1)
+    np.copyto(part, keys)
+    part.partition(k - 1, axis=1)
     kth = part[:, k - 1]
     np.less_equal(keys, kth[:, None], out=out.view(np.bool_))   # no casting loop
     # the threshold marks exactly k units unless a key after the k-th in
@@ -228,6 +232,7 @@ def draw_batch(
     indices: np.ndarray,
     tally: DrawTally | None = None,
     sampler: PreparedSampler | None = None,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Generate the assignments for the given draw indices.
 
@@ -235,25 +240,41 @@ def draw_batch(
     only on (stream, index), so any chunking or ordering of indices
     yields the same draws.  ``sampler`` is ``prepare_sampler(spec, n)``,
     passed in by callers that draw many chunks of one draw set and built
-    here when omitted.
+    here when omitted.  With a ``workspace`` the words, keys and draws
+    live in its buffers, and the matrix returned is one of them, valid
+    until the workspace's next use; without one every array is new.
     """
     if sampler is None:
         sampler = prepare_sampler(spec, n)
+    if workspace is None:
+        workspace = Workspace()
     indices = np.asarray(indices, dtype=np.uint64)
+    rows = len(indices)
     width = (n + 1) // 2   # words per draw, or per Bernoulli attempt
+    words = workspace.get("words", (rows, width), np.uint64)
     if spec.kind != "bernoulli":
-        keys = word_keys(stream.word_block(indices, width))[:, :n]
-        grouped = np.empty((len(indices), n), dtype=np.int8)
+        keys = word_keys(stream.word_block(indices, width, out=words))[:, :n]
+        grouped = workspace.get("grouped", (rows, n), np.int8)
+        # one block at a time is partitioned, so the copy is the widest block's
+        widest = max(hi - lo for lo, hi, _ in sampler.blocks)
+        part = workspace.get("partition", (rows * widest,), np.uint32)
         for lo, hi, k in sampler.blocks:
-            _mark_smallest(keys[:, lo:hi], k, grouped[:, lo:hi])
-        return grouped if sampler.inverse is None else grouped[:, sampler.inverse]
+            _mark_smallest(keys[:, lo:hi], k, grouped[:, lo:hi],
+                           part[:rows * (hi - lo)].reshape(rows, hi - lo))
+        if sampler.inverse is None:
+            return grouped
+        # back to unit order; mode="clip" writes straight into out, where
+        # the default mode would buffer it
+        draws = workspace.get("draws", (rows, n), np.int8)
+        return np.take(grouped, sampler.inverse, axis=1, out=draws, mode="clip")
     # bernoulli with rejection of degenerate (all-0 / all-1) draws
-    out = np.empty((len(indices), n), dtype=np.int8)
-    pending = np.arange(len(indices))
+    out = workspace.get("draws", (rows, n), np.int8)
+    pending = np.arange(rows)
     stride = np.uint64(spec.words_per_draw(n))
     for attempt in range(spec.max_redraws + 1):
         starts = indices[pending] * stride + np.uint64(attempt * width)
-        keys = word_keys(stream.word_block_raw(starts, width))[:, :n]
+        block = words[:len(pending)]
+        keys = word_keys(stream.word_block_raw(starts, width, out=block))[:, :n]
         if attempt == 0:
             # every row is pending: accept straight into out, and leave the
             # rejected rows there until a later attempt overwrites them

@@ -17,20 +17,23 @@ Statistic evaluation is chunked and vectorized; draw m depends only on
 (seed, domain, m), so the assignments are identical under any chunking
 or thread count.  A chunk holds as many draws as fit a fixed byte budget
 (``CHUNK_WORD_BYTES``), capped at ``CHUNK_MAX_ROWS``.  Chunks
-are spread over ``TestConfig.threads`` pool threads, and ``run_many``
-keeps every product on one BLAS thread, so a draw's statistics do not
-depend on either thread count.
+are spread over ``TestConfig.threads`` pool threads, each drawing and
+evaluating its chunks in one reused workspace, and ``run_many`` keeps
+every product on one BLAS thread, so a draw's statistics do not depend
+on either thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._blas import one_blas_thread
+from ._workspace import Workspace
 from .balance import _Evaluator, instrument_strength
 from .data import Dataset, TestConfig
 from .errors import MechanismError, StatisticError
@@ -55,19 +58,21 @@ _TARGET_DOMAINS = {
 # keeps the test valid.
 TIE_RTOL = 1e-9
 
-# Bytes a chunk of draws may take, at 8 per unit and draw: the size of
-# the evaluator's float64 copy of the chunk.  The sampler's 32-bit keys
-# and int8 draws are half and an eighth of it, and the temporaries are a
-# few times a chunk, per thread.  Above N = 32,768 the 32-row floor makes
-# a chunk larger than this, 256 * N bytes, still independent of
-# CHUNK_MAX_ROWS.  Chunk rows are a multiple of CHUNK_ROW_MULTIPLE.  The
-# multiple was chosen when OpenBLAS split each product over its own
-# threads and rounded the rows after the last full 32-row panel
-# differently.  On one BLAS thread (OpenBLAS 0.3.31) desk-scale chunks of
-# 16 to 1024 rows give the same bits, but a one-row chunk (M = 1 mod 32)
-# does not, nor do small products: at N = 60, K = 5, chunks of up to 96
-# rows and of 128 or more round differently.  Chunk rows depend on N
-# only, never on threads, so at small N the cap CHUNK_MAX_ROWS sets the
+# Bytes a chunk of draws may take, at 8 per unit and draw.  A thread's
+# workspace holds the chunk's words (4 bytes per unit and draw), a copy of
+# the widest block's 32-bit keys (4 at most), its int8 draws (1, and 1
+# more for block draws) and, above PANEL_UNITS units, one float64 panel of
+# the evaluator's product (8 * PANEL_UNITS per draw): about one budget,
+# kept for the draw set; no chunk makes a float64 copy of itself.  Above
+# N = 32,768 the 32-row floor makes a chunk larger than this, 256 * N
+# bytes, still independent of CHUNK_MAX_ROWS.  Chunk rows are a multiple
+# of CHUNK_ROW_MULTIPLE.  The multiple was chosen when OpenBLAS split each
+# product over its own threads and rounded the rows after the last full
+# 32-row panel differently.  On one BLAS thread (OpenBLAS 0.3.31) a
+# one-row chunk (M = 1 mod 32) still rounds differently from the same row
+# in a larger chunk, and so do small products: at N = 60, K = 5, chunks of
+# up to 96 rows and of 128 or more differ.  Chunk rows depend on N only,
+# never on threads, so at small N the cap CHUNK_MAX_ROWS sets the
 # products' rounding.  Changing the multiple or the cap changes chunk
 # sizes, so either is left for a change measured on its own.
 CHUNK_WORD_BYTES = 8 << 20
@@ -170,8 +175,10 @@ def _evaluate_rows(rows, m: int, evaluator: _Evaluator, config: TestConfig
                    ) -> tuple[dict, int]:
     """Evaluate all requested statistics over rows [0, m) in chunks.
 
-    ``rows(lo, hi, tally)`` returns the (hi - lo, N) assignments of one
-    chunk and adds its rejected draws to ``tally``.
+    ``rows(lo, hi, tally, workspace)`` returns the (hi - lo, N) assignments
+    of one chunk and adds its rejected draws to ``tally``.  Each worker
+    thread takes chunks in order from one shared iterator and keeps one
+    ``Workspace`` for all of them; the workspaces go when this returns.
     """
     shapes = {
         name: (m,) if name in GLOBAL_STATISTICS else (m, evaluator.k)
@@ -182,21 +189,27 @@ def _evaluate_rows(rows, m: int, evaluator: _Evaluator, config: TestConfig
     rows_per_chunk = min(CHUNK_MAX_ROWS, max(
         CHUNK_ROW_MULTIPLE, budget_rows // CHUNK_ROW_MULTIPLE * CHUNK_ROW_MULTIPLE))
     bounds = list(range(0, m, rows_per_chunk)) + [m]
-    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    chunks = iter([(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo])
+    lock = threading.Lock()
 
-    def work(chunk):
-        lo, hi = chunk
+    def worker():
+        workspace = Workspace()
         tally = DrawTally()
-        stats = evaluator(rows(lo, hi, tally))
-        for name, values in stats.items():
-            out[name][lo:hi] = values
-        return tally.redraws
+        while True:
+            with lock:
+                lo, hi = next(chunks, (None, None))
+            if lo is None:
+                return tally.redraws
+            stats = evaluator(rows(lo, hi, tally, workspace), workspace=workspace)
+            for name, values in stats.items():
+                out[name][lo:hi] = values
 
-    if config.threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            redraws = sum(pool.map(work, chunks))
+    workers = min(config.threads, len(bounds) - 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            redraws = sum(f.result() for f in [pool.submit(worker) for _ in range(workers)])
     else:
-        redraws = sum(work(c) for c in chunks)
+        redraws = worker()
     return out, redraws
 
 
@@ -211,9 +224,10 @@ def _evaluate_mechanism_draws(
     stream = DrawStream(seed=config.seed, domain=domain)
     sampler = prepare_sampler(spec, dataset.n_units)
 
-    def rows(lo, hi, tally):
+    def rows(lo, hi, tally, workspace):
         indices = np.arange(lo, hi, dtype=np.uint64)
-        return draw_batch(spec, dataset.n_units, stream, indices, tally, sampler)
+        return draw_batch(spec, dataset.n_units, stream, indices, tally, sampler,
+                          workspace)
 
     return _evaluate_rows(rows, config.n_draws, evaluator, config)
 
@@ -335,7 +349,7 @@ def _draw_set(dataset: Dataset, target: str, statistics: tuple, config: TestConf
     if exact:
         matrix = enumerate_matrix(dataset.n_units, spec.n_treated,
                                   cap=config.enumeration_cap)
-        draws, redraws = _evaluate_rows(lambda lo, hi, tally: matrix[lo:hi],
+        draws, redraws = _evaluate_rows(lambda lo, hi, tally, workspace: matrix[lo:hi],
                                         len(matrix), evaluator, config)
     else:
         draws, redraws = _evaluate_mechanism_draws(spec, dataset, evaluator, config,

@@ -95,20 +95,29 @@ class DrawStream:
     def key(self) -> np.uint64:
         return stream_key(self.seed, self.domain)
 
-    def word_block(self, indices: np.ndarray, width: int) -> np.ndarray:
+    def word_block(self, indices: np.ndarray, width: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
         """Words ``0 .. width - 1`` of each draw's row, one row per index."""
         indices = np.asarray(indices, dtype=np.uint64)
-        return self.word_block_raw(indices * np.uint64(width), width)
+        return self.word_block_raw(indices * np.uint64(width), width, out)
 
-    def word_block_raw(self, starts: np.ndarray, width: int) -> np.ndarray:
+    def word_block_raw(self, starts: np.ndarray, width: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Random words at counters ``starts[r] + j`` (mod 2**64), j < width.
 
-        Returns a (len(starts), width) uint64 array, row r for ``starts[r]``.
+        Returns a (len(starts), width) uint64 array, row r for ``starts[r]``:
+        ``out`` when given, which must be a C-contiguous array of that shape
+        and dtype, else a new array.
         """
         starts = np.asarray(starts, dtype=np.uint64).reshape(-1)
         bases = starts * _GOLDEN + self.key
         steps = _steps(width)
-        out = np.empty((len(starts), width), dtype=np.uint64)
+        if out is None:
+            out = np.empty((len(starts), width), dtype=np.uint64)
+        elif (out.shape != (len(starts), width) or out.dtype != np.uint64
+              or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous ({len(starts)}, {width}) "
+                             "uint64 array")
         rows = max(1, MIX_PIECE_WORDS // max(width, 1))
         for lo in range(0, len(starts), rows):
             for col in range(0, width, MIX_PIECE_WORDS):

@@ -280,7 +280,8 @@ class TestCmdTest:
 
     def test_unclosed_quote_exit_2(self, tmp_path, capsys):
         # the stray quote swallows the rest of the file into one field, which
-        # outgrows the csv module's field limit many lines later
+        # outgrows the csv module's field limit many lines later; the error
+        # names line 2, where the unreadable record began
         path = tmp_path / "quote.csv"
         path.write_text("z,d,x\n" + '1,0,"1.5\n' + "0,1,2.5\n" * 20_000)
         code = main(["test", str(path), "--instrument", "z", "--exposure", "d",
@@ -288,8 +289,8 @@ class TestCmdTest:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
-        assert str(path) in err["message"] and "line" in err["message"]
-        with pytest.raises(ValidationError, match="line"):
+        assert err["message"].startswith(f"{path}: unreadable at line 2: ")
+        with pytest.raises(ValidationError, match=" unreadable at line 2: "):
             read_delimited(path)
 
     def test_missing_required_flag_exit_2(self, synth_file, capsys):

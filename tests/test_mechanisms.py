@@ -320,9 +320,11 @@ def _stable_sort_reference(spec: MechanismSpec, n: int, stream: DrawStream,
 class _CoarseStream(DrawStream):
     """Keys with 16 possible values, so most rows tie at the k-th key."""
 
-    def word_block_raw(self, starts, width):
-        words = super().word_block_raw(starts, width)
-        return (words >> np.uint64(28)) & np.uint64(0x0000000F0000000F)
+    def word_block_raw(self, starts, width, out=None):
+        words = super().word_block_raw(starts, width, out)
+        words >>= np.uint64(28)
+        words &= np.uint64(0x0000000F0000000F)
+        return words
 
 
 class TestPartitionThreshold:

@@ -29,7 +29,10 @@ from ivrand import (
     scmd,
 )
 from ivrand import fit_propensities, predict, randtest
-from ivrand.mechanisms import draw_batch, enumerate_matrix
+from ivrand._workspace import Workspace
+from ivrand.balance import PANEL_UNITS
+from ivrand.mechanisms import (draw_batch, draw_bernoulli, draw_block, draw_complete,
+                               enumerate_matrix, prepare_sampler)
 from ivrand.randtest import STATISTICS, _Evaluator
 from ivrand.report import build_report
 from ivrand.rng import DrawStream
@@ -363,6 +366,148 @@ class TestChunking:
             for s, (p, redraws) in results[0].items():
                 assert np.array_equal(other[s][0], p)
                 assert other[s][1] == redraws
+
+    @pytest.mark.parametrize("kind", ["complete", "block", "bernoulli"])
+    @pytest.mark.parametrize("n", [2_500, 3_073])
+    def test_multi_panel_draws_do_not_depend_on_chunks_or_threads(self, kind, n):
+        # N spans several evaluator panels (3073 = 3 * PANEL_UNITS + 1), so
+        # every chunk size passes through the panelled product and the
+        # per-thread workspaces; the assignments each chunk is given are
+        # recorded and must be the same draws whatever the chunking
+        ds = _dataset(n=n, k=3, seed=n, confounded=True)
+        rng = np.random.default_rng(n)
+        mechanism = {
+            "complete": None,
+            "block": MechanismSpec.block(tuple(f"s{i % 7}" for i in range(n))),
+            "bernoulli": MechanismSpec.bernoulli(rng.uniform(0.2, 0.8, n)),
+        }[kind]
+        m = 300
+        runs = []
+        for max_rows in (32, 64, 1024):
+            for threads in (1, 2):
+                seen = np.zeros((m, n), dtype=np.int8)
+                calls = []
+
+                def recorded(spec, n_units, stream, indices, *args):
+                    calls.append((spec, stream))
+                    chunk = draw_batch(spec, n_units, stream, indices, *args)
+                    seen[indices.astype(np.intp)] = chunk
+                    return chunk
+
+                cfg = TestConfig(n_draws=m, seed=3, threads=threads)
+                with mock.patch.object(randtest, "CHUNK_MAX_ROWS", max_rows), \
+                        mock.patch.object(randtest, "draw_batch", recorded):
+                    res = run_many(ds, "instrument", STATISTICS, cfg, mechanism)
+                runs.append((max_rows, seen, res))
+        spec, stream = calls[0]
+        whole = draw_batch(spec, n, stream, np.arange(m, dtype=np.uint64))
+        for max_rows, seen, res in runs:
+            assert np.array_equal(seen, whole)
+            for s, r in res.items():
+                assert np.array_equal(r.p_value, runs[0][2][s].p_value)
+                assert r.n_redraws == runs[0][2]["scmd"].n_redraws
+        # a statistic's rounding may follow the chunk rows, never the threads
+        for (rows1, _, one), (rows2, _, two) in zip(runs[::2], runs[1::2]):
+            assert rows1 == rows2
+            for s in STATISTICS:
+                assert np.array_equal(one[s].draws, two[s].draws, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [20, PANEL_UNITS - 1, PANEL_UNITS, PANEL_UNITS + 1,
+                                   2_500, 3_073])
+    def test_panelled_group_sums_match_one_product(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 3)) * [1.0, 1e3, 1e-3] + [0.0, 5.0, -2.0]
+        d = (rng.random(n) < 0.4).astype(np.int8)
+        evaluator = _Evaluator(x, d, ("scmd",), "per_draw", None)
+        z = (rng.random((37, n)) < 0.3).astype(np.int8)
+        sums = evaluator.group_sums(z, Workspace())
+        one_product = (evaluator.stacked_t @ z.astype(np.float64).T).T
+        if n <= PANEL_UNITS:
+            assert np.array_equal(sums, one_product)
+        else:
+            # within 1e-12 of the sum of magnitudes that each entry adds up
+            scale = (np.abs(evaluator.stacked_t) @ z.astype(np.float64).T).T
+            assert np.all(np.abs(sums - one_product) <= 1e-12 * scale)
+            # the treated counts and exposure sums add 0/1 values: exact
+            assert np.array_equal(sums[:, -2:], one_product[:, -2:])
+        # a float64 row (the observed assignment) takes the same path
+        assert np.array_equal(evaluator.group_sums(z[:1].astype(np.float64)),
+                              evaluator.group_sums(z[:1]))
+
+    def test_evaluator_makes_no_float64_copy_of_the_chunk(self):
+        rows, n = 32, 100_000
+        rng = np.random.default_rng(2)
+        evaluator = _Evaluator(rng.standard_normal((n, 2)), None,
+                               ("scmd", "sqrt_mahalanobis"), "per_draw", None)
+        z = (rng.random((rows, n)) < 0.5).astype(np.int8)
+        workspace = Workspace()
+        first = evaluator(z, workspace=workspace)
+        tracemalloc.start()
+        try:
+            again = evaluator(z, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the int8 chunk is rows * n bytes; its float64 copy would be 8 times that
+        assert peak < rows * n // 4, f"peak {peak / 2**20:.1f} MiB"
+        for name, values in first.items():
+            assert np.array_equal(values, again[name], equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["complete", "block", "bernoulli"])
+    def test_reused_workspace_allocates_no_chunk_buffers(self, kind):
+        n, rows = 60_000, 32
+        rng = np.random.default_rng(4)
+        spec = {
+            "complete": MechanismSpec.complete(n // 3),
+            "block": MechanismSpec.block(tuple(f"s{i % 20}" for i in range(n))).resolved(
+                (rng.random(n) < 0.5).astype(np.int8)),
+            "bernoulli": MechanismSpec.bernoulli(rng.uniform(0.2, 0.8, n)),
+        }[kind]
+        stream = DrawStream(seed=6)
+        sampler = prepare_sampler(spec, n)
+        workspace = Workspace()
+        chunks = [np.arange(lo, lo + rows, dtype=np.uint64) for lo in (0, rows)]
+        first = draw_batch(spec, n, stream, chunks[0], None, sampler, workspace).copy()
+        tracemalloc.start()
+        try:
+            second = draw_batch(spec, n, stream, chunks[1], None, sampler, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * n // 2, f"peak {peak / 2**20:.1f} MiB"
+        fresh = draw_batch(spec, n, stream, np.concatenate(chunks))
+        assert np.array_equal(np.vstack([first, second]), fresh)
+
+    def test_returned_draws_are_not_workspace_buffers(self):
+        # every public result is its own array: later draws and draw sets in
+        # the same thread, which reuse a workspace chunk after chunk, leave
+        # it alone
+        n = 2_500
+        ds = _dataset(n=n, k=2, seed=8, confounded=True)
+        rng = np.random.default_rng(8)
+        labels = tuple(f"s{i % 5}" for i in range(n))
+        counts = {f"s{j}": 100 for j in range(5)}
+        p = rng.uniform(0.2, 0.8, n)
+        stream = DrawStream(seed=9)
+        cfg = TestConfig(n_draws=100, seed=9)
+
+        def public(index):
+            return [
+                draw_batch(MechanismSpec.complete(700), n, stream,
+                           np.arange(index, index + 40, dtype=np.uint64)),
+                draw_complete(n, 700, stream, index=index).values,
+                draw_block(labels, counts, stream, index=index).values,
+                draw_bernoulli(p, stream, index=index).values,
+                run_test(ds, "instrument", TestConfig(n_draws=100, seed=index),
+                         statistic="scmd").draws,
+            ]
+
+        kept = [(a, a.copy()) for a in public(3)]
+        public(4)
+        for mechanism in (None, MechanismSpec.block(labels), MechanismSpec.bernoulli(p)):
+            run_many(ds, "instrument", STATISTICS, cfg, mechanism)
+        for a, before in kept:
+            assert np.array_equal(a, before)
 
     @pytest.mark.parametrize("kind", ["complete", "block"])
     def test_peak_memory_follows_the_chunk_budget(self, kind):
