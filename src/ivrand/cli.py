@@ -159,6 +159,10 @@ def _load(args):
     """Read the file once; return the dataset and the mechanism: a block
     ``MechanismSpec``, or the ``--mechanism`` name (None for ``exact``)."""
     block_column = getattr(args, "block_column", None)
+    mechanism = getattr(args, "mechanism", None)
+    if bool(block_column) != (mechanism == "block"):
+        raise ValidationError(["--block-column needs --mechanism block" if block_column
+                               else "--mechanism block needs --block-column"])
     covariates = None   # every other column, block labels left out
     if args.covariates:
         skip = {args.instrument, args.exposure}
@@ -169,10 +173,7 @@ def _load(args):
     loaded = load_dataset(args.data, args.instrument, args.exposure, covariates,
                           categorical, args.delimiter, block_column=block_column)
     dataset, labels = loaded if block_column is not None else (loaded, None)
-    mechanism = getattr(args, "mechanism", None)
     if mechanism == "block":
-        if not block_column:
-            raise ValidationError(["--mechanism block needs --block-column"])
         if labels is None:
             raise ValidationError([f"missing column: {block_column}"])
         mechanism = MechanismSpec.block(labels)

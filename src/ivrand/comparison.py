@@ -29,9 +29,8 @@ from .data import Dataset, TestConfig
 from .errors import PropensityError
 from .mechanisms import MechanismSpec
 from .propensity import PropensityModel, fit_logistic, predict
-from .randtest import TestResult, _draw_set, pvalue, run_test
+from .randtest import TestResult, pvalue, run_test
 from .randtest import _evaluate_mechanism_draws  # noqa: F401  wrapped in perfbench/layers.py
-from .rng import DOMAIN_BT_EXPOSURE, DOMAIN_BT_INSTRUMENT
 
 CASE_RECOMMENDATIONS = {
     "case1": "Use IV analysis",
@@ -169,72 +168,62 @@ def compare_mechanisms(
     dataset: Dataset,
     config: TestConfig | None = None,
     ridge: float = 0.0,
-    cr_result: TestResult | None = None,
-    models: tuple[PropensityModel, PropensityModel] | None = None,
 ) -> ComparisonResult:
     """Run the full instrument-vs-exposure comparison.
 
-    The complete-randomization benchmark permutes the instrument
-    (conditioning on its observed treated count) and both observed
-    global balance values are located in that one distribution.  The
-    instrument's value and p-value are read off ``cr_result``, which is
-    identical to an independent ``run_test`` with the same config; the
-    exposure's value is read off its Bernoulli-trial ``TestResult``
-    (``exp_bt.observed``) and its p-value is ``pvalue`` against the
-    complete-randomization draws.  That p-value conditions on the instrument's
-    treated count, not the exposure's: it relies on the Mahalanobis
-    distance under complete randomization being close to chi-squared
-    with K degrees of freedom whatever the treated count (Morgan & Rubin
-    2012).  The exposure's own-count test is ``global.exposure`` in the
-    report; drawing a second benchmark at the exposure's count is left
-    out, as it would add a draw set to every report.  The two
-    Bernoulli-trial distributions resample assignments from the fitted
-    propensities without refitting per draw; ``models`` defaults to
-    ``fit_propensities(dataset, ridge)``.
+    Draws its three ``sqrt_mahalanobis`` sets with ``run_test``, as a
+    report's roster draws them: the instrument under complete
+    randomization at its observed treated count (the benchmark), and
+    each target from its own model of ``fit_propensities(dataset, ridge)``.
     """
     config = config or TestConfig()
-    if cr_result is None:
-        cr_result = run_test(
-            dataset, "instrument", config,
-            mechanism=MechanismSpec(kind="complete"),
-            statistic="sqrt_mahalanobis",
-        )
-    elif (cr_result.statistic, cr_result.target, cr_result.seed, cr_result.n_draws,
-          cr_result.exact) != ("sqrt_mahalanobis", "instrument", config.seed,
-                               config.n_draws, False):
-        raise ValueError("cr_result does not match this comparison's config")
-    iv_model, exp_model = models or fit_propensities(dataset, ridge)
-    iv_bt, exp_bt = (
-        _draw_set(dataset, target, ("sqrt_mahalanobis",), config,
-                  MechanismSpec.bernoulli(predict(model, dataset.covariates)),
-                  domain, exact=False)["sqrt_mahalanobis"]
-        for target, model, domain in (("instrument", iv_model, DOMAIN_BT_INSTRUMENT),
-                                      ("exposure", exp_model, DOMAIN_BT_EXPOSURE)))
-    observed_iv, p_iv = cr_result.observed, cr_result.p_value
-    observed_exp = exp_bt.observed
-    p_exp = pvalue(observed_exp, cr_result.draws)
-    case = classify_case(p_exp, p_iv, config.alpha)
+    models = fit_propensities(dataset, ridge)
+    sets = [("instrument", None)] + [
+        (target, MechanismSpec.bernoulli(predict(model, dataset.covariates)))
+        for target, model in zip(("instrument", "exposure"), models)]
+    return assemble_comparison(
+        *(run_test(dataset, target, config, mech, "sqrt_mahalanobis") for target, mech in sets),
+        models, ridge, config.alpha)
 
+
+def assemble_comparison(cr_result: TestResult, iv_bt: TestResult, exp_bt: TestResult,
+                        models, ridge: float, alpha: float) -> ComparisonResult:
+    """The comparison of three drawn ``sqrt_mahalanobis`` sets; draws nothing.
+
+    Both observed global balance values are located in the one
+    complete-randomization benchmark ``cr_result``, which permutes the
+    instrument at its observed treated count.  The instrument's value and
+    p-value are read off ``cr_result``; the exposure's value is read off
+    its Bernoulli-trial result (``exp_bt.observed``) and its p-value is
+    ``pvalue`` against the benchmark's draws.  That p-value conditions on
+    the instrument's treated count, not the exposure's: it relies on the
+    Mahalanobis distance under complete randomization being close to
+    chi-squared with K degrees of freedom whatever the treated count
+    (Morgan & Rubin 2012).  The exposure's own-count test is
+    ``global.exposure`` in the report; drawing a second benchmark at the
+    exposure's count is left out, as it would add a draw set to every
+    report.  ``iv_bt`` and ``exp_bt`` resample assignments from the
+    fitted propensities of ``models`` without refitting per draw.
+    """
+    p_exp = pvalue(exp_bt.observed, cr_result.draws)
     iv_vs_exp = separation_diagnostics(iv_bt.draws, exp_bt.draws)
     iv_vs_cr = separation_diagnostics(iv_bt.draws, cr_result.draws)
     exp_vs_cr = separation_diagnostics(exp_bt.draws, cr_result.draws)
-    iv_closer = bool(
-        iv_vs_exp.intervals_disjoint and iv_vs_cr.mean_gap < exp_vs_cr.mean_gap
-    )
     return ComparisonResult(
         cr_result=cr_result,
         iv_bt=iv_bt,
         exp_bt=exp_bt,
-        observed_iv=observed_iv,
-        observed_exp=observed_exp,
-        p_iv=p_iv,
+        observed_iv=cr_result.observed,
+        observed_exp=exp_bt.observed,
+        p_iv=cr_result.p_value,
         p_exp=p_exp,
-        case=case,
+        case=classify_case(p_exp, cr_result.p_value, alpha),
         iv_vs_exp=iv_vs_exp,
         iv_vs_cr=iv_vs_cr,
         exp_vs_cr=exp_vs_cr,
-        iv_closer=iv_closer,
-        instrument_model=iv_model,
-        exposure_model=exp_model,
-        ridge_fallback_used=iv_model.ridge != ridge or exp_model.ridge != ridge,
+        iv_closer=bool(iv_vs_exp.intervals_disjoint
+                       and iv_vs_cr.mean_gap < exp_vs_cr.mean_gap),
+        instrument_model=models[0],
+        exposure_model=models[1],
+        ridge_fallback_used=any(model.ridge != ridge for model in models),
     )

@@ -157,7 +157,7 @@ class TestConfig:
     ``enumeration_cap`` bounds C(N, N_T) for exact tests.  A chunk's
     size is not a setting: it comes from a byte budget
     (``randtest.CHUNK_WORD_BYTES``, at most ``randtest.CHUNK_MAX_ROWS``
-    rows), and the Bernoulli redraw limit is ``MechanismSpec.max_redraws``.
+    rows), and the Bernoulli redraw limit is ``mechanisms.MAX_REDRAWS``.
     """
 
     n_draws: int = 10_000

@@ -20,7 +20,7 @@ block is a contiguous slice of the chunk, draws each block like a
 complete draw, and puts the chunk back in unit order once.  A Bernoulli unit is treated when its key
 is below its threshold ``floor(p * 2**32)``; attempt a of draw m reads
 the words from ``(m * (R + 1) + a) * ceil(N / 2)`` on, R the redraw
-limit.
+limit ``MAX_REDRAWS``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .data import AssignmentVector, TestConfig
 from .errors import CapExceededError, MechanismError, RedrawLimitError
 from .rng import DrawStream, bernoulli_thresholds, word_keys
 
-DEFAULT_MAX_REDRAWS = 1_000
+MAX_REDRAWS = 1_000   # redraws of a degenerate Bernoulli draw, at most
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class MechanismSpec:
     block_labels: tuple | None = None
     per_block_treated: dict | None = None
     propensities: np.ndarray | None = None
-    max_redraws: int = DEFAULT_MAX_REDRAWS
 
     @staticmethod
     def complete(n_treated: int) -> "MechanismSpec":
@@ -63,9 +62,9 @@ class MechanismSpec:
         )
 
     @staticmethod
-    def bernoulli(propensities, max_redraws: int = DEFAULT_MAX_REDRAWS) -> "MechanismSpec":
+    def bernoulli(propensities) -> "MechanismSpec":
         p = np.asarray(propensities, dtype=np.float64)
-        return MechanismSpec(kind="bernoulli", propensities=p, max_redraws=max_redraws)
+        return MechanismSpec(kind="bernoulli", propensities=p)
 
     def resolved(self, target_vector: np.ndarray) -> "MechanismSpec":
         """Fill unspecified counts from the observed target vector.
@@ -132,12 +131,6 @@ class MechanismSpec:
                 raise MechanismError("propensities must lie strictly inside (0, 1)")
         else:
             raise MechanismError(f"unknown mechanism kind {self.kind!r}")
-
-    def words_per_draw(self, n: int) -> int:
-        words = (n + 1) // 2
-        if self.kind == "bernoulli":
-            return words * (self.max_redraws + 1)
-        return words
 
     def describe(self) -> dict:
         out = {"kind": self.kind}
@@ -270,8 +263,8 @@ def draw_batch(
     # bernoulli with rejection of degenerate (all-0 / all-1) draws
     out = workspace.get("draws", (rows, n), np.int8)
     pending = np.arange(rows)
-    stride = np.uint64(spec.words_per_draw(n))
-    for attempt in range(spec.max_redraws + 1):
+    stride = np.uint64(width * (MAX_REDRAWS + 1))
+    for attempt in range(MAX_REDRAWS + 1):
         starts = indices[pending] * stride + np.uint64(attempt * width)
         block = words[:len(pending)]
         keys = word_keys(stream.word_block_raw(starts, width, out=block))[:, :n]
@@ -292,7 +285,7 @@ def draw_batch(
         if len(pending) == 0:
             return out
     raise RedrawLimitError(
-        f"exceeded max_redraws={spec.max_redraws} rejecting degenerate "
+        f"exceeded MAX_REDRAWS={MAX_REDRAWS} rejecting degenerate "
         "Bernoulli draws; propensities are too extreme"
     )
 
@@ -319,7 +312,6 @@ def draw_bernoulli(
     propensities,
     stream: DrawStream,
     index: int = 0,
-    max_redraws: int = DEFAULT_MAX_REDRAWS,
     tally: DrawTally | None = None,
 ) -> AssignmentVector:
     """Independent biased coin flips, redrawn while degenerate.
@@ -327,7 +319,7 @@ def draw_bernoulli(
     Accepted draws always contain at least one unit in each group; the
     number of rejected attempts is added to ``tally``.
     """
-    spec = MechanismSpec.bernoulli(propensities, max_redraws=max_redraws)
+    spec = MechanismSpec.bernoulli(propensities)
     row = draw_batch(spec, len(spec.propensities), stream, np.array([index]), tally=tally)
     return AssignmentVector(values=row[0])
 

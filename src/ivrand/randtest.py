@@ -39,15 +39,18 @@ from .data import Dataset, TestConfig
 from .errors import MechanismError, StatisticError
 from .mechanisms import (DrawTally, MechanismSpec, draw_batch, enumerate_matrix,
                          prepare_sampler)
-from .rng import DOMAIN_TEST_EXPOSURE, DOMAIN_TEST_INSTRUMENT, DrawStream
+from .rng import (DOMAIN_BT_EXPOSURE, DOMAIN_BT_INSTRUMENT, DOMAIN_TEST_EXPOSURE,
+                  DOMAIN_TEST_INSTRUMENT, DrawStream)
 
 VECTOR_STATISTICS = ("prevalence_diff", "scmd", "iv_bias")
 GLOBAL_STATISTICS = ("mahalanobis", "sqrt_mahalanobis")
 STATISTICS = VECTOR_STATISTICS + GLOBAL_STATISTICS
 
-_TARGET_DOMAINS = {
-    "instrument": DOMAIN_TEST_INSTRUMENT,
-    "exposure": DOMAIN_TEST_EXPOSURE,
+# A draw set's stream domain, by (target, whether its mechanism is
+# Bernoulli): a target's Bernoulli draws are the same whichever role reads them
+_DOMAINS = {
+    ("instrument", False): DOMAIN_TEST_INSTRUMENT, ("exposure", False): DOMAIN_TEST_EXPOSURE,
+    ("instrument", True): DOMAIN_BT_INSTRUMENT, ("exposure", True): DOMAIN_BT_EXPOSURE,
 }
 
 # Ties in |t| are counted up to this relative slack, so that values that
@@ -161,7 +164,8 @@ def pvalue(t_obs: float, draws) -> float:
     return float(_tail_pvalue(t_obs, d))
 
 
-def _resolve_mechanism(mechanism, dataset: Dataset, target: str) -> MechanismSpec:
+def resolve_mechanism(mechanism, dataset: Dataset, target: str) -> MechanismSpec:
+    """The resolved, validated spec of ``target``'s draw set (None: complete)."""
     if mechanism is None or mechanism == "complete":
         mechanism = MechanismSpec(kind="complete")
     elif isinstance(mechanism, str):
@@ -318,24 +322,21 @@ def run_many(
     ``config.enumeration_cap``) instead of ``config.n_draws`` samples.
     ``mechanism=None`` means complete randomization.
     """
-    if target not in _TARGET_DOMAINS:
-        raise ValueError(f"target must be 'instrument' or 'exposure', got {target!r}")
     for s in statistics:
         if s not in STATISTICS:
             raise ValueError(f"unknown statistic {s!r}; choose from {STATISTICS}")
-    spec = _resolve_mechanism(mechanism, dataset, target)
+    spec = resolve_mechanism(mechanism, dataset, target)
     if exact and spec.kind != "complete":
         raise MechanismError("exact tests enumerate complete randomization only")
-    return _draw_set(dataset, target, tuple(statistics), config, spec,
-                     _TARGET_DOMAINS[target], exact)
+    return _draw_set(dataset, target, tuple(statistics), config, spec, exact)
 
 
 def _draw_set(dataset: Dataset, target: str, statistics: tuple, config: TestConfig,
-              spec: MechanismSpec, domain: int, exact: bool) -> dict[str, TestResult]:
-    """Draw (or enumerate) one draw set of a resolved ``spec``, keyed by
-    ``domain``, and locate the target in it: every randomization
-    distribution goes through here.  The fixed bias denominator is the
-    target's own instrument strength.
+              spec: MechanismSpec, exact: bool) -> dict[str, TestResult]:
+    """Draw (or enumerate) one draw set of a resolved ``spec`` and locate
+    the target in it: every randomization distribution goes through here.
+    Its stream domain is ``_DOMAINS[target, spec is Bernoulli]``.  The
+    fixed bias denominator is the target's own instrument strength.
     """
     vec = dataset.target_vector(target)
     fixed_strength = None
@@ -352,8 +353,8 @@ def _draw_set(dataset: Dataset, target: str, statistics: tuple, config: TestConf
         draws, redraws = _evaluate_rows(lambda lo, hi, tally, workspace: matrix[lo:hi],
                                         len(matrix), evaluator, config)
     else:
-        draws, redraws = _evaluate_mechanism_draws(spec, dataset, evaluator, config,
-                                                   domain)
+        draws, redraws = _evaluate_mechanism_draws(
+            spec, dataset, evaluator, config, _DOMAINS[target, spec.kind == "bernoulli"])
     if exact and vec.sum() == spec.n_treated:
         # the observed assignment's own enumerated row, evaluated exactly as
         # every draw is, so it always counts itself in the tail

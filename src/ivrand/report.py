@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from ._blas import one_blas_thread
-from .comparison import ComparisonResult, compare_mechanisms, fit_propensities
+from .comparison import ComparisonResult, assemble_comparison, fit_propensities
+from .comparison import compare_mechanisms  # noqa: F401  wrapped by name in perfbench/layers.py
 from .data import Dataset, TestConfig
 from .errors import PropensityError
 from .mechanisms import MechanismSpec
@@ -31,6 +32,7 @@ from .randtest import (
     VECTOR_STATISTICS,
     TestResult,
     per_covariate_quantiles,
+    resolve_mechanism,
     run_many,
 )
 from .randtest import exact_test  # noqa: F401  wrapped by name in perfbench/layers.py
@@ -39,6 +41,7 @@ from .rng import STREAM_VERSION
 SCHEMA_VERSION = "3"
 SCMD_REFERENCE_THRESHOLD = 0.1   # rule-of-thumb annotation, never a pass/fail rule
 DEFAULT_STATISTICS = ("scmd", "iv_bias", "sqrt_mahalanobis")
+TARGETS = ("instrument", "exposure")
 
 
 @dataclass
@@ -223,18 +226,19 @@ def build_report(
 ) -> RunReport:
     """Run the full pipeline and assemble the report document.
 
-    A negative ``ridge`` raises ``ValueError``.  Each target, the
-    instrument and then the exposure, is tested with every statistic
-    against its own draw set, conditioned on its own treated count (or
-    per-block counts); ``per_covariate`` holds the instrument's rows, then
-    the exposure's.  An observed statistic undefined for either target
-    raises ``StatisticError``.  With ``exact`` each draw set is one
-    enumeration of the target's complete-randomization set, and either
-    count may exceed the cap (``CapExceededError``).  The propensity
-    section, the comparison and a ``"bernoulli"`` mechanism use the one
-    pair of models from ``fit_propensities``; with ``"bernoulli"`` each
-    target is drawn from its own model's propensities, the instrument's
-    from ``models[0]`` and the exposure's from ``models[1]``.
+    A negative ``ridge`` raises ``ValueError``.  Each target, the instrument
+    and then the exposure, is tested with every statistic against its own
+    draw set, conditioned on its own treated count (or per-block counts);
+    ``per_covariate`` holds the instrument's rows, then the exposure's.
+    Each (target, mechanism) is drawn once: a set the comparison reads that
+    equals a test's is that test's.  An observed statistic undefined for
+    either target raises ``StatisticError``.  With ``exact`` each draw set
+    is one enumeration of the target's complete-randomization set, and
+    either count may exceed the cap (``CapExceededError``).  The propensity
+    section, the comparison and a ``"bernoulli"`` mechanism use the one pair
+    of models from ``fit_propensities``; with ``"bernoulli"`` each target is
+    drawn from its own model's propensities, the instrument's from
+    ``models[0]`` and the exposure's from ``models[1]``.
     """
     statistics = tuple(statistics)
     try:
@@ -246,12 +250,8 @@ def build_report(
         if not exact:
             raise
         models, prop_section, prop_rows = None, {"error": str(err)}, []
-    specs = {"instrument": mechanism, "exposure": mechanism}
-    if not exact and mechanism == "bernoulli":
-        specs = {
-            target: MechanismSpec.bernoulli(predict(model, dataset.covariates))
-            for target, model in zip(specs, models)
-        }
+    bernoulli = {} if exact else {t: MechanismSpec.bernoulli(predict(m, dataset.covariates))
+                                  for t, m in zip(TARGETS, models)}
     covariate_means = {
         name: _num(dataset.covariates[:, j].mean())
         for j, name in enumerate(dataset.covariate_names)
@@ -290,15 +290,37 @@ def build_report(
     vector_stats = [s for s in statistics if s in VECTOR_STATISTICS]
     global_stats = [s for s in statistics if s in GLOBAL_STATISTICS]
 
+    # One entry [target, resolved spec, statistics] per draw set, the two
+    # tests first.  Specs of one target that are one object, or complete at
+    # one count, are one set, drawn with the statistics of every role.
+    roster: list[list] = []
+
+    def enter(target, mech, stats) -> int:
+        spec = resolve_mechanism(mech, dataset, target)
+        for i, (t, s, have) in enumerate(roster):
+            if t == target and (s is spec or s.kind == spec.kind == "complete"
+                                and s.n_treated == spec.n_treated):
+                roster[i][2] += tuple(name for name in stats if name not in have)
+                return i
+        roster.append([target, spec, tuple(stats)])
+        return len(roster) - 1
+
+    for target in TARGETS:
+        enter(target, bernoulli.get(target, mechanism) if mechanism == "bernoulli"
+              else mechanism, statistics)
+    comparison = [] if exact else [
+        enter(target, mech, ("sqrt_mahalanobis",))
+        for target, mech in (("instrument", None), *bernoulli.items())
+    ]
     per_covariate: dict = {s: [] for s in vector_stats}
-    global_results = {}
-    for target, spec in specs.items():
-        results = run_many(dataset, target, statistics, config, spec, exact=exact)
-        # a vector statistic's (M, K) draws are dropped once its rows are
-        # built, so only one target's are alive at a time
-        for s in vector_stats:
+    drawn = []
+    for target, spec, stats in roster:
+        results = run_many(dataset, target, stats, config, spec, exact=exact)
+        # a test's (M, K) vector draws are dropped once its rows are built,
+        # so only one target's are alive at a time
+        for s in results.keys() & set(vector_stats):
             per_covariate[s] += per_covariate_quantiles(results.pop(s))
-        global_results[target] = results
+        drawn.append(results)
 
     scmd = per_covariate.get("scmd", [])
     k = dataset.n_covariates
@@ -322,21 +344,15 @@ def build_report(
 
     document["global"] = {
         target: {s: _result_dict(results[s], hist_bins) for s in global_stats}
-        for target, results in global_results.items()
+        for target, results in zip(TARGETS, drawn)
     }
 
     if exact:
         document["comparison"] = None
         document["case"] = None
     else:
-        cr_for_comparison = None
-        mech_kind = mechanism.kind if isinstance(mechanism, MechanismSpec) else (
-            mechanism or "complete"
-        )
-        if mech_kind == "complete" and "sqrt_mahalanobis" in global_stats:
-            cr_for_comparison = global_results["instrument"]["sqrt_mahalanobis"]
-        comp = compare_mechanisms(dataset, config, ridge=ridge,
-                                  cr_result=cr_for_comparison, models=models)
+        comp = assemble_comparison(
+            *(drawn[i]["sqrt_mahalanobis"] for i in comparison), models, ridge, config.alpha)
         document["comparison"] = section = _comparison_dict(comp, hist_bins)
         document["case"] = {
             "label": comp.case.label,

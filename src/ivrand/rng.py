@@ -36,7 +36,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# Stream domains. Distinct consumers of the same seed must not share one.
+# Stream domains; distinct consumers of a seed must not share one.  A draw
+# set's is fixed by its target and whether it is Bernoulli (randtest._DOMAINS).
 DOMAIN_TEST_INSTRUMENT = 0
 DOMAIN_TEST_EXPOSURE = 1
 DOMAIN_BT_INSTRUMENT = 2

@@ -27,7 +27,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(HERE)), "src"))
 
-from ivrand import PRESETS, Dataset, MechanismSpec, ScenarioSpec, TestConfig, generate  # noqa: E402
+from ivrand import (PRESETS, Dataset, MechanismSpec, ScenarioSpec,  # noqa: E402
+                    TestConfig, generate)
 from ivrand.report import build_report  # noqa: E402
 
 CONFIG = TestConfig(n_draws=200, seed=3)
@@ -140,7 +141,9 @@ def main() -> None:
         moved = moved_fields(old, new)
         print(f"{name}.json: " + (f"{len(moved)} fields moved" if moved else "unchanged"))
         for field, (count, largest) in moved.items():
-            print(f"  {field}: {count} values, largest relative change {largest:.3g}")
+            change = ("some added, removed or retyped" if largest == float("inf")
+                      else f"largest relative change {largest:.3g}")
+            print(f"  {field}: {count} values, {change}")
 
 
 if __name__ == "__main__":

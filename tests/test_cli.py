@@ -254,6 +254,22 @@ class TestCmdTest:
         assert err["error"] == "validation"
         assert named in err["message"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--block-column", "b1"], "--block-column needs --mechanism block"),
+        (["--mechanism", "bernoulli", "--block-column", "b1"],
+         "--block-column needs --mechanism block"),
+        (["--mechanism", "block"], "--mechanism block needs --block-column"),
+    ])
+    def test_block_column_and_block_mechanism_come_together(self, synth_file, tmp_path,
+                                                            capsys, flags, message):
+        out = tmp_path / "r.json"
+        code = main(["test", str(synth_file), "--instrument", "instrument",
+                     "--exposure", "exposure", "--draws", "20", "--out", str(out), *flags])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and message in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-3", "abc", ""])
     def test_bad_threads_variable_exit_2(self, synth_file, tmp_path, capsys,
                                          monkeypatch, value):

@@ -210,14 +210,16 @@ class TestCompareMechanisms:
         assert comp.iv_closer
         assert comp.iv_vs_exp.intervals_disjoint
 
-    def test_mismatched_cr_result_rejected(self):
-        ds = _synthetic(3, instrument_model="randomized",
+    def test_report_with_a_custom_count_keeps_the_benchmark(self):
+        # the tests draw at 100 treated; the comparison's benchmark is still
+        # the instrument's complete set at its observed 300
+        ds = _synthetic(1, instrument_model="randomized",
                         confounding_strength=1.0, instrument_effect=1.0)
-        cfg = TestConfig(n_draws=300, seed=1)
-        wrong = run_test(ds, "instrument", TestConfig(n_draws=200, seed=1),
-                         statistic="sqrt_mahalanobis")
-        with pytest.raises(ValueError):
-            compare_mechanisms(ds, cfg, cr_result=wrong)
+        assert ds.n_treated_instrument == 300
+        cfg = TestConfig(n_draws=500, seed=3)
+        doc = build_report(ds, cfg, mechanism=MechanismSpec.complete(100)).document
+        assert doc["global"]["instrument"]["sqrt_mahalanobis"]["mechanism"]["n_treated"] == 100
+        assert doc["comparison"] == report._comparison_dict(compare_mechanisms(ds, cfg), "fd")
 
     def test_report_fields_coherent(self):
         ds = _synthetic(4, instrument_model="randomized",
@@ -269,9 +271,9 @@ class TestCompareMechanisms:
         x = np.column_stack([rng.standard_normal(80), d])
         ds = Dataset(covariates=x, covariate_names=("a", "d"), instrument=z, exposure=d)
         cfg = TestConfig(n_draws=200, seed=4)
-        res = run_test(ds, "instrument", cfg, statistic="sqrt_mahalanobis")
+        assert np.isfinite(run_test(ds, "instrument", cfg, statistic="sqrt_mahalanobis").observed)
         with pytest.raises(StatisticError, match="undefined for the exposure"):
-            compare_mechanisms(ds, cfg, cr_result=res)
+            compare_mechanisms(ds, cfg)
 
 
 def _exposure_separated(seed=3, n=300):
@@ -305,13 +307,15 @@ class TestSharedPropensityFit:
         assert iv_model.converged and iv_model.ridge == 0.0
         assert exp_model.converged and exp_model.ridge == RIDGE_FALLBACK
 
-    def test_given_models_give_identical_result(self):
+    def test_report_comparison_matches_compare_mechanisms(self):
+        # the exposure model is the ridge fallback fit in both
         ds = _exposure_separated()
         cfg = TestConfig(n_draws=300, seed=4)
-        fitted = compare_mechanisms(ds, cfg)
-        given = compare_mechanisms(ds, cfg, models=fit_propensities(ds))
-        assert given.ridge_fallback_used
-        assert _same(fitted, given)
+        comp = compare_mechanisms(ds, cfg)
+        assert comp.ridge_fallback_used
+        assert _same(comp, compare_mechanisms(ds, cfg))
+        doc = build_report(ds, cfg).document
+        assert doc["comparison"] == report._comparison_dict(comp, "fd")
 
     def test_report_shows_the_models_the_comparison_used(self):
         ds = _exposure_separated()

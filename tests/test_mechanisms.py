@@ -179,7 +179,7 @@ class TestDrawBernoulli:
 
     def test_extreme_propensities_exhaust_redraws(self):
         stream = DrawStream(seed=14)
-        spec = MechanismSpec.bernoulli([1e-9] * 4, max_redraws=5)
+        spec = MechanismSpec.bernoulli([1e-9] * 4)
         with pytest.raises(RedrawLimitError):
             draw_batch(spec, 4, stream, np.arange(50, dtype=np.uint64))
 
@@ -255,7 +255,7 @@ def _spec(kind: str, n: int, rng: np.random.Generator) -> MechanismSpec:
             counts = {"solo": n}
         return MechanismSpec.block(labels, {label: int(rng.integers(1, size))
                                             for label, size in counts.items()})
-    return MechanismSpec.bernoulli(rng.uniform(0.02, 0.6, n), max_redraws=200)
+    return MechanismSpec.bernoulli(rng.uniform(0.02, 0.6, n))
 
 
 class TestChunkInvariance:

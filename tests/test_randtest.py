@@ -199,7 +199,7 @@ class TestRunTest:
                            statistic="prevalence_diff")
             z = ds.target_vector(target).astype(np.int64)
             n, n_t = ds.n_units, int(z.sum())
-            stream = DrawStream(seed=5, domain=randtest._TARGET_DOMAINS[target])
+            stream = DrawStream(seed=5, domain=randtest._DOMAINS[target, False])
             draws = draw_batch(MechanismSpec.complete(n_t), n, stream,
                                np.arange(m, dtype=np.uint64)).astype(np.int64)
             total = ones.sum(axis=0)
@@ -802,8 +802,13 @@ def _independent_dataset(seed, n=1_000, k=10, z_share=0.5, d_share=0.1):
 class TestReportDrawSets:
     @pytest.mark.parametrize("kwargs, n_evaluators", [
         ({}, 4),                            # instrument, exposure, Bernoulli pair
-        ({"mechanism": "bernoulli"}, 5),    # plus the comparison's own CR draw set
+        # two block tests, the complete benchmark, Bernoulli pair
+        ({"mechanism": MechanismSpec.block(("a", "b") * 8)}, 5),
         ({"exact": True}, 2),
+        # the instrument's test also draws the benchmark's sqrt_mahalanobis
+        ({"statistics": ("scmd",)}, 4),
+        # the two tests are the Bernoulli pair, plus the benchmark
+        ({"mechanism": "bernoulli"}, 3),
     ])
     def test_one_evaluator_per_draw_set(self, monkeypatch, kwargs, n_evaluators):
         built = []
@@ -817,6 +822,15 @@ class TestReportDrawSets:
         ds = _dataset(n=16, k=3, seed=17, confounded=True)
         build_report(ds, TestConfig(n_draws=100, seed=1), **kwargs)
         assert len(built) == n_evaluators
+
+    def test_bernoulli_tests_are_the_comparison_sets(self):
+        ds = _dataset(n=200, k=2, seed=12, confounded=True)
+        doc = build_report(ds, TestConfig(n_draws=100, seed=1), mechanism="bernoulli").document
+        for target in ("instrument", "exposure"):
+            test = doc["global"][target]["sqrt_mahalanobis"]
+            reference = doc["comparison"][f"bernoulli_{target}"]
+            for key in ("q025", "q975", "n_draws", "histogram"):
+                assert test[key] == reference[key]
 
     def test_bernoulli_exposure_draws_from_its_own_model(self):
         ds = _dataset(n=200, k=2, seed=12, confounded=True)
