@@ -254,7 +254,9 @@ def main(argv=None) -> int:
         return _fail("mechanism", str(exc), EXIT_INPUT)
     except IvrandError as exc:
         return _fail("internal", str(exc), EXIT_NUMERICAL)
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing or unreadable data file, or an --out or --plots-dir
+        # that cannot be written
         return _fail("validation", str(exc), EXIT_INPUT)
 
 

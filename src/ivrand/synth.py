@@ -22,12 +22,13 @@ Instrument models:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .data import Dataset
 from .errors import IvrandError
+from .propensity import _expit
 from .rng import DOMAIN_SYNTH, DrawStream
 
 BERNOULLI_RATE = 0.3
@@ -122,10 +123,22 @@ def _draw_binary_nondegenerate(probs: np.ndarray, stream: DrawStream,
     raise IvrandError(f"could not generate a non-degenerate {label} vector")
 
 
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each probability in [0, 1].
+
+    ``statistics.NormalDist.inv_cdf`` (Wichura's AS241) on (0, 1), within a
+    few ulp of ``scipy.special.ndtri``; -inf at 0 and +inf at 1, as ndtri,
+    where inv_cdf would raise.
+    """
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([-np.inf if v == 0.0 else np.inf if v == 1.0 else inv_cdf(v)
+                     for v in p.tolist()])
+
+
 def _draw_coupled_pair(probs: np.ndarray, coupling: float, stream: DrawStream
                        ) -> tuple[np.ndarray, np.ndarray, int]:
     """Two correlated Bernoulli(probs) vectors via a Gaussian copula."""
-    thresholds = ndtri(probs)
+    thresholds = _normal_quantile(probs)
     for attempt in range(MAX_REGENERATIONS):
         rng = stream.generator(attempt)
         g1 = rng.standard_normal(len(probs))
@@ -165,7 +178,7 @@ def generate(spec: ScenarioSpec) -> tuple[Dataset, dict]:
 
     z_stream = DrawStream(spec.seed, DOMAIN_SYNTH + 1)
     if spec.assignment_coupling:
-        probs = expit(spec.instrument_strength * index)
+        probs = _expit(spec.instrument_strength * index)
         z, d, regen = _draw_coupled_pair(probs, spec.assignment_coupling, z_stream)
         shared = {
             "mechanism": "bernoulli",
@@ -190,7 +203,7 @@ def generate(spec: ScenarioSpec) -> tuple[Dataset, dict]:
                                           "n_treated": n_treated}
             z_regen = 0
         else:
-            probs = expit(spec.instrument_strength * index)
+            probs = _expit(spec.instrument_strength * index)
             z, z_regen = _draw_binary_nondegenerate(probs, z_stream, "instrument")
             ground_truth["instrument"] = {
                 "mechanism": "bernoulli",
@@ -199,8 +212,8 @@ def generate(spec: ScenarioSpec) -> tuple[Dataset, dict]:
             }
 
         d_intercept = -spec.instrument_effect / 2.0
-        d_probs = expit(d_intercept + spec.instrument_effect * z
-                        + spec.confounding_strength * index)
+        d_probs = _expit(d_intercept + spec.instrument_effect * z
+                         + spec.confounding_strength * index)
         d_stream = DrawStream(spec.seed, DOMAIN_SYNTH + 2)
         d, d_regen = _draw_binary_nondegenerate(d_probs, d_stream, "exposure")
         ground_truth["exposure"] = {
@@ -233,7 +246,7 @@ def generating_probabilities(ground_truth: dict, covariates: np.ndarray,
     out: dict = {}
     z_info = ground_truth["instrument"]
     if z_info["mechanism"] == "bernoulli":
-        out["instrument"] = expit(
+        out["instrument"] = _expit(
             z_info["logit"]["intercept"]
             + z_info["logit"]["index_coefficient"] * index
         )
@@ -241,7 +254,7 @@ def generating_probabilities(ground_truth: dict, covariates: np.ndarray,
         out["instrument"] = np.full(len(index), z_info["n_treated"] / len(index))
     if instrument is not None:
         d_logit = ground_truth["exposure"]["logit"]
-        out["exposure"] = expit(
+        out["exposure"] = _expit(
             d_logit["intercept"]
             + d_logit.get("instrument_effect", 0.0) * np.asarray(instrument)
             + d_logit["index_coefficient"] * index

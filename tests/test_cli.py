@@ -104,6 +104,28 @@ class TestCmdTest:
         err = json.loads(capsys.readouterr().err)
         assert "zzz" in err["message"]
 
+    @pytest.mark.parametrize("case", ["missing_data", "data_is_dir", "out_is_dir",
+                                      "plots_dir_is_file"])
+    def test_os_error_exit_2(self, synth_file, tmp_path, capsys, case):
+        data, out, plots = str(synth_file), tmp_path / "r.json", tmp_path / "plots"
+        if case == "missing_data":
+            data = str(tmp_path / "absent.csv")
+        elif case == "data_is_dir":
+            data = str(tmp_path)
+        elif case == "out_is_dir":
+            out.mkdir()
+        else:
+            plots.write_text("not a directory\n")
+        code = main(["test", data, "--instrument", "instrument", "--exposure",
+                     "exposure", "--draws", "20", "--out", str(out),
+                     "--plots-dir", str(plots)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"]
+        # the report is written before the plot tables
+        assert out.is_file() == (case == "plots_dir_is_file")
+
     def test_determinism_modulo_timestamp(self, synth_file, tmp_path):
         args = ["test", str(synth_file), "--instrument", "instrument",
                 "--exposure", "exposure", "--draws", "200", "--seed", "3"]
