@@ -9,9 +9,10 @@ tie-inclusive two-sided tail count with the +1 correction:
 
 For nonnegative global statistics (Mahalanobis) the absolute value is a
 no-op and this reduces to a right-tail test.  The exact variant
-enumerates every assignment with the observed treated count instead of
-sampling, and drops the +1 because the observed assignment is itself a
-member of the enumeration.
+enumerates every assignment with a given treated count instead of
+sampling.  At the target's own treated count it drops the +1, because
+the observed assignment is itself a member of the enumeration; at any
+other count it keeps it.
 
 Statistic evaluation is chunked and vectorized; draw m depends only on
 (seed, domain, m), so the assignments are identical under any chunking
@@ -96,7 +97,8 @@ class TestResult:
     with one entry per covariate; for global statistics they are
     scalars.  ``draws`` holds the statistic evaluated on every draw
     ((M,) or (M, K)), drawn at the target's own treated count (or
-    per-block counts, or propensities).
+    per-block counts, or propensities).  (M, K) draws are stored
+    covariate-major (Fortran order), so ``draws[:, j]`` is contiguous.
     """
 
     target: str
@@ -137,14 +139,18 @@ def _histogram_dict(values: np.ndarray, bins) -> dict:
     return {"bin_edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
-def _tail_pvalue(observed, draws: np.ndarray, offset: int = 1):
+def _tail_pvalue(observed, draws: np.ndarray, undefined, offset: int = 1):
     """(offset + #{m : |t_m| >= |t_obs|}) / (offset + #defined draws), per column.
 
-    NaN draws count in neither term; a NaN observed value gives NaN.
+    ``undefined`` is the count of NaN draws per column.  NaN draws count in
+    neither term (a NaN never compares true), +-inf draws in both; a
+    non-finite observed value gives NaN.  The count runs over the (K, M)
+    view, which is contiguous for covariate-major draws.
     """
     with np.errstate(invalid="ignore"):
-        tail = (np.abs(draws) >= _tie_threshold(np.abs(observed))).sum(axis=0)
-    p = (offset + tail) / (np.isfinite(draws).sum(axis=0) + offset)
+        threshold = _tie_threshold(np.abs(observed))[..., None]
+        tail = np.count_nonzero(np.abs(draws.T) >= threshold, axis=-1)
+    p = (offset + tail) / (draws.shape[0] - undefined + offset)
     return np.where(np.isfinite(observed), p, np.nan)
 
 
@@ -152,16 +158,18 @@ def pvalue(t_obs: float, draws) -> float:
     """Tie-inclusive Monte Carlo p-value with the +1 correction.
 
     NaN draws (undefined statistic values) are excluded; the effective
-    number of draws shrinks accordingly.
+    number of draws shrinks accordingly.  A +-inf draw is defined and lies
+    in the tail of every finite observed value.
     """
     d = np.asarray(draws, dtype=np.float64).ravel()
     if d.size == 0:
         raise StatisticError("empty draw sequence")
     if not np.isfinite(t_obs):
         raise StatisticError("observed statistic is not finite")
-    if not np.isfinite(d).any():
+    undefined = np.count_nonzero(np.isnan(d))
+    if undefined == d.size:
         raise StatisticError("all draws are undefined")
-    return float(_tail_pvalue(t_obs, d))
+    return float(_tail_pvalue(t_obs, d, undefined))
 
 
 def resolve_mechanism(mechanism, dataset: Dataset, target: str) -> MechanismSpec:
@@ -188,7 +196,8 @@ def _evaluate_rows(rows, m: int, evaluator: _Evaluator, config: TestConfig
         name: (m,) if name in GLOBAL_STATISTICS else (m, evaluator.k)
         for name in evaluator.statistics
     }
-    out = {name: np.empty(shape) for name, shape in shapes.items()}
+    # covariate-major: each covariate's M draws are contiguous for _summarize
+    out = {name: np.empty(shape, order="F") for name, shape in shapes.items()}
     budget_rows = CHUNK_WORD_BYTES // (8 * evaluator.n)
     rows_per_chunk = min(CHUNK_MAX_ROWS, max(
         CHUNK_ROW_MULTIPLE, budget_rows // CHUNK_ROW_MULTIPLE * CHUNK_ROW_MULTIPLE))
@@ -262,14 +271,17 @@ def _summarize(
     mechanism: MechanismSpec,
     exact: bool = False,
     n_redraws: int = 0,
+    offset: int = 1,
 ) -> TestResult:
+    """One pass of summaries over each covariate's draws; ``offset`` is the
+    p-value's +1 (0 when the observed assignment is among the draws)."""
     vector = draws.ndim == 2
     names = dataset.covariate_names if vector else None
     observed = np.asarray(observed, dtype=np.float64)
-    effective = np.isfinite(draws).sum(axis=0)
+    undefined = np.count_nonzero(np.isnan(draws), axis=0)
     for bad, message in ((~np.isfinite(observed),
                           f"observed {statistic} is undefined for the {target}"),
-                         (effective == 0, "all draws are undefined")):
+                         (undefined == draws.shape[0], "all draws are undefined")):
         if bad.any():
             if vector:
                 message += " for covariate(s): " + ", ".join(
@@ -277,14 +289,19 @@ def _summarize(
             raise StatisticError(message)
 
     with np.errstate(all="ignore"):
-        q025, q975 = np.nanquantile(draws, (0.025, 0.975), axis=0)
+        if undefined.any():
+            q025, q975 = np.nanquantile(draws, (0.025, 0.975), axis=0)
+            draw_mean = np.nanmean(draws, axis=0)
+        else:
+            q025, q975 = np.quantile(draws.T, (0.025, 0.975), axis=-1)
+            draw_mean = draws.mean(axis=0)
         summary = {
             "observed": observed,
-            "p_value": _tail_pvalue(observed, draws, offset=0 if exact else 1),
+            "p_value": _tail_pvalue(observed, draws, undefined, offset),
             "q025": q025,
             "q975": q975,
-            "draw_mean": np.nanmean(draws, axis=0),
-            "n_undefined": draws.shape[0] - effective,
+            "draw_mean": draw_mean,
+            "n_undefined": undefined,
         }
     if not vector:
         summary = {key: value.item() for key, value in summary.items()}
@@ -355,18 +372,21 @@ def _draw_set(dataset: Dataset, target: str, statistics: tuple, config: TestConf
     else:
         draws, redraws = _evaluate_mechanism_draws(
             spec, dataset, evaluator, config, _DOMAINS[target, spec.kind == "bernoulli"])
-    if exact and vec.sum() == spec.n_treated:
+    enumerated = exact and vec.sum() == spec.n_treated
+    if enumerated:
         # the observed assignment's own enumerated row, evaluated exactly as
         # every draw is, so it always counts itself in the tail
         row = _combination_rank(vec)
         observed = {name: values[row] for name, values in draws.items()}
     else:
-        # Monte Carlo, or an exact n_treated that differs from the observed count
+        # Monte Carlo, or an exact n_treated that differs from the observed
+        # count: the observed assignment is not a draw, so p keeps its +1
         stats = evaluator(vec.astype(np.float64)[None, :])
         observed = {name: values[0] for name, values in stats.items()}
     return {
         name: _summarize(target, name, dataset, observed[name], draws[name],
-                         config, spec, exact=exact, n_redraws=redraws)
+                         config, spec, exact=exact, n_redraws=redraws,
+                         offset=0 if enumerated else 1)
         for name in statistics
     }
 
@@ -392,10 +412,12 @@ def exact_test(
 ) -> TestResult:
     """Exact randomization test over the full complete-randomization set.
 
-    The p-value is the fraction of all C(N, N_T) assignments whose
+    ``n_treated`` defaults to the target's observed treated count.  Then
+    the p-value is the fraction of all C(N, N_T) assignments whose
     |statistic| is at least the observed one; the observed assignment is
-    itself one of the enumerated assignments, so p >= 1 / C(N, N_T).
-    ``n_treated`` defaults to the target's observed treated count.
+    itself one of the enumerated assignments, so p >= 1 / C(N, N_T).  At
+    any other ``n_treated`` the observed assignment is not enumerated and
+    p = (1 + #tail) / (1 + C(N, N_T)) >= 1 / (1 + C(N, N_T)).
     """
     config = config or TestConfig()
     spec = MechanismSpec(kind="complete") if n_treated is None else (

@@ -85,6 +85,17 @@ class TestPvalue:
     def test_nan_draws_excluded(self):
         assert pvalue(2.5, [1, 2, 3, 4, np.nan]) == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("draws", [[np.inf, 1.0, 2.0], [np.inf, np.inf, 2.0],
+                                       [-np.inf, np.nan, 2.0]])
+    def test_infinite_draws_are_defined(self, draws):
+        # +-inf lies in every tail and counts in the denominator; only NaN
+        # is undefined, so p never exceeds 1
+        assert pvalue(0.5, draws) == 1.0
+
+    def test_all_nan_draws_error(self):
+        with pytest.raises(StatisticError, match="all draws are undefined"):
+            pvalue(1.0, [np.nan, np.nan])
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=40),
@@ -680,8 +691,32 @@ class TestExactTest:
         assert res.n_draws == 10
         assert res.mechanism == {"kind": "complete", "n_treated": 3}
         assert res.observed[0] == pytest.approx(10.0)
-        # of the ten 3-subsets only (0, 0, 0) reaches |difference| = 10
-        assert res.p_value[0] == pytest.approx(0.1)
+        # of the ten 3-subsets only (0, 0, 0) reaches |difference| = 10; z
+        # itself is not among them, so p keeps its +1: (1 + 1) / (1 + 10)
+        assert res.p_value[0] == pytest.approx(2 / 11)
+
+    def test_p_is_positive_at_a_non_observed_count(self):
+        """The observed |SCMD| (2.371) exceeds every 6-treated draw (at most
+        2.348): p is 1 / (1 + C(16, 6)), not 0."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((16, 1))
+        z = np.zeros(16, dtype=np.int8)
+        z[np.argsort(x[:, 0])[-8:]] = 1
+        d = np.zeros(16, dtype=np.int8)
+        d[:5] = 1
+        ds = Dataset(covariates=x, covariate_names=("x",), instrument=z, exposure=d)
+        cfg = TestConfig(n_draws=1)
+        res = exact_test(ds, "instrument", n_treated=6, statistic="scmd", config=cfg)
+        assert np.abs(res.draws).max() < abs(res.observed[0])
+        assert res.p_value[0] == 1 / (1 + math.comb(16, 6))
+        many = run_many(ds, "instrument", ("scmd",), cfg, MechanismSpec.complete(6),
+                        exact=True)["scmd"]
+        assert np.array_equal(many.p_value, res.p_value)
+        # at the observed count the observed row is enumerated: no +1
+        own = exact_test(ds, "instrument", statistic="scmd", config=cfg)
+        tail = np.count_nonzero(
+            np.abs(own.draws[:, 0]) >= abs(own.observed[0]) * (1 - randtest.TIE_RTOL))
+        assert own.p_value[0] == tail / math.comb(16, 8)
 
     def test_shared_enumeration_matches_single_statistic_runs(self, monkeypatch):
         ds = _dataset(n=12, k=3, seed=17)
@@ -714,6 +749,80 @@ class TestExactTest:
         with pytest.raises(CapExceededError):
             exact_test(ds, "instrument", statistic="scmd",
                        config=TestConfig(n_draws=1, enumeration_cap=1_000_000))
+
+
+class TestSummarize:
+    """``_summarize`` against a reference built from the NaN-aware functions."""
+
+    _VALUES = st.one_of(st.floats(-8, 8), st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0]))
+
+    @staticmethod
+    def _summary(draws, observed, offset=1):
+        ds = _dataset(k=draws.shape[1] if draws.ndim == 2 else 1)
+        statistic = "scmd" if draws.ndim == 2 else "sqrt_mahalanobis"
+        return randtest._summarize("instrument", statistic, ds, observed, draws,
+                                   TestConfig(), MechanismSpec(kind="complete"),
+                                   offset=offset)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_nan_aware_reference(self, data):
+        m = data.draw(st.integers(1, 30))
+        k = data.draw(st.integers(1, 4))
+        vector = data.draw(st.booleans())
+        shape = (m, k) if vector else (m,)
+        cols = k if vector else 1
+        draws = np.array(data.draw(st.lists(self._VALUES, min_size=m * cols,
+                                            max_size=m * cols))).reshape(shape)
+        if data.draw(st.booleans()):
+            nan = np.array(data.draw(st.lists(st.booleans(), min_size=m * cols,
+                                              max_size=m * cols))).reshape(shape)
+            nan[0] &= ~nan.all(axis=0)    # every column keeps a defined draw
+            draws[nan] = np.nan
+        if vector and data.draw(st.booleans()):
+            draws = np.asfortranarray(draws)
+        observed = np.array(data.draw(st.lists(self._VALUES, min_size=cols,
+                                               max_size=cols)))
+        if not vector:
+            observed = observed[0]
+
+        defined = ~np.isnan(draws)
+        tail = (defined & (np.abs(np.nan_to_num(draws)) >= np.abs(observed)
+                           * (1 - randtest.TIE_RTOL))).sum(axis=0)
+        q025, q975 = np.nanquantile(draws, (0.025, 0.975), axis=0)
+        for offset in (0, 1):
+            res = self._summary(draws, observed, offset)
+            assert np.array_equal(res.p_value,
+                                  (offset + tail) / (offset + defined.sum(axis=0)))
+            assert np.array_equal(res.q025, q025)
+            assert np.array_equal(res.q975, q975)
+            assert np.array_equal(res.n_undefined, m - defined.sum(axis=0))
+            if vector:
+                # summation order may differ with the layout: last bits only
+                np.testing.assert_allclose(res.draw_mean, np.nanmean(draws, axis=0),
+                                           rtol=1e-12, atol=1e-12)
+            else:
+                assert res.draw_mean == np.nanmean(draws)
+                assert isinstance(res.p_value, float)
+                assert isinstance(res.n_undefined, int)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_all_nan_column_errors(self, order):
+        draws = np.array([[1.0, np.nan], [2.0, np.nan], [np.nan, np.nan]], order=order)
+        with pytest.raises(StatisticError, match=r"all draws are undefined.*c1"):
+            self._summary(draws, np.array([0.5, 0.5]))
+        with pytest.raises(StatisticError, match="all draws are undefined"):
+            self._summary(draws[:, 1], 0.5)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_covariate_draws_are_contiguous(self, exact):
+        ds = _dataset(n=12, k=3, seed=17)
+        res = run_many(ds, "instrument", ("scmd", "sqrt_mahalanobis"),
+                       TestConfig(n_draws=100, seed=1), exact=exact)
+        draws = res["scmd"].draws
+        assert draws.shape == (924 if exact else 100, 3)
+        assert all(draws[:, j].flags.c_contiguous for j in range(3))
+        assert res["sqrt_mahalanobis"].draws.flags.c_contiguous
 
 
 class TestPerCovariateQuantiles:
