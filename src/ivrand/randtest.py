@@ -289,18 +289,13 @@ def _summarize(
             raise StatisticError(message)
 
     with np.errstate(all="ignore"):
-        if undefined.any():
-            q025, q975 = np.nanquantile(draws, (0.025, 0.975), axis=0)
-            draw_mean = np.nanmean(draws, axis=0)
-        else:
-            q025, q975 = np.quantile(draws.T, (0.025, 0.975), axis=-1)
-            draw_mean = draws.mean(axis=0)
+        q025, q975 = np.nanquantile(draws, (0.025, 0.975), axis=0)
         summary = {
             "observed": observed,
             "p_value": _tail_pvalue(observed, draws, undefined, offset),
             "q025": q025,
             "q975": q975,
-            "draw_mean": draw_mean,
+            "draw_mean": np.nanmean(draws, axis=0),
             "n_undefined": undefined,
         }
     if not vector:
