@@ -1,4 +1,4 @@
-"""The golden report corpus: seven reports that pin what ivrand computes.
+"""The golden report corpus: eight reports that pin what ivrand computes.
 
     python tests/golden/regenerate.py
 
@@ -8,11 +8,13 @@ moved and their largest relative change (list indices are folded into
 ``[]``).  ``tests/test_golden.py`` regenerates the same reports and compares
 them with the files.
 
-Every case is a report on synth data (the ``confounded-exposure`` preset,
-K = 3, seed 5) at 200 draws and seed 3, stored without
-``metadata.created_utc`` and ``metadata.source``.  N is 300, except the
-``panels`` case (N = 3,000, three panels of the evaluator's product) and the
-``exact`` case (N = 20).
+Every case is a report at 200 draws and seed 3, stored without
+``metadata.created_utc`` and ``metadata.source``.  All but one are on synth
+data (the ``confounded-exposure`` preset, K = 3, seed 5); N is 300, except
+the ``panels`` case (N = 3,000, three panels of the evaluator's product) and
+the ``exact`` case (N = 20).  The ``undefined`` case is a 12-unit dataset with
+2 treated and 3 exposed units: its Bernoulli comparison sets hold undefined
+(NaN) draws and redrawn degenerate draws.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import json
 import os
 import re
 import sys
+
+import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 if __name__ == "__main__":
@@ -41,6 +45,19 @@ EXACT_FLOAT_KEYS = ("p_value", "p_instrument", "p_exposure")
 def _synth(n: int = 300) -> Dataset:
     spec = ScenarioSpec(n_units=n, k_covariates=3, seed=5, **PRESETS["confounded-exposure"])
     return generate(spec)[0]
+
+
+def _undefined():
+    """``sqrt_mahalanobis`` only; a Bernoulli draw with one treated unit has
+    an undefined distance."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((12, 2))
+    z = np.zeros(12, dtype=np.int8)
+    z[rng.permutation(12)[:2]] = 1
+    d = np.zeros(12, dtype=np.int8)
+    d[rng.permutation(12)[:3]] = 1
+    ds = Dataset(covariates=x, covariate_names=("a", "b"), instrument=z, exposure=d)
+    return build_report(ds, CONFIG, statistics=("sqrt_mahalanobis",))
 
 
 def _block():
@@ -63,6 +80,7 @@ CASES = {
         _synth(), dataclasses.replace(CONFIG, bias_denominator="per_draw")),
     "panels": lambda: build_report(_synth(3_000), CONFIG),
     "exact": lambda: build_report(_synth(20), CONFIG, exact=True),
+    "undefined": _undefined,
 }
 
 
