@@ -61,29 +61,23 @@ class SeparationDiagnostics:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """``iv_bt`` and ``exp_bt`` are the ``sqrt_mahalanobis`` tests of the
-    instrument and the exposure in draws from their own fitted
-    Bernoulli-trial mechanisms (``n_redraws``: degenerate draws redrawn)."""
+    """``cr_result`` is the complete-randomization benchmark; ``iv_bt`` and
+    ``exp_bt`` are the ``sqrt_mahalanobis`` tests of the instrument and the
+    exposure in draws from their own fitted Bernoulli-trial mechanisms
+    (``n_redraws``: degenerate draws redrawn).  The instrument's observed
+    value and p-value are ``cr_result``'s and the exposure's observed value
+    is ``exp_bt``'s; ``p_exp`` places it in the benchmark."""
 
     cr_result: TestResult
     iv_bt: TestResult
     exp_bt: TestResult
-    observed_iv: float
-    observed_exp: float
-    p_iv: float
     p_exp: float
     case: CaseClassification
     iv_vs_exp: SeparationDiagnostics
     iv_vs_cr: SeparationDiagnostics
     exp_vs_cr: SeparationDiagnostics
     iv_closer: bool
-    instrument_model: PropensityModel
-    exposure_model: PropensityModel
     ridge_fallback_used: bool
-
-    def band(self, which: str) -> tuple[float, float]:
-        result = {"cr": self.cr_result, "iv_bt": self.iv_bt, "exp_bt": self.exp_bt}[which]
-        return result.q025, result.q975
 
 
 def classify_case(p_exposure: float, p_instrument: float, alpha: float) -> CaseClassification:
@@ -110,30 +104,25 @@ def classify_case(p_exposure: float, p_instrument: float, alpha: float) -> CaseC
     )
 
 
-def separation_diagnostics(dist_a, dist_b) -> SeparationDiagnostics:
-    """Band disjointness, histogram overlap, and mean gap of two draw sets.
+def separation_diagnostics(a: TestResult, b: TestResult) -> SeparationDiagnostics:
+    """Band disjointness, histogram overlap, and mean gap of two global results.
 
-    The overlap fraction is the overlap coefficient of the two
-    normalized histograms on a shared binning of the pooled draws; it is
-    symmetric and invariant to the order of draws within each set.
+    Disjointness compares the results' own 2.5%/97.5% bands and the gap
+    their own draw means, so both follow from the numbers a report prints.
+    The overlap fraction is the overlap coefficient of the two normalized
+    histograms of the defined draws on a shared binning of the pooled
+    draws; it is symmetric and invariant to the order of draws within each
+    set.
     """
-    a = np.asarray(dist_a, dtype=np.float64)
-    b = np.asarray(dist_b, dtype=np.float64)
-    a = a[np.isfinite(a)]
-    b = b[np.isfinite(b)]
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both draw sets must be nonempty")
-    qa = np.quantile(a, (0.025, 0.975))
-    qb = np.quantile(b, (0.025, 0.975))
-    disjoint = bool(qa[1] < qb[0] or qb[1] < qa[0])
-    edges = np.histogram_bin_edges(np.concatenate([a, b]), bins="auto")
-    hist_a, _ = np.histogram(a, bins=edges)
-    hist_b, _ = np.histogram(b, bins=edges)
-    overlap = float(np.minimum(hist_a / a.size, hist_b / b.size).sum())
+    da = a.draws[np.isfinite(a.draws)]
+    db = b.draws[np.isfinite(b.draws)]
+    edges = np.histogram_bin_edges(np.concatenate([da, db]), bins="auto")
+    hist_a, _ = np.histogram(da, bins=edges)
+    hist_b, _ = np.histogram(db, bins=edges)
     return SeparationDiagnostics(
-        intervals_disjoint=disjoint,
-        overlap_fraction=overlap,
-        mean_gap=float(abs(a.mean() - b.mean())),
+        intervals_disjoint=bool(a.q975 < b.q025 or b.q975 < a.q025),
+        overlap_fraction=float(np.minimum(hist_a / da.size, hist_b / db.size).sum()),
+        mean_gap=float(abs(a.draw_mean - b.draw_mean)),
     )
 
 
@@ -206,16 +195,13 @@ def assemble_comparison(cr_result: TestResult, iv_bt: TestResult, exp_bt: TestRe
     fitted propensities of ``models`` without refitting per draw.
     """
     p_exp = pvalue(exp_bt.observed, cr_result.draws)
-    iv_vs_exp = separation_diagnostics(iv_bt.draws, exp_bt.draws)
-    iv_vs_cr = separation_diagnostics(iv_bt.draws, cr_result.draws)
-    exp_vs_cr = separation_diagnostics(exp_bt.draws, cr_result.draws)
+    iv_vs_exp = separation_diagnostics(iv_bt, exp_bt)
+    iv_vs_cr = separation_diagnostics(iv_bt, cr_result)
+    exp_vs_cr = separation_diagnostics(exp_bt, cr_result)
     return ComparisonResult(
         cr_result=cr_result,
         iv_bt=iv_bt,
         exp_bt=exp_bt,
-        observed_iv=cr_result.observed,
-        observed_exp=exp_bt.observed,
-        p_iv=cr_result.p_value,
         p_exp=p_exp,
         case=classify_case(p_exp, cr_result.p_value, alpha),
         iv_vs_exp=iv_vs_exp,
@@ -223,7 +209,5 @@ def assemble_comparison(cr_result: TestResult, iv_bt: TestResult, exp_bt: TestRe
         exp_vs_cr=exp_vs_cr,
         iv_closer=bool(iv_vs_exp.intervals_disjoint
                        and iv_vs_cr.mean_gap < exp_vs_cr.mean_gap),
-        instrument_model=models[0],
-        exposure_model=models[1],
         ridge_fallback_used=any(model.ridge != ridge for model in models),
     )

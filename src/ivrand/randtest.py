@@ -332,24 +332,18 @@ def run_many(
     consistent.  With ``exact`` the draw set is every assignment of a
     complete ``mechanism`` (C(N, N_T) rows, at most
     ``config.enumeration_cap``) instead of ``config.n_draws`` samples.
-    ``mechanism=None`` means complete randomization.
+    ``mechanism=None`` means complete randomization.  Every randomization
+    distribution goes through here.  The draw set's stream domain is
+    ``_DOMAINS[target, spec is Bernoulli]``, and the fixed bias denominator
+    is the target's own instrument strength.
     """
+    statistics = tuple(statistics)
     for s in statistics:
         if s not in STATISTICS:
             raise ValueError(f"unknown statistic {s!r}; choose from {STATISTICS}")
     spec = resolve_mechanism(mechanism, dataset, target)
     if exact and spec.kind != "complete":
         raise MechanismError("exact tests enumerate complete randomization only")
-    return _draw_set(dataset, target, tuple(statistics), config, spec, exact)
-
-
-def _draw_set(dataset: Dataset, target: str, statistics: tuple, config: TestConfig,
-              spec: MechanismSpec, exact: bool) -> dict[str, TestResult]:
-    """Draw (or enumerate) one draw set of a resolved ``spec`` and locate
-    the target in it: every randomization distribution goes through here.
-    Its stream domain is ``_DOMAINS[target, spec is Bernoulli]``.  The
-    fixed bias denominator is the target's own instrument strength.
-    """
     vec = dataset.target_vector(target)
     fixed_strength = None
     if "iv_bias" in statistics and config.bias_denominator == "fixed_observed":

@@ -116,14 +116,17 @@ def _model_dict(model: PropensityModel, names) -> dict:
     }
 
 
-def _propensity_section(dataset: Dataset, models, bins) -> tuple[dict, list[dict]]:
-    """Report block and histogram rows for the instrument and exposure models."""
+def _propensity_section(dataset: Dataset, models, bins) -> tuple[dict, list[dict], list]:
+    """Report block, histogram rows and fitted propensities of the
+    instrument and exposure models."""
     section = {}
     hist_rows = []
+    propensities = []
     for label, vector, model in (("instrument", dataset.instrument, models[0]),
                                  ("exposure", dataset.exposure, models[1])):
         clamp: list = []
         scores = predict(model, dataset.covariates, clamp_counter=clamp)
+        propensities.append(scores)
         edges = np.histogram_bin_edges(scores, bins=bins)
         hist1, _ = np.histogram(scores[vector == 1], bins=edges)
         hist0, _ = np.histogram(scores[vector == 0], bins=edges)
@@ -144,7 +147,7 @@ def _propensity_section(dataset: Dataset, models, bins) -> tuple[dict, list[dict
                 "count_group0": int(c0),
                 "count_group1": int(c1),
             })
-    return section, hist_rows
+    return section, hist_rows, propensities
 
 
 def _comparison_dict(comp: ComparisonResult, bins) -> dict:
@@ -170,10 +173,10 @@ def _comparison_dict(comp: ComparisonResult, bins) -> dict:
         "bernoulli_instrument": dist(comp.iv_bt),
         "bernoulli_exposure": dist(comp.exp_bt),
         "observed_sqrt_mahalanobis": {
-            "instrument": _num(comp.observed_iv),
-            "exposure": _num(comp.observed_exp),
+            "instrument": _num(comp.cr_result.observed),
+            "exposure": _num(comp.exp_bt.observed),
         },
-        "p_instrument": _num(comp.p_iv),
+        "p_instrument": _num(comp.cr_result.p_value),
         "p_exposure": _num(comp.p_exp),
         "separation": {
             "instrument_vs_exposure": sep(comp.iv_vs_exp),
@@ -236,22 +239,22 @@ def build_report(
     is one enumeration of the target's complete-randomization set, and
     either count may exceed the cap (``CapExceededError``).  The propensity
     section, the comparison and a ``"bernoulli"`` mechanism use the one pair
-    of models from ``fit_propensities``; with ``"bernoulli"`` each target is
-    drawn from its own model's propensities, the instrument's from
-    ``models[0]`` and the exposure's from ``models[1]``.
+    of models from ``fit_propensities``, each predicted once; with
+    ``"bernoulli"`` each target is drawn from its own model's propensities,
+    the instrument's from ``models[0]`` and the exposure's from
+    ``models[1]``.
     """
     statistics = tuple(statistics)
     try:
         models = fit_propensities(dataset, ridge)
-        prop_section, prop_rows = _propensity_section(dataset, models, hist_bins)
+        prop_section, prop_rows, scores = _propensity_section(dataset, models, hist_bins)
     except PropensityError as err:
         # degenerate designs (e.g. a constant covariate) must not block
         # exact tests, which never need the fitted propensities
         if not exact:
             raise
-        models, prop_section, prop_rows = None, {"error": str(err)}, []
-    bernoulli = {} if exact else {t: MechanismSpec.bernoulli(predict(m, dataset.covariates))
-                                  for t, m in zip(TARGETS, models)}
+        models, scores, prop_section, prop_rows = None, None, {"error": str(err)}, []
+    bernoulli = {} if exact else {t: MechanismSpec.bernoulli(p) for t, p in zip(TARGETS, scores)}
     covariate_means = {
         name: _num(dataset.covariates[:, j].mean())
         for j, name in enumerate(dataset.covariate_names)
@@ -359,7 +362,7 @@ def build_report(
             "recommendation": comp.case.recommendation,
             "reject_instrument": comp.case.reject_instrument,
             "reject_exposure": comp.case.reject_exposure,
-            "p_instrument": _num(comp.p_iv),
+            "p_instrument": _num(comp.cr_result.p_value),
             "p_exposure": _num(comp.p_exp),
             "alpha": config.alpha,
         }

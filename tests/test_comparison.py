@@ -19,11 +19,13 @@ from ivrand import (
     fit_logistic,
     fit_propensities,
     generate,
+    predict,
     run_test,
     separation_diagnostics,
 )
-from ivrand import comparison, report
+from ivrand import comparison, randtest, report
 from ivrand.comparison import RIDGE_FALLBACK
+from ivrand.randtest import TestResult
 from ivrand.report import build_report
 
 RECOMMENDATIONS = {
@@ -81,11 +83,18 @@ class TestClassifyCase:
             classify_case(0.5, 0.5, 1.0)
 
 
+def _result(draws) -> TestResult:
+    """A global result summarizing ``draws`` as the engine summarizes a draw set."""
+    return randtest._summarize("instrument", "sqrt_mahalanobis", None, 0.0,
+                               np.asarray(draws, dtype=np.float64), TestConfig(),
+                               MechanismSpec(kind="complete"))
+
+
 class TestSeparationDiagnostics:
     def test_identical_draws(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal(4000)
-        out = separation_diagnostics(a, a.copy())
+        out = separation_diagnostics(_result(a), _result(a.copy()))
         assert out.overlap_fraction == pytest.approx(1.0)
         assert not out.intervals_disjoint
         assert out.mean_gap == 0.0
@@ -94,7 +103,7 @@ class TestSeparationDiagnostics:
         rng = np.random.default_rng(1)
         a = rng.random(2000)          # in [0, 1]
         b = 5.0 + rng.random(2000)    # in [5, 6]
-        out = separation_diagnostics(a, b)
+        out = separation_diagnostics(_result(a), _result(b))
         assert out.intervals_disjoint
         assert out.overlap_fraction == 0.0
         assert out.mean_gap == pytest.approx(5.0, abs=0.1)
@@ -104,29 +113,51 @@ class TestSeparationDiagnostics:
         rng = np.random.default_rng(2)
         a = rng.standard_normal(10_000)
         b = rng.standard_normal(10_000) + 0.5
-        out = separation_diagnostics(a, b)
+        out = separation_diagnostics(_result(a), _result(b))
         assert out.overlap_fraction == pytest.approx(2 * norm.cdf(-0.25), abs=0.02)
 
     def test_symmetry_and_order_invariance(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal(3000)
         b = rng.standard_normal(3000) * 1.4 + 0.3
-        fwd = separation_diagnostics(a, b)
-        rev = separation_diagnostics(b, a)
+        fwd = separation_diagnostics(_result(a), _result(b))
+        rev = separation_diagnostics(_result(b), _result(a))
         assert fwd.overlap_fraction == pytest.approx(rev.overlap_fraction, rel=1e-12)
-        shuffled = separation_diagnostics(rng.permutation(a), rng.permutation(b))
+        assert (fwd.intervals_disjoint, fwd.mean_gap) == (rev.intervals_disjoint, rev.mean_gap)
+        shuffled = separation_diagnostics(_result(rng.permutation(a)),
+                                          _result(rng.permutation(b)))
         assert shuffled.overlap_fraction == pytest.approx(
             fwd.overlap_fraction, rel=1e-12
         )
 
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            separation_diagnostics([], [1.0])
+    def test_undefined_draws_are_left_out(self):
+        # NaN draws count in no histogram; the band and mean are the results'
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal(1000)
+        b = rng.standard_normal(1000) + 4.0
+        with_nan = np.concatenate([a, np.full(300, np.nan)])
+        ra, rb = _result(with_nan), _result(b)
+        out = separation_diagnostics(ra, rb)
+        assert out.overlap_fraction == separation_diagnostics(_result(a), rb).overlap_fraction
+        assert out.intervals_disjoint == (ra.q975 < rb.q025)
+        assert out.mean_gap == abs(ra.draw_mean - rb.draw_mean)
 
 
 def _synthetic(seed, **kw):
     spec = ScenarioSpec(n_units=kw.pop("n_units", 600), k_covariates=4, seed=seed, **kw)
     return generate(spec)[0]
+
+
+def _twelve_units() -> Dataset:
+    """2 of 12 treated: Bernoulli draws are often degenerate (redrawn) or
+    have a single treated unit (an undefined Mahalanobis distance)."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((12, 2))
+    z = np.zeros(12, dtype=np.int8)
+    z[rng.permutation(12)[:2]] = 1
+    d = np.zeros(12, dtype=np.int8)
+    d[rng.permutation(12)[:3]] = 1
+    return Dataset(covariates=x, covariate_names=("a", "b"), instrument=z, exposure=d)
 
 
 class TestCompareMechanisms:
@@ -185,8 +216,8 @@ class TestCompareMechanisms:
         ds = Dataset(covariates=x, covariate_names=("a", "b", "c"),
                      instrument=z, exposure=z.copy())
         comp = compare_mechanisms(ds, TestConfig(n_draws=1500, seed=9))
-        assert comp.observed_iv == pytest.approx(comp.observed_exp, rel=1e-12)
-        assert comp.p_iv == comp.p_exp
+        assert comp.cr_result.observed == pytest.approx(comp.exp_bt.observed, rel=1e-12)
+        assert comp.cr_result.p_value == comp.p_exp
         assert comp.case.label in ("case3", "case4")
         ks = ks_2samp(comp.iv_bt.draws, comp.exp_bt.draws)
         assert ks.pvalue > 0.001
@@ -200,7 +231,7 @@ class TestCompareMechanisms:
                          mechanism=MechanismSpec(kind="complete"),
                          statistic="sqrt_mahalanobis")
         assert np.array_equal(comp.cr_result.draws, alone.draws)
-        assert comp.p_iv == alone.p_value
+        assert comp.cr_result.p_value == alone.p_value
 
     def test_discrimination_clean_iv(self):
         ds = _synthetic(2, n_units=1500, instrument_model="randomized",
@@ -231,19 +262,10 @@ class TestCompareMechanisms:
         assert comp.case.recommendation == RECOMMENDATIONS[comp.case.label]
         assert len(comp.iv_bt.draws) == cfg.n_draws
         assert len(comp.exp_bt.draws) == cfg.n_draws
-        lo, hi = comp.band("iv_bt")
-        assert lo <= hi
+        assert comp.iv_bt.q025 <= comp.iv_bt.q975
 
     def test_distributions_are_summarized_once(self):
-        # 2 of 12 treated: Bernoulli draws are often degenerate (redrawn) or
-        # have a single treated unit (an undefined Mahalanobis distance)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((12, 2))
-        z = np.zeros(12, dtype=np.int8)
-        z[rng.permutation(12)[:2]] = 1
-        d = np.zeros(12, dtype=np.int8)
-        d[rng.permutation(12)[:3]] = 1
-        ds = Dataset(covariates=x, covariate_names=("a", "b"), instrument=z, exposure=d)
+        ds = _twelve_units()
         cfg = TestConfig(n_draws=400, seed=1)
         doc = build_report(ds, cfg, statistics=("sqrt_mahalanobis",)).document
         section = doc["comparison"]
@@ -259,8 +281,33 @@ class TestCompareMechanisms:
             dist = section[f"bernoulli_{target}"]
             assert (dist["q025"], dist["q975"]) == (result.q025, result.q975)
             assert dist["n_undefined"] == result.n_undefined
-        assert comp.observed_exp == comp.exp_bt.observed
-        assert comp.band("exp_bt") == (comp.exp_bt.q025, comp.exp_bt.q975)
+
+    @pytest.mark.parametrize("which", ["undefined_draws", "disjoint_bands"])
+    def test_separation_follows_from_the_printed_bands_and_means(self, which):
+        if which == "undefined_draws":
+            ds, cfg = _twelve_units(), TestConfig(n_draws=200, seed=3)
+        else:
+            ds = _synthetic(2, n_units=1500, instrument_model="randomized",
+                            confounding_strength=2.0, instrument_effect=1.0)
+            cfg = TestConfig(n_draws=500, seed=13)
+        section = build_report(ds, cfg, statistics=("sqrt_mahalanobis",)).document["comparison"]
+        pairs = {
+            "instrument_vs_exposure": ("bernoulli_instrument", "bernoulli_exposure"),
+            "instrument_vs_benchmark": ("bernoulli_instrument", "complete_randomization"),
+            "exposure_vs_benchmark": ("bernoulli_exposure", "complete_randomization"),
+        }
+        disjoint = []
+        for name, (first, second) in pairs.items():
+            a, b = section[first], section[second]
+            sep = section["separation"][name]
+            assert sep["intervals_disjoint"] == (a["q975"] < b["q025"] or b["q975"] < a["q025"])
+            assert sep["mean_gap"] == abs(a["mean"] - b["mean"])
+            disjoint.append(sep["intervals_disjoint"])
+        if which == "undefined_draws":
+            assert section["bernoulli_instrument"]["n_undefined"] > 0
+            assert section["bernoulli_exposure"]["n_undefined"] > 0
+        else:
+            assert any(disjoint)
 
     def test_undefined_exposure_balance(self):
         # the second covariate equals the exposure, so the exposure's
@@ -341,6 +388,22 @@ class TestSharedPropensityFit:
                         confounding_strength=1.0, instrument_effect=1.0)
         build_report(ds, TestConfig(n_draws=100, seed=2))
         assert ridges == [0.0, 0.0]
+
+    @pytest.mark.parametrize("mechanism", [None, "bernoulli"])
+    def test_build_report_predicts_each_model_once(self, monkeypatch, mechanism):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return predict(*args, **kwargs)
+
+        for module in (comparison, report):
+            monkeypatch.setattr(module, "predict", counted)
+        ds = _synthetic(5, instrument_model="randomized",
+                        confounding_strength=1.0, instrument_effect=1.0)
+        build_report(ds, TestConfig(n_draws=100, seed=2), mechanism=mechanism)
+        models = fit_propensities(ds)
+        assert len(calls) == 2 and all(map(_same, calls, models))
 
     def test_build_report_rejects_negative_ridge(self):
         ds = _synthetic(5, instrument_model="randomized",
