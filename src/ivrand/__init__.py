@@ -23,7 +23,6 @@ from .comparison import (
     ComparisonResult,
     SeparationDiagnostics,
     classify_case,
-    compare_mechanisms,
     fit_propensities,
     separation_diagnostics,
 )
@@ -60,7 +59,7 @@ from .randtest import (
     run_many,
     run_test,
 )
-from .report import RunReport, build_report
+from .report import RunReport, build_report, compare_mechanisms
 from .rng import DrawStream
 from .synth import PRESETS, ScenarioSpec, generate, generating_probabilities
 

@@ -1,10 +1,11 @@
 """Comparing instrument and exposure against a randomized benchmark.
 
-Fits propensity models for the exposure and the instrument, draws
-hypothetical assignments from the two fitted Bernoulli-trial mechanisms
-and from complete randomization, and places the observed global balance
-of each vector inside the benchmark distribution.  The four
-reject/fail-to-reject combinations map to fixed recommendations:
+Fits the instrument's and the exposure's propensity models, and reads the
+comparison off three global-balance results that ``report.build_report``
+draws: the instrument under complete randomization (the benchmark) and
+each vector under its own fitted Bernoulli-trial mechanism.  Each observed
+value is placed in the benchmark, and the four reject/fail-to-reject
+combinations map to fixed recommendations:
 
     reject exposure, keep instrument -> use the IV design
     keep exposure, reject instrument -> reject the IV design
@@ -23,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import one_blas_thread
 from .balance import _Evaluator  # noqa: F401  wrapped by name in perfbench/layers.py
-from .data import Dataset, TestConfig
+from .data import Dataset
 from .errors import PropensityError
-from .mechanisms import MechanismSpec
-from .propensity import PropensityModel, fit_logistic, predict
-from .randtest import TestResult, pvalue, run_test
+from .propensity import PropensityModel, fit_logistic
+from .propensity import predict  # noqa: F401  wrapped by name in perfbench/layers.py
+from .randtest import TestResult, pvalue
+from .randtest import run_test  # noqa: F401  wrapped by name in perfbench/layers.py
 from .randtest import _evaluate_mechanism_draws  # noqa: F401  wrapped in perfbench/layers.py
 
 CASE_RECOMMENDATIONS = {
@@ -150,29 +151,6 @@ def fit_propensities(dataset: Dataset, ridge: float = 0.0) -> tuple[PropensityMo
             )
         models.append(model)
     return tuple(models)
-
-
-@one_blas_thread()
-def compare_mechanisms(
-    dataset: Dataset,
-    config: TestConfig | None = None,
-    ridge: float = 0.0,
-) -> ComparisonResult:
-    """Run the full instrument-vs-exposure comparison.
-
-    Draws its three ``sqrt_mahalanobis`` sets with ``run_test``, as a
-    report's roster draws them: the instrument under complete
-    randomization at its observed treated count (the benchmark), and
-    each target from its own model of ``fit_propensities(dataset, ridge)``.
-    """
-    config = config or TestConfig()
-    models = fit_propensities(dataset, ridge)
-    sets = [("instrument", None)] + [
-        (target, MechanismSpec.bernoulli(predict(model, dataset.covariates)))
-        for target, model in zip(("instrument", "exposure"), models)]
-    return assemble_comparison(
-        *(run_test(dataset, target, config, mech, "sqrt_mahalanobis") for target, mech in sets),
-        models, ridge, config.alpha)
 
 
 def assemble_comparison(cr_result: TestResult, iv_bt: TestResult, exp_bt: TestResult,

@@ -132,10 +132,15 @@ class TestResult:
 
 
 def _histogram_dict(values: np.ndarray, bins) -> dict:
+    """Histogram of the finite values; a named rule gives at most ceil(2 sqrt(n))
+    bins (few distinct draws can make "fd" give thousands, mostly empty)."""
     finite = values[np.isfinite(values)]
     if finite.size == 0:
         return {"bin_edges": [], "counts": []}
     counts, edges = np.histogram(finite, bins=bins)
+    cap = math.ceil(2 * math.sqrt(finite.size))
+    if isinstance(bins, str) and counts.size > cap:
+        counts, edges = np.histogram(finite, bins=cap)
     return {"bin_edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from ._blas import one_blas_thread
 from .comparison import ComparisonResult, assemble_comparison, fit_propensities
-from .comparison import compare_mechanisms  # noqa: F401  wrapped by name in perfbench/layers.py
 from .data import Dataset, TestConfig
 from .errors import PropensityError
 from .mechanisms import MechanismSpec
@@ -42,6 +41,9 @@ SCHEMA_VERSION = "3"
 SCMD_REFERENCE_THRESHOLD = 0.1   # rule-of-thumb annotation, never a pass/fail rule
 DEFAULT_STATISTICS = ("scmd", "iv_bias", "sqrt_mahalanobis")
 TARGETS = ("instrument", "exposure")
+# the roles whose sqrt_mahalanobis results assemble_comparison reads, in order
+COMPARISON_ROLES = (("benchmark", "instrument"), ("reference", "instrument"),
+                    ("reference", "exposure"))
 
 
 @dataclass
@@ -50,6 +52,7 @@ class RunReport:
 
     document: dict
     plot_tables: dict[str, list[dict]]
+    comparison: ComparisonResult | None = None
 
     def to_json(self) -> str:
         return json.dumps(self.document, indent=2, allow_nan=False) + "\n"
@@ -233,11 +236,15 @@ def build_report(
     and then the exposure, is tested with every statistic against its own
     draw set, conditioned on its own treated count (or per-block counts);
     ``per_covariate`` holds the instrument's rows, then the exposure's.
-    Each (target, mechanism) is drawn once: a set the comparison reads that
-    equals a test's is that test's.  An observed statistic undefined for
-    either target raises ``StatisticError``.  With ``exact`` each draw set
-    is one enumeration of the target's complete-randomization set, and
-    either count may exceed the cap (``CapExceededError``).  The propensity
+    A draw set's roles are (kind, target) pairs: each target's ``"test"``
+    (none without statistics), the ``"benchmark"`` (the instrument's
+    complete set at its observed count) and each target's Bernoulli
+    ``"reference"``; each (target, mechanism) is drawn once.  The
+    comparison, also ``RunReport.comparison``, reads the benchmark and the
+    references.  An observed statistic undefined for either target raises
+    ``StatisticError``.  With ``exact`` there is no comparison, each test
+    enumerates the target's complete-randomization set, and either count
+    may exceed the cap (``CapExceededError``).  The propensity
     section, the comparison and a ``"bernoulli"`` mechanism use the one pair
     of models from ``fit_propensities``, each predicted once; with
     ``"bernoulli"`` each target is drawn from its own model's propensities,
@@ -293,37 +300,37 @@ def build_report(
     vector_stats = [s for s in statistics if s in VECTOR_STATISTICS]
     global_stats = [s for s in statistics if s in GLOBAL_STATISTICS]
 
-    # One entry [target, resolved spec, statistics] per draw set, the two
+    # One entry [target, resolved spec, statistics, roles] per draw set, the
     # tests first.  Specs of one target that are one object, or complete at
     # one count, are one set, drawn with the statistics of every role.
     roster: list[list] = []
 
-    def enter(target, mech, stats) -> int:
-        spec = resolve_mechanism(mech, dataset, target)
-        for i, (t, s, have) in enumerate(roster):
-            if t == target and (s is spec or s.kind == spec.kind == "complete"
-                                and s.n_treated == spec.n_treated):
-                roster[i][2] += tuple(name for name in stats if name not in have)
-                return i
-        roster.append([target, spec, tuple(stats)])
-        return len(roster) - 1
+    def enter(role, mech, stats) -> None:
+        spec = resolve_mechanism(mech, dataset, role[1])
+        for target, s, have, roles in roster:
+            if target == role[1] and (s is spec or s.kind == spec.kind == "complete"
+                                      and s.n_treated == spec.n_treated):
+                have.extend(name for name in stats if name not in have)
+                roles.append(role)
+                return
+        roster.append([role[1], spec, list(stats), [role]])
 
-    for target in TARGETS:
-        enter(target, bernoulli.get(target, mechanism) if mechanism == "bernoulli"
-              else mechanism, statistics)
-    comparison = [] if exact else [
-        enter(target, mech, ("sqrt_mahalanobis",))
-        for target, mech in (("instrument", None), *bernoulli.items())
-    ]
+    if statistics:
+        for target in TARGETS:
+            enter(("test", target), bernoulli.get(target, mechanism)
+                  if mechanism == "bernoulli" else mechanism, statistics)
+    if not exact:
+        for role, mech in zip(COMPARISON_ROLES, (None, *bernoulli.values())):
+            enter(role, mech, ("sqrt_mahalanobis",))
     per_covariate: dict = {s: [] for s in vector_stats}
-    drawn = []
-    for target, spec, stats in roster:
-        results = run_many(dataset, target, stats, config, spec, exact=exact)
+    results = {}
+    for target, spec, stats, roles in roster:
+        drawn = run_many(dataset, target, stats, config, spec, exact=exact)
         # a test's (M, K) vector draws are dropped once its rows are built,
         # so only one target's are alive at a time
-        for s in results.keys() & set(vector_stats):
-            per_covariate[s] += per_covariate_quantiles(results.pop(s))
-        drawn.append(results)
+        for s in drawn.keys() & set(vector_stats):
+            per_covariate[s] += per_covariate_quantiles(drawn.pop(s))
+        results.update(dict.fromkeys(roles, drawn))
 
     scmd = per_covariate.get("scmd", [])
     k = dataset.n_covariates
@@ -346,16 +353,16 @@ def build_report(
         tables[f"per_covariate_{s}"] = rows
 
     document["global"] = {
-        target: {s: _result_dict(results[s], hist_bins) for s in global_stats}
-        for target, results in zip(TARGETS, drawn)
+        target: {s: _result_dict(results["test", target][s], hist_bins) for s in global_stats}
+        for target in TARGETS
     }
 
     if exact:
-        document["comparison"] = None
-        document["case"] = None
+        comp = document["comparison"] = document["case"] = None
     else:
         comp = assemble_comparison(
-            *(drawn[i]["sqrt_mahalanobis"] for i in comparison), models, ridge, config.alpha)
+            *(results[role]["sqrt_mahalanobis"] for role in COMPARISON_ROLES),
+            models, ridge, config.alpha)
         document["comparison"] = section = _comparison_dict(comp, hist_bins)
         document["case"] = {
             "label": comp.case.label,
@@ -370,4 +377,11 @@ def build_report(
         tables["mahalanobis_hist"] = md_hist
         tables["mahalanobis_observed"] = md_markers
 
-    return RunReport(document=document, plot_tables=tables)
+    return RunReport(document=document, plot_tables=tables, comparison=comp)
+
+
+def compare_mechanisms(dataset: Dataset, config: TestConfig | None = None,
+                       ridge: float = 0.0) -> ComparisonResult:
+    """The instrument-vs-exposure comparison: the ``comparison`` of a report
+    with no statistics, which draws the comparison's three sets only."""
+    return build_report(dataset, config or TestConfig(), statistics=(), ridge=ridge).comparison

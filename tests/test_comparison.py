@@ -344,6 +344,18 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _compare_by_hand(dataset, config, ridge=0.0):
+    """The comparison composed step by step: one fit and one prediction per
+    model, the three ``sqrt_mahalanobis`` sets drawn with ``run_test``."""
+    models = fit_propensities(dataset, ridge)
+    sets = [("instrument", None)] + [
+        (target, MechanismSpec.bernoulli(predict(model, dataset.covariates)))
+        for target, model in zip(("instrument", "exposure"), models)]
+    return comparison.assemble_comparison(
+        *(run_test(dataset, target, config, mech, "sqrt_mahalanobis") for target, mech in sets),
+        models, ridge, config.alpha)
+
+
 class TestSharedPropensityFit:
     def test_fallback_only_for_the_separated_model(self):
         ds = _exposure_separated()
@@ -361,8 +373,28 @@ class TestSharedPropensityFit:
         comp = compare_mechanisms(ds, cfg)
         assert comp.ridge_fallback_used
         assert _same(comp, compare_mechanisms(ds, cfg))
-        doc = build_report(ds, cfg).document
-        assert doc["comparison"] == report._comparison_dict(comp, "fd")
+        full = build_report(ds, cfg)
+        assert _same(full.comparison, comp)
+        assert full.document["comparison"] == report._comparison_dict(comp, "fd")
+
+    @pytest.mark.parametrize("case", ["ridge_fallback", "undefined"])
+    def test_compare_mechanisms_is_the_composition_by_hand(self, case):
+        if case == "ridge_fallback":
+            ds, cfg = _exposure_separated(), TestConfig(n_draws=300, seed=4)
+        else:
+            ds, cfg = _twelve_units(), TestConfig(n_draws=200, seed=3)
+        comp = compare_mechanisms(ds, cfg)
+        assert _same(comp, _compare_by_hand(ds, cfg))
+        if case == "ridge_fallback":
+            assert comp.ridge_fallback_used
+        else:
+            assert comp.iv_bt.n_undefined > 0 and comp.iv_bt.n_redraws > 0
+
+    def test_exact_report_has_no_comparison(self):
+        ds = _synthetic(5, n_units=20, instrument_model="randomized",
+                        confounding_strength=1.0, instrument_effect=1.0)
+        full = build_report(ds, TestConfig(n_draws=1), exact=True)
+        assert full.comparison is None and full.document["comparison"] is None
 
     def test_report_shows_the_models_the_comparison_used(self):
         ds = _exposure_separated()

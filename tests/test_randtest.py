@@ -825,6 +825,44 @@ class TestSummarize:
         assert res["sqrt_mahalanobis"].draws.flags.c_contiguous
 
 
+def _few_distinct_draws_dataset():
+    """N = 25, K = 1 binary covariate, 4 treated and 3 exposed: the
+    instrument's Mahalanobis draws take few distinct values, with outliers."""
+    rng = np.random.default_rng(58)
+    n, k = rng.integers(10, 40), rng.integers(1, 4)
+    x = rng.standard_normal((n, k))
+    rng.random()
+    x[:, 0] = rng.random(n) < 0.2
+    z = np.zeros(n, dtype=np.int8)
+    z[rng.permutation(n)[:rng.integers(2, 5)]] = 1
+    d = np.zeros(n, dtype=np.int8)
+    d[rng.permutation(n)[:rng.integers(2, 6)]] = 1
+    return Dataset(covariates=x, covariate_names=("x0",), instrument=z, exposure=d)
+
+
+class TestHistogram:
+    def test_named_rule_is_capped(self):
+        ds = _few_distinct_draws_dataset()
+        assert (ds.n_units, ds.n_covariates) == (25, 1)
+        assert (ds.n_treated_instrument, ds.n_treated_exposure) == (4, 3)
+        doc = build_report(ds, TestConfig(n_draws=2_000, seed=58),
+                           statistics=("sqrt_mahalanobis", "mahalanobis")).document
+        results = [*doc["global"]["instrument"].values(), *doc["global"]["exposure"].values(),
+                   *(doc["comparison"][name] for name in
+                     ("complete_randomization", "bernoulli_instrument", "bernoulli_exposure"))]
+        for result in results:
+            n = result["n_draws"] - result["n_undefined"]
+            counts = result["histogram"]["counts"]
+            assert len(counts) <= math.ceil(2 * math.sqrt(n))
+            assert sum(counts) == n
+        # Freedman-Diaconis alone gives 3,290 bins here
+        assert len(doc["global"]["instrument"]["mahalanobis"]["histogram"]["counts"]) == 90
+
+    def test_integer_bins_are_kept(self):
+        hist = randtest._histogram_dict(np.arange(100.0), 500)
+        assert len(hist["counts"]) == 500 and sum(hist["counts"]) == 100
+
+
 class TestPerCovariateQuantiles:
     def test_band_endpoints_match_draw_quantiles(self):
         ds = _dataset(seed=12)
@@ -918,6 +956,8 @@ class TestReportDrawSets:
         ({"statistics": ("scmd",)}, 4),
         # the two tests are the Bernoulli pair, plus the benchmark
         ({"mechanism": "bernoulli"}, 3),
+        # no tests: the benchmark and the Bernoulli pair only
+        ({"statistics": ()}, 3),
     ])
     def test_one_evaluator_per_draw_set(self, monkeypatch, kwargs, n_evaluators):
         built = []
