@@ -29,6 +29,9 @@ from .errors import StatisticError
 # Relative singular-value cutoff for the covariance pseudo-inverse.
 PINV_RCOND = 1e-10
 
+# The statistics that read only the covariate sums and the treated count
+GLOBAL_STATISTICS = ("mahalanobis", "sqrt_mahalanobis")
+
 # Above this many units the evaluator's product is summed over panels of
 # this many units: a 32-row float64 panel is 256 KiB, which stays in a
 # core's L2 cache.
@@ -88,24 +91,32 @@ class _Evaluator:
         # a zero fixed denominator leaves bias undefined, as a zero
         # per-draw strength does
         self.fixed_strength = np.nan if fixed_strength == 0.0 else fixed_strength
-        # The product stacked_t @ z^T gives every group-1 sum of a chunk:
-        # rows [xc^T | (xc^2)^T | 1 | exposure].  The layout is the same
-        # whatever the statistics, because BLAS rounds an output by its place
-        # in the product: so a draw's statistics do not depend on which
-        # others are requested.  The last two rows sum 0/1 values, exact in
-        # any order.  Stored C-contiguous as (2K + 2, N), each row one
-        # contiguous operand: on one BLAS thread this product is faster than
-        # z @ stacked with stacked (N, 2K + 2).
+        # The product stacked_t @ z^T gives every group-1 sum of a chunk.
+        # Statistics all in GLOBAL_STATISTICS take the narrow rows
+        # [xc^T | 1]; any others take the wide rows
+        # [xc^T | (xc^2)^T | 1 | exposure].  BLAS rounds an output by its
+        # place in the product, so within one layout a draw's statistics do
+        # not depend on which others are requested; a global statistic may
+        # differ in its last bits between the two layouts.  The count and
+        # exposure rows sum 0/1 values, exact in any order.  Stored
+        # C-contiguous, each row one contiguous operand: on one BLAS thread
+        # this product is faster than z @ stacked with stacked (N, rows).
         k = self.k
-        self.stacked_t = np.empty((2 * k + 2, self.n))
+        narrow = set(self.statistics) <= set(GLOBAL_STATISTICS)
+        self.count_row = k if narrow else 2 * k
+        self.stacked_t = np.empty((k + 1 if narrow else 2 * k + 2, self.n))
         self.stacked_t[:k] = xc.T
-        self.stacked_t[k:2 * k] = xc_sq.T
-        self.stacked_t[-2] = 1.0
-        self.stacked_t[-1] = exposure
+        self.stacked_t[self.count_row] = 1.0
+        if not narrow:
+            self.stacked_t[k:2 * k] = xc_sq.T
+            self.stacked_t[-1] = exposure
 
     def group_sums(self, z_chunk: np.ndarray, workspace: Workspace | None = None
                    ) -> np.ndarray:
-        """(B, 2K + 2) group-1 sums of a (B, N) chunk: (stacked_t @ z^T)^T.
+        """(B, rows) group-1 sums of a (B, N) chunk: (stacked_t @ z^T)^T.
+
+        ``rows`` is K + 1 for the narrow layout and 2K + 2 for the wide
+        one; column ``count_row`` holds the treated counts.
 
         Up to ``PANEL_UNITS`` units this is one product of the chunk's
         float64 copy.  Above, the sums are accumulated over panels of
@@ -136,7 +147,7 @@ class _Evaluator:
         k = self.k
         sums = self.group_sums(z_chunk, workspace)
         s1 = sums[:, :k]
-        n1 = sums[:, -2]
+        n1 = sums[:, self.count_row]
         n0 = self.n - n1
         s0 = self.col_sums[None, :] - s1
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -271,14 +271,15 @@ def draw_batch(
         if attempt == 0:
             # every row is pending: accept straight into out, and leave the
             # rejected rows there until a later attempt overwrites them
-            draws = out
-            np.less(keys, sampler.thresholds, out=out.view(np.bool_))
+            treated = out.view(np.bool_)
+            np.less(keys, sampler.thresholds, out=treated)
         else:
-            draws = (keys < sampler.thresholds).astype(np.int8)
-        sums = draws.sum(axis=1)
-        good = (sums > 0) & (sums < n)
+            treated = keys < sampler.thresholds
+        # a draw is degenerate when it treats no unit or every unit; any/all
+        # stop at a row's first deciding unit, where a sum reads the whole row
+        good = treated.any(axis=1) & ~treated.all(axis=1)
         if attempt > 0:
-            out[pending[good]] = draws[good]
+            out[pending[good]] = treated[good]
         if tally is not None:
             tally.redraws += int((~good).sum())
         pending = pending[~good]

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from ._workspace import Workspace
-from .balance import _Evaluator, instrument_strength
+from .balance import GLOBAL_STATISTICS, _Evaluator, instrument_strength
 from .data import Dataset, TestConfig
 from .errors import MechanismError, StatisticError
 from .mechanisms import (DrawTally, MechanismSpec, draw_batch, enumerate_matrix,
@@ -44,7 +44,6 @@ from .rng import (DOMAIN_BT_EXPOSURE, DOMAIN_BT_INSTRUMENT, DOMAIN_TEST_EXPOSURE
                   DOMAIN_TEST_INSTRUMENT, DrawStream)
 
 VECTOR_STATISTICS = ("prevalence_diff", "scmd", "iv_bias")
-GLOBAL_STATISTICS = ("mahalanobis", "sqrt_mahalanobis")
 STATISTICS = VECTOR_STATISTICS + GLOBAL_STATISTICS
 
 # A draw set's stream domain, by (target, whether its mechanism is

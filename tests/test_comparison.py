@@ -373,9 +373,29 @@ class TestSharedPropensityFit:
         comp = compare_mechanisms(ds, cfg)
         assert comp.ridge_fallback_used
         assert _same(comp, compare_mechanisms(ds, cfg))
-        full = build_report(ds, cfg)
-        assert _same(full.comparison, comp)
-        assert full.document["comparison"] == report._comparison_dict(comp, "fd")
+        assert _same(comp, build_report(ds, cfg, statistics=()).comparison)
+        full_report = build_report(ds, cfg)
+        full = full_report.comparison
+        assert full_report.document["comparison"] == report._comparison_dict(full, "fd")
+        # the two references compute only sqrt_mahalanobis in either report
+        assert _same(full.iv_bt, comp.iv_bt) and _same(full.exp_bt, comp.exp_bt)
+        # the default report's benchmark is the instrument's test set, which
+        # also computes vector statistics and so takes the evaluator's wide
+        # product: its floats may differ from the narrow set's in the last bits
+        wide, narrow = full.cr_result, comp.cr_result
+        assert np.array_equal(np.isnan(wide.draws), np.isnan(narrow.draws))
+        np.testing.assert_allclose(wide.draws, narrow.draws, rtol=1e-12)
+        for name in ("observed", "q025", "q975", "draw_mean"):
+            assert getattr(wide, name) == pytest.approx(getattr(narrow, name), rel=1e-12)
+        for name in ("p_value", "reject_at_alpha", "n_draws", "n_undefined", "n_redraws"):
+            assert getattr(wide, name) == getattr(narrow, name)
+        assert (full.p_exp, full.case, full.iv_closer, full.ridge_fallback_used) == (
+            comp.p_exp, comp.case, comp.iv_closer, comp.ridge_fallback_used)
+        for name in ("iv_vs_exp", "iv_vs_cr", "exp_vs_cr"):
+            a, b = getattr(full, name), getattr(comp, name)
+            assert a.intervals_disjoint == b.intervals_disjoint
+            assert a.overlap_fraction == pytest.approx(b.overlap_fraction, rel=1e-12)
+            assert a.mean_gap == pytest.approx(b.mean_gap, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["ridge_fallback", "undefined"])
     def test_compare_mechanisms_is_the_composition_by_hand(self, case):

@@ -22,7 +22,8 @@ from ivrand import (
 )
 from ivrand import rng as rng_module
 from ivrand.errors import RedrawLimitError
-from ivrand.mechanisms import DrawTally, draw_batch, enumerate_matrix, prepare_sampler
+from ivrand.mechanisms import (MAX_REDRAWS, DrawTally, draw_batch, enumerate_matrix,
+                               prepare_sampler)
 
 
 def _assignment_key(values) -> tuple:
@@ -176,6 +177,32 @@ class TestDrawBernoulli:
                            np.arange(5000, dtype=np.uint64))
         sums = draws.sum(axis=1)
         assert sums.min() >= 1 and sums.max() <= 5
+
+    @pytest.mark.parametrize("p", [[0.5, 0.5], [0.02, 0.03, 0.01],
+                                   [0.97, 0.99, 0.98, 0.96], [0.1, 0.9]])
+    def test_degenerate_rows_are_those_of_the_sum_rule(self, p):
+        # tiny N and extreme propensities make degenerate attempts common; an
+        # attempt is redrawn exactly when its treated count is 0 or N
+        n, m = len(p), 300
+        spec = MechanismSpec.bernoulli(p)
+        stream = DrawStream(seed=16)
+        tally = DrawTally()
+        draws = draw_batch(spec, n, stream, np.arange(m, dtype=np.uint64), tally=tally)
+        thresholds = prepare_sampler(spec, n).thresholds
+        width = (n + 1) // 2
+        expected, redraws = [], 0
+        for index in range(m):
+            for attempt in itertools.count():
+                start = np.array([(index * (MAX_REDRAWS + 1) + attempt) * width], np.uint64)
+                keys = rng_module.word_keys(stream.word_block_raw(start, width))[0, :n]
+                row = (keys < thresholds).astype(np.int8)
+                if 0 < row.sum() < n:
+                    break
+                redraws += 1
+            expected.append(row)
+        assert np.array_equal(draws, np.array(expected))
+        assert tally.redraws == redraws
+        assert redraws > m // 10
 
     def test_extreme_propensities_exhaust_redraws(self):
         stream = DrawStream(seed=14)

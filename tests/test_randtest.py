@@ -33,7 +33,7 @@ from ivrand._workspace import Workspace
 from ivrand.balance import PANEL_UNITS
 from ivrand.mechanisms import (draw_batch, draw_bernoulli, draw_block, draw_complete,
                                enumerate_matrix, prepare_sampler)
-from ivrand.randtest import STATISTICS, _Evaluator
+from ivrand.randtest import GLOBAL_STATISTICS, STATISTICS, _Evaluator
 from ivrand.report import build_report
 from ivrand.rng import DrawStream
 from ivrand.synth import PRESETS, ScenarioSpec, generate
@@ -429,21 +429,52 @@ class TestChunking:
         rng = np.random.default_rng(n)
         x = rng.standard_normal((n, 3)) * [1.0, 1e3, 1e-3] + [0.0, 5.0, -2.0]
         d = (rng.random(n) < 0.4).astype(np.int8)
-        evaluator = _Evaluator(x, d, ("scmd",), "per_draw", None)
         z = (rng.random((37, n)) < 0.3).astype(np.int8)
-        sums = evaluator.group_sums(z, Workspace())
-        one_product = (evaluator.stacked_t @ z.astype(np.float64).T).T
-        if n <= PANEL_UNITS:
-            assert np.array_equal(sums, one_product)
-        else:
-            # within 1e-12 of the sum of magnitudes that each entry adds up
-            scale = (np.abs(evaluator.stacked_t) @ z.astype(np.float64).T).T
-            assert np.all(np.abs(sums - one_product) <= 1e-12 * scale)
-            # the treated counts and exposure sums add 0/1 values: exact
-            assert np.array_equal(sums[:, -2:], one_product[:, -2:])
-        # a float64 row (the observed assignment) takes the same path
-        assert np.array_equal(evaluator.group_sums(z[:1].astype(np.float64)),
-                              evaluator.group_sums(z[:1]))
+        # the wide layout, and the narrow one of a global-only evaluator
+        for statistics in (("scmd",), ("sqrt_mahalanobis",)):
+            evaluator = _Evaluator(x, d, statistics, "per_draw", None)
+            sums = evaluator.group_sums(z, Workspace())
+            one_product = (evaluator.stacked_t @ z.astype(np.float64).T).T
+            if n <= PANEL_UNITS:
+                assert np.array_equal(sums, one_product)
+            else:
+                # within 1e-12 of the sum of magnitudes that each entry adds up
+                scale = (np.abs(evaluator.stacked_t) @ z.astype(np.float64).T).T
+                assert np.all(np.abs(sums - one_product) <= 1e-12 * scale)
+                # the treated counts (and the wide layout's exposure sums, the
+                # row after them) add 0/1 values: exact
+                assert np.array_equal(sums[:, evaluator.count_row:],
+                                      one_product[:, evaluator.count_row:])
+            assert np.array_equal(sums[:, evaluator.count_row], z.sum(axis=1))
+            # a float64 row (the observed assignment) takes the same path
+            assert np.array_equal(evaluator.group_sums(z[:1].astype(np.float64)),
+                                  evaluator.group_sums(z[:1]))
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    @pytest.mark.parametrize("n", [300, 3_073])
+    def test_global_only_product_is_narrow(self, n, rank_deficient):
+        # n = 300 is one panel of the product, n = 3,073 four
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 4)) * [1.0, 1e2, 1e-2, 1.0] + [0.0, 5.0, -2.0, 1.0]
+        if rank_deficient:
+            x[:, 3] = x[:, 0] - 2e2 * x[:, 2]
+        d = (rng.random(n) < 0.4).astype(np.int8)
+        z = (rng.random((40, n)) < 0.3).astype(np.int8)
+        z[0] = 0
+        z[0, 7] = 1     # one treated unit: undefined
+        z[1] = 1
+        z[1, 3] = 0     # one control unit: undefined
+        narrow = _Evaluator(x, d, GLOBAL_STATISTICS, "per_draw", None)
+        wide = _Evaluator(x, d, STATISTICS, "per_draw", None)
+        assert narrow.stacked_t.shape == (5, n) and wide.stacked_t.shape == (10, n)
+        assert _Evaluator(x, d, ("sqrt_mahalanobis",), "per_draw", None).stacked_t.shape == (5, n)
+        assert narrow.whiten.shape[1] == (3 if rank_deficient else 4)
+        workspace = Workspace()
+        a, b = narrow(z, workspace), wide(z, workspace)
+        for name in GLOBAL_STATISTICS:
+            assert np.array_equal(np.isnan(a[name]), np.isnan(b[name]))
+            assert np.isnan(a[name][:2]).all() and np.isfinite(a[name][2:]).all()
+            np.testing.assert_allclose(a[name], b[name], rtol=1e-12)
 
     def test_evaluator_makes_no_float64_copy_of_the_chunk(self):
         rows, n = 32, 100_000
