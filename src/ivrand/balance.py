@@ -32,9 +32,8 @@ PINV_RCOND = 1e-10
 # The statistics that read only the covariate sums and the treated count
 GLOBAL_STATISTICS = ("mahalanobis", "sqrt_mahalanobis")
 
-# Above this many units the evaluator's product is summed over panels of
-# this many units: a 32-row float64 panel is 256 KiB, which stays in a
-# core's L2 cache.
+# The evaluator's product is summed over panels of this many units: a
+# 32-row float64 panel is 256 KiB, which stays in a core's L2 cache.
 PANEL_UNITS = 1024
 
 
@@ -118,17 +117,16 @@ class _Evaluator:
         ``rows`` is K + 1 for the narrow layout and 2K + 2 for the wide
         one; column ``count_row`` holds the treated counts.
 
-        Up to ``PANEL_UNITS`` units this is one product of the chunk's
-        float64 copy.  Above, the sums are accumulated over panels of
-        ``PANEL_UNITS`` units, each cast into one reused (B, PANEL_UNITS)
-        float64 buffer (the ``workspace``'s ``"panel"``) that stays in
-        cache, so no float64 copy of the whole chunk is made.  The panel
-        sums round differently from one product, in the last bits.
+        The sums are accumulated over panels of ``PANEL_UNITS`` units, each
+        cast into one reused (B, min(N, PANEL_UNITS)) float64 buffer (the
+        ``workspace``'s ``"panel"``) that stays in cache, so no float64 copy
+        of the whole chunk is made.  Up to ``PANEL_UNITS`` units that is one
+        product; above, the panel sums round differently from one product,
+        in the last bits.
         """
-        if self.n <= PANEL_UNITS:
-            return (self.stacked_t @ z_chunk.astype(np.float64).T).T
         rows = len(z_chunk)
-        panel = (workspace or Workspace()).get("panel", (rows, PANEL_UNITS), np.float64)
+        panel = (workspace or Workspace()).get("panel", (rows, min(self.n, PANEL_UNITS)),
+                                               np.float64)
         sums = np.empty((len(self.stacked_t), rows))
         term = np.empty_like(sums)
         for lo in range(0, self.n, PANEL_UNITS):

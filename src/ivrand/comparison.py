@@ -29,7 +29,7 @@ from .data import Dataset
 from .errors import PropensityError
 from .propensity import PropensityModel, fit_logistic
 from .propensity import predict  # noqa: F401  wrapped by name in perfbench/layers.py
-from .randtest import TestResult, pvalue
+from .randtest import TestResult, bin_counts, pvalue
 from .randtest import run_test  # noqa: F401  wrapped by name in perfbench/layers.py
 from .randtest import _evaluate_mechanism_draws  # noqa: F401  wrapped in perfbench/layers.py
 
@@ -112,14 +112,12 @@ def separation_diagnostics(a: TestResult, b: TestResult) -> SeparationDiagnostic
     their own draw means, so both follow from the numbers a report prints.
     The overlap fraction is the overlap coefficient of the two normalized
     histograms of the defined draws on a shared binning of the pooled
-    draws; it is symmetric and invariant to the order of draws within each
-    set.
+    draws, binned by ``bin_counts`` with the "auto" rule; it is symmetric
+    and invariant to the order of draws within each set.
     """
     da = a.draws[np.isfinite(a.draws)]
     db = b.draws[np.isfinite(b.draws)]
-    edges = np.histogram_bin_edges(np.concatenate([da, db]), bins="auto")
-    hist_a, _ = np.histogram(da, bins=edges)
-    hist_b, _ = np.histogram(db, bins=edges)
+    _, (hist_a, hist_b) = bin_counts(np.concatenate([da, db]), "auto", (da, db))
     return SeparationDiagnostics(
         intervals_disjoint=bool(a.q975 < b.q025 or b.q975 < a.q025),
         overlap_fraction=float(np.minimum(hist_a / da.size, hist_b / db.size).sum()),

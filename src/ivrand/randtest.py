@@ -64,12 +64,12 @@ TIE_RTOL = 1e-9
 # Bytes a chunk of draws may take, at 8 per unit and draw.  A thread's
 # workspace holds the chunk's words (4 bytes per unit and draw), a copy of
 # the widest block's 32-bit keys (4 at most), its int8 draws (1, and 1
-# more for block draws) and, above PANEL_UNITS units, one float64 panel of
-# the evaluator's product (8 * PANEL_UNITS per draw): about one budget,
-# kept for the draw set; no chunk makes a float64 copy of itself.  Above
-# N = 32,768 the 32-row floor makes a chunk larger than this, 256 * N
-# bytes, still independent of CHUNK_MAX_ROWS.  Chunk rows are a multiple
-# of CHUNK_ROW_MULTIPLE.  The multiple was chosen when OpenBLAS split each
+# more for block draws) and one float64 panel of the evaluator's product
+# (8 * min(N, PANEL_UNITS) per draw): about one budget, kept for the draw
+# set; no chunk makes a float64 copy of itself.  Above N = 32,768 the
+# 32-row floor makes a chunk larger than this, 256 * N bytes, still
+# independent of CHUNK_MAX_ROWS.  Chunk rows are a multiple of
+# CHUNK_ROW_MULTIPLE.  The multiple was chosen when OpenBLAS split each
 # product over its own threads and rounded the rows after the last full
 # 32-row panel differently.  On one BLAS thread (OpenBLAS 0.3.31) a
 # one-row chunk (M = 1 mod 32) still rounds differently from the same row
@@ -130,16 +130,30 @@ class TestResult:
         }
 
 
+def bin_counts(values: np.ndarray, bins, groups) -> tuple[np.ndarray, list]:
+    """Edges of ``bins`` (a count or a numpy rule name) over ``values``, and
+    the counts of each of ``groups``, subsets of ``values``, on them.
+
+    Every report histogram is binned here.  A rule gives at most
+    ceil(2 sqrt(n)) bins for n values: "fd" gives thousands, mostly empty,
+    to few distinct or very concentrated values.
+    """
+    edges = np.histogram_bin_edges(values, bins=bins)
+    cap = math.ceil(2 * math.sqrt(values.size))
+    if isinstance(bins, str) and edges.size - 1 > cap:
+        edges = np.histogram_bin_edges(values, bins=cap)
+    # evenly spaced edges: numpy counts by arithmetic, not by sorting, and
+    # checks each index against these same edges
+    return edges, [np.histogram(group, bins=edges.size - 1, range=(edges[0], edges[-1]))[0]
+                   for group in groups]
+
+
 def _histogram_dict(values: np.ndarray, bins) -> dict:
-    """Histogram of the finite values; a named rule gives at most ceil(2 sqrt(n))
-    bins (few distinct draws can make "fd" give thousands, mostly empty)."""
+    """Histogram of the finite values."""
     finite = values[np.isfinite(values)]
     if finite.size == 0:
         return {"bin_edges": [], "counts": []}
-    counts, edges = np.histogram(finite, bins=bins)
-    cap = math.ceil(2 * math.sqrt(finite.size))
-    if isinstance(bins, str) and counts.size > cap:
-        counts, edges = np.histogram(finite, bins=cap)
+    edges, (counts,) = bin_counts(finite, bins, (finite,))
     return {"bin_edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 

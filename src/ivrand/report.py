@@ -30,6 +30,7 @@ from .randtest import (
     GLOBAL_STATISTICS,
     VECTOR_STATISTICS,
     TestResult,
+    bin_counts,
     per_covariate_quantiles,
     resolve_mechanism,
     run_many,
@@ -130,9 +131,8 @@ def _propensity_section(dataset: Dataset, models, bins) -> tuple[dict, list[dict
         clamp: list = []
         scores = predict(model, dataset.covariates, clamp_counter=clamp)
         propensities.append(scores)
-        edges = np.histogram_bin_edges(scores, bins=bins)
-        hist1, _ = np.histogram(scores[vector == 1], bins=edges)
-        hist0, _ = np.histogram(scores[vector == 0], bins=edges)
+        edges, (hist1, hist0) = bin_counts(scores, bins, (scores[vector == 1],
+                                                          scores[vector == 0]))
         section[label] = {
             "model": _model_dict(model, dataset.covariate_names),
             "n_clamped_predictions": int(clamp[0]),

@@ -31,6 +31,7 @@ from ivrand import (
 from ivrand import fit_propensities, predict, randtest
 from ivrand._workspace import Workspace
 from ivrand.balance import PANEL_UNITS
+from ivrand.cli import _HIST_BIN_RULES
 from ivrand.mechanisms import (draw_batch, draw_bernoulli, draw_block, draw_complete,
                                enumerate_matrix, prepare_sampler)
 from ivrand.randtest import GLOBAL_STATISTICS, STATISTICS, _Evaluator
@@ -892,6 +893,73 @@ class TestHistogram:
     def test_integer_bins_are_kept(self):
         hist = randtest._histogram_dict(np.arange(100.0), 500)
         assert len(hist["counts"]) == 500 and sum(hist["counts"]) == 100
+
+    @pytest.mark.parametrize("bins", [*_HIST_BIN_RULES, 17])
+    def test_uncapped_rule_is_numpys(self, bins):
+        values = np.random.default_rng(4).standard_normal(1_000)
+        counts, edges = np.histogram(values, bins=bins)
+        assert counts.size <= math.ceil(2 * math.sqrt(values.size))
+        got_edges, (got_counts,) = randtest.bin_counts(values, bins, (values,))
+        assert np.array_equal(got_edges, edges) and np.array_equal(got_counts, counts)
+
+    def test_pooled_groups_share_the_rules_edges(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal(3_000), rng.standard_normal(2_000) + 1.5
+        pooled = np.concatenate([a, b])
+        edges = np.histogram_bin_edges(pooled, bins="auto")
+        got_edges, (got_a, got_b) = randtest.bin_counts(pooled, "auto", (a, b))
+        assert np.array_equal(got_edges, edges)
+        assert np.array_equal(got_a, np.histogram(a, bins=edges)[0])
+        assert np.array_equal(got_b, np.histogram(b, bins=edges)[0])
+
+    def test_auto_is_capped_on_few_distinct_pooled_draws(self):
+        rng = np.random.default_rng(6)
+        a = rng.integers(0, 3, 600).astype(np.float64)
+        b = np.append(rng.integers(0, 3, 399).astype(np.float64), 1e3)
+        pooled = np.concatenate([a, b])
+        cap = math.ceil(2 * math.sqrt(pooled.size))
+        assert np.histogram_bin_edges(pooled, bins="fd").size - 1 > 10 * cap
+        # numpy's "auto" takes the smaller of the Freedman-Diaconis and Sturges
+        # widths; numpy 2.4 also limits it to about 2 sqrt(n) bins, older
+        # releases do not, and give the Freedman-Diaconis 2,500 bins here
+        numpy_bins = np.histogram_bin_edges(pooled, bins="auto").size - 1
+        edges, (got_a, got_b) = randtest.bin_counts(pooled, "auto", (a, b))
+        assert edges.size - 1 <= cap
+        assert np.array_equal(edges, np.histogram_bin_edges(
+            pooled, bins="auto" if numpy_bins <= cap else cap))
+        assert np.array_equal(got_a, np.histogram(a, bins=edges)[0])
+        assert np.array_equal(got_b, np.histogram(b, bins=edges)[0])
+
+    @staticmethod
+    def _propensity_bins(ds):
+        doc = build_report(ds, TestConfig(n_draws=200, seed=1)).document
+        for target in ("instrument", "exposure"):
+            hist = doc["propensity"][target]["histogram"]
+            assert sum(hist["counts_group0"]) + sum(hist["counts_group1"]) == ds.n_units
+            yield len(hist["counts_group1"])
+
+    def test_propensity_histogram_is_capped_beside_a_lognormal_covariate(self):
+        # a randomized instrument's propensities are concentrated, and the
+        # Freedman-Diaconis width shrinks with their IQR: 2,890 bins uncapped
+        rng = np.random.default_rng(7)
+        cost = rng.lognormal(0, 2, 5000)
+        age = rng.normal(60, 15, 5000)
+        z = rng.random(5000) < 0.5
+        d = rng.random(5000) < 1.0 / (1.0 + np.exp(-(0.02 * (age - 60) + 0.3 * np.log(cost))))
+        ds = Dataset(covariates=np.column_stack([cost, age]), covariate_names=("cost", "age"),
+                     instrument=z.astype(np.int8), exposure=d.astype(np.int8))
+        assert max(self._propensity_bins(ds)) <= 142
+
+    def test_propensity_histogram_is_capped_for_a_narrow_middle(self):
+        # 70,427 bins and a 4.9 MB report uncapped
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2000, 1)) * np.where(rng.random((2000, 1)) < 0.9, 1e-3, 3.0)
+        z = rng.random(2000) < 0.5
+        d = rng.random(2000) < 1.0 / (1.0 + np.exp(-x[:, 0]))
+        ds = Dataset(covariates=x, covariate_names=("x",), instrument=z.astype(np.int8),
+                     exposure=d.astype(np.int8))
+        assert max(self._propensity_bins(ds)) <= 90
+        assert len(build_report(ds, TestConfig(n_draws=200, seed=1)).to_json()) < 100_000
 
 
 class TestPerCovariateQuantiles:
