@@ -26,7 +26,8 @@ from ._blas import one_blas_thread
 from ._workspace import Workspace
 from .errors import StatisticError
 
-# Relative singular-value cutoff for the covariance pseudo-inverse.
+# Relative eigenvalue cutoff of the column-scaled scatter and covariance
+# pseudo-inverses.
 PINV_RCOND = 1e-10
 
 # The statistics that read only the covariate sums and the treated count
@@ -45,6 +46,12 @@ class GlobalBalance:
     sqrt_mahalanobis: float
     covariance_rank: int
     pseudo_inverse_used: bool
+
+
+def _column_scale(scatter):
+    """Root of a scatter matrix's diagonal, a zero entry taken as 1."""
+    scale = np.sqrt(np.diag(scatter))
+    return np.where(scale > 0.0, scale, 1.0)
 
 
 def _strength(t1, n1, n0, exposure_sum):
@@ -67,6 +74,9 @@ class _Evaluator:
                  bias_mode: str, fixed_strength: float | None):
         self.n, self.k = covariates.shape
         xc = covariates - covariates.mean(axis=0)
+        # a constant column centres to exactly 0, not to its rounded mean's
+        # residue, so the rank cut below drops it at any scale
+        xc[:, (covariates == covariates[0]).all(axis=0)] = 0.0
         self.col_sums = xc.sum(axis=0)
         xc_sq = xc**2
         self.sq_sums = xc_sq.sum(axis=0)
@@ -77,11 +87,15 @@ class _Evaluator:
         # a binary covariate split in equal shares then ties with every draw
         # that splits it so.
         self.diff_tol = 2.0 * self.n * np.finfo(np.float64).eps * np.abs(xc).sum(axis=0)
-        # whiten @ whiten.T = T+, the pseudo-inverse of the total scatter
-        # T = xc^T xc, cut off like the covariance pseudo-inverse below
-        eigval, eigvec = np.linalg.eigh(xc.T @ xc)
+        # whiten @ whiten.T inverts the total scatter T = xc^T xc on its
+        # range.  Its eigenvalues are cut off like the covariance
+        # pseudo-inverse below, on T / (s s^T), s the root of T's diagonal,
+        # so a covariate's units do not decide the rank
+        scatter = xc.T @ xc
+        scale = _column_scale(scatter)
+        eigval, eigvec = np.linalg.eigh(scatter / np.outer(scale, scale))
         kept = eigval > PINV_RCOND * max(eigval[-1], 0.0)
-        self.whiten = eigvec[:, kept] / np.sqrt(eigval[kept])
+        self.whiten = eigvec[:, kept] / np.sqrt(eigval[kept]) / scale[:, None]
         exposure = (np.zeros(self.n) if exposure is None
                     else np.asarray(exposure, dtype=np.float64))
         self.exposure_sum = float(exposure.sum())
@@ -287,7 +301,9 @@ def mean_difference_covariance(covariates, assignment) -> np.ndarray:
     """Covariance estimate for the mean-difference vector.
 
     Pooled within-group sample covariance scaled by (1/N1 + 1/N0).
-    Requires at least two units per group.
+    Requires at least two units per group.  Each group is shifted by its
+    first unit, so a column constant within a group has exactly zero
+    covariance there.
     """
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim == 1:
@@ -297,8 +313,8 @@ def mean_difference_covariance(covariates, assignment) -> np.ndarray:
         raise StatisticError(
             f"pooled covariance needs >= 2 units per group (got {n1} and {n0})"
         )
-    x1 = x[treated]
-    x0 = x[~treated]
+    x1 = x[treated] - x[treated][0]
+    x0 = x[~treated] - x[~treated][0]
     c1 = np.atleast_2d(np.cov(x1, rowvar=False, ddof=1))
     c0 = np.atleast_2d(np.cov(x0, rowvar=False, ddof=1))
     pooled = ((n1 - 1) * c1 + (n0 - 1) * c0) / (n1 + n0 - 2)
@@ -308,17 +324,20 @@ def mean_difference_covariance(covariates, assignment) -> np.ndarray:
 def mahalanobis_from_components(mean_diff, covariance) -> GlobalBalance:
     """Quadratic form of a mean-difference vector under its covariance.
 
-    Uses a Moore-Penrose pseudo-inverse with a relative singular-value
-    cutoff so collinear covariates (indicator expansions) degrade to the
-    projected full-rank computation instead of failing.
+    Uses a Moore-Penrose pseudo-inverse of the column-scaled covariance
+    S / (s s^T), s the root of S's diagonal, with a relative singular-value
+    cutoff, so collinear covariates (indicator expansions) degrade to the
+    projected full-rank computation instead of failing, and a covariate's
+    units do not decide the rank.
     """
-    d = np.asarray(mean_diff, dtype=np.float64).ravel()
     s = np.atleast_2d(np.asarray(covariance, dtype=np.float64))
-    u, sv, vt = np.linalg.svd(s, hermitian=True)
+    scale = _column_scale(s)
+    d = np.asarray(mean_diff, dtype=np.float64).ravel() / scale
+    u, sv, vt = np.linalg.svd(s / np.outer(scale, scale), hermitian=True)
     kept = sv > PINV_RCOND * sv.max(initial=0.0)
     rank = int(kept.sum())
     inv_sv = np.where(kept, 1.0 / np.where(kept, sv, 1.0), 0.0)
-    # d^T V diag(1/s) U^T d
+    # d^T V diag(1/s) U^T d, on the scaled d and S
     md = float((vt @ d) @ (inv_sv * (u.T @ d)))
     md = max(md, 0.0)
     return GlobalBalance(

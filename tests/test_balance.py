@@ -186,15 +186,44 @@ class TestMahalanobis:
         assert gb.covariance_rank == 1
 
     def test_affine_invariance_spot(self):
+        # a random affine map, and one column rescaled by 1e-6 or 1e6: the
+        # rank is cut on the column-scaled scatter, so a covariate's units
+        # cannot drop it, in the engine or in the SVD oracle
+        def oracle(x, z):
+            diff = x[z == 1].mean(axis=0) - x[z == 0].mean(axis=0)
+            return mahalanobis_from_components(diff, mean_difference_covariance(x, z))
+
         rng = np.random.default_rng(5)
         x = rng.standard_normal((60, 4))
         z = (rng.random(60) < 0.5).astype(int)
         z[:4] = [1, 1, 0, 0]
-        base = mahalanobis(x, z).mahalanobis
         a = rng.standard_normal((4, 4)) + 3 * np.eye(4)
         b = rng.standard_normal(4)
-        mapped = mahalanobis(x @ a.T + b, z).mahalanobis
-        assert abs(mapped - base) <= 1e-8 * max(1.0, base)
+        maps = [(a, b)] + [(np.diag([1.0, scale, 1.0, 1.0]), np.array([0.0, 5.0, 0.0, 0.0]))
+                           for scale in (1e-6, 1e6)]
+        for distance in (mahalanobis, oracle):
+            base = distance(x, z).mahalanobis
+            for a, b in maps:
+                mapped = distance(x @ a.T + b, z)
+                assert abs(mapped.mahalanobis - base) <= 1e-8 * max(1.0, base)
+                assert mapped.covariance_rank == 4 and not mapped.pseudo_inverse_used
+
+    def test_constant_covariate_is_dropped_at_any_scale(self):
+        # 0.1 has no exact mean over 77 units, so centring leaves a residue
+        # that column scaling must not turn into a direction; the 1e-7 column
+        # is full rank and kept
+        rng = np.random.default_rng(1)
+        x = np.column_stack([rng.standard_normal(77), np.full(77, 0.1),
+                             1e-7 * rng.standard_normal(77)])
+        z = (rng.random(77) < 0.4).astype(int)
+        gb = mahalanobis(x, z)
+        assert gb.covariance_rank == 2 and gb.pseudo_inverse_used
+        assert gb.mahalanobis == pytest.approx(mahalanobis(x[:, [0, 2]], z).mahalanobis,
+                                               rel=1e-10)
+        diff = x[z == 1].mean(axis=0) - x[z == 0].mean(axis=0)
+        oracle = mahalanobis_from_components(diff, mean_difference_covariance(x, z))
+        assert oracle.covariance_rank == 2
+        assert oracle.mahalanobis == pytest.approx(gb.mahalanobis, rel=1e-10)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(6)
