@@ -67,11 +67,12 @@ class _Evaluator:
     the pooled covariance is well conditioned; centering changes no
     statistic (mean differences and within-group covariances are shift
     invariant).  ``covariates`` is (N, K); ``exposure=None`` fills the
-    exposure row of the product with zeros.
+    exposure row of the product with zeros.  Bias divides by
+    ``fixed_strength``, or by each draw's own strength when it is None.
     """
 
     def __init__(self, covariates: np.ndarray, exposure: np.ndarray | None, statistics,
-                 bias_mode: str, fixed_strength: float | None):
+                 fixed_strength: float | None):
         self.n, self.k = covariates.shape
         xc = covariates - covariates.mean(axis=0)
         # a constant column centres to exactly 0, not to its rounded mean's
@@ -100,7 +101,6 @@ class _Evaluator:
                     else np.asarray(exposure, dtype=np.float64))
         self.exposure_sum = float(exposure.sum())
         self.statistics = tuple(statistics)
-        self.bias_mode = bias_mode
         # a zero fixed denominator leaves bias undefined, as a zero
         # per-draw strength does
         self.fixed_strength = np.nan if fixed_strength == 0.0 else fixed_strength
@@ -187,7 +187,7 @@ class _Evaluator:
             out["scmd"] = np.where(diff == 0.0, 0.0,
                                    np.where((pooled == 0.0) | constant, np.nan, ratio))
         if "iv_bias" in self.statistics:
-            if self.bias_mode == "per_draw":
+            if self.fixed_strength is None:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     strength = _strength(sums[:, -1], n1, n0, self.exposure_sum)
                     bias = diff / strength[:, None]
@@ -238,9 +238,7 @@ def _one_row(covariates, assignment, statistic: str, exposure=None,
         raise StatisticError(
             f"{statistic} needs >= {min_group} units per group (got {n1} and {n0})")
     x = np.asarray(covariates, dtype=np.float64)
-    evaluator = _Evaluator(x.reshape(len(x), -1), exposure, (statistic,),
-                           "per_draw" if fixed_strength is None else "fixed_observed",
-                           fixed_strength)
+    evaluator = _Evaluator(x.reshape(len(x), -1), exposure, (statistic,), fixed_strength)
     return evaluator, evaluator(treated.astype(np.float64)[None, :])[statistic][0]
 
 

@@ -300,9 +300,7 @@ class _Table:
         self.z = np.empty(0, dtype=np.int8)
         self.d = np.empty(0, dtype=np.int8)
         self.x = np.empty((0, len(self.numeric)), dtype=np.float64)
-        self.issues: dict[tuple, list] = {
-            key: [] for key in [(instrument_col, _BINARY), (exposure_col, _BINARY),
-                                *((col, _NUMERIC) for col in self.numeric)]}
+        self.issues: list[tuple[int, str]] = []
         self.kept: dict[str, list] = {
             col: [] for col in dict.fromkeys([*self.categorical_cols, *keep])}
         self.n_rows = 0
@@ -316,61 +314,53 @@ class _Table:
         for a in (self.z, self.d, self.x):
             a.resize((self.n_rows, *a.shape[1:]), refcheck=False)
         for out, col in ((self.z, self.instrument_col), (self.d, self.exposure_col)):
-            out[start:] = _coerce_column(cells(col, None), col, *_BINARY,
-                                         self.issues[col, _BINARY], start)
+            out[start:] = _coerce_column(cells(col, None), col, *_BINARY, self.issues, start)
         for j, col in enumerate(self.numeric):
             self.x[start:, j] = _coerce_column(cells(col, None), col, *_NUMERIC,
-                                               self.issues[col, _NUMERIC], start)
+                                               self.issues, start)
         for col, values in self.kept.items():
             values += cells(col, "")
 
     def dataset(self) -> Dataset:
         """The Dataset of every row added, or a ValidationError naming every
-        issue found, in row order."""
-        indicators: dict[str, np.ndarray] = {}   # expanded columns, which shadow the rest
+        issue found, in row order.
 
-        def kept(col: str):
-            return indicators[col] if col in indicators else self.kept[col]
-
-        covariate_cols = list(self.covariate_cols)
+        Each categorical column's indicators, named ``<column>=<level>``,
+        take its place among the covariates, or follow them when it is not
+        one; an indicator named like the instrument or exposure column is an
+        error."""
+        indicators, clashes = {}, []
         for col in self.categorical_cols:
-            new_names, new_columns = _indicator_columns(kept(col), col)
-            indicators.update(zip(new_names, new_columns))
-            idx = covariate_cols.index(col) if col in covariate_cols else len(covariate_cols)
-            if col in covariate_cols:
-                covariate_cols.remove(col)
-            covariate_cols[idx:idx] = new_names
-
-        parsed = {(self.instrument_col, _BINARY): self.z,
-                  (self.exposure_col, _BINARY): self.d,
-                  **{(col, _NUMERIC): self.x[:, j] for j, col in enumerate(self.numeric)}}
-
-        def column(col: str, kind) -> tuple[np.ndarray, list]:
-            if col not in indicators and (col, kind) in parsed:
-                return parsed[col, kind], self.issues[col, kind]
-            found: list[tuple[int, str]] = []
-            return _coerce_column(kept(col), col, *kind, found), found
-
-        (z, z_issues), (d, d_issues) = (column(col, _BINARY)
-                                        for col in (self.instrument_col, self.exposure_col))
-        covariates = [column(col, _NUMERIC) for col in covariate_cols]
+            new_names, new_columns = _indicator_columns(self.kept[col], col)
+            clashes += [f"categorical column {col} gives an indicator named like the "
+                        f"{role} column {name}"
+                        for role, name in (("instrument", self.instrument_col),
+                                           ("exposure", self.exposure_col))
+                        if name in new_names]
+            indicators[col] = list(zip(new_names, new_columns))
+        if clashes:
+            raise ValidationError(clashes)
+        covariate_cols = [*self.covariate_cols,
+                          *(c for c in self.categorical_cols if c not in self.covariate_cols)]
         if covariate_cols == self.numeric:
-            x = self.x
+            names, x = covariate_cols, self.x
         else:
-            x = np.empty((self.n_rows, len(covariate_cols)), dtype=np.float64)
-            for j, (values, _) in enumerate(covariates):
-                x[:, j] = values
-        # issues were gathered column by column as (row, text); a stable sort
-        # by row restores the row-major order: instrument, exposure, covariates
-        cells_found = [*z_issues, *d_issues, *(i for _, found in covariates for i in found)]
-        issues = [text for _, text in sorted(cells_found, key=lambda cell: cell[0])]
+            numeric = {col: self.x[:, j] for j, col in enumerate(self.numeric)}
+            names, columns = zip(*(pair for col in covariate_cols for pair in
+                                   (indicators[col] if col in indicators
+                                    else [(col, numeric[col])])))
+            x = np.column_stack(columns)
+        # issues were gathered column by column in each block as (row, text);
+        # a stable sort by row gives the row-major order: instrument,
+        # exposure, covariates
+        issues = [text for _, text in sorted(self.issues, key=lambda cell: cell[0])]
         if issues:
             raise ValidationError(issues)
         return Dataset(
             covariates=x,
-            covariate_names=tuple(covariate_cols),
-            instrument=z,
-            exposure=d,
+            covariate_names=tuple(names),
+            instrument=self.z,
+            exposure=self.d,
         )
 
 

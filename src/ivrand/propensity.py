@@ -93,9 +93,11 @@ def fit_logistic(
     ``deviance`` is the objective actually minimized: -2 log-likelihood
     plus ``ridge`` times the squared slope norm (on the standardized
     scale).  ``converged`` is True when the objective change fell below
-    ``TOLERANCE`` within ``MAX_ITER`` iterations.  Non-convergence is
-    reported on the model, not raised.  A negative ``ridge`` (which would
-    reward large coefficients) raises ``ValueError``.
+    ``TOLERANCE`` within ``MAX_ITER`` iterations and no separation was
+    flagged (``ridge`` 0 and a standardized slope magnitude above
+    ``SEPARATION_COEF_BOUND``).  Non-convergence is reported on the model,
+    not raised.  A negative ``ridge`` (which would reward large
+    coefficients) raises ``ValueError``.
     """
     if not ridge >= 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
@@ -141,8 +143,7 @@ def fit_logistic(
     eta = design @ beta
     objective = _deviance(y, eta) + float(penalty @ (beta**2))
     trace = [objective]
-    converged = False
-    separation = False
+    plateau = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         p = _expit(eta)
@@ -168,19 +169,15 @@ def fit_logistic(
         beta, eta, objective = candidate, cand_eta, cand_obj
         trace.append(objective)
         if abs(delta) < TOLERANCE:
-            # A plateau with runaway unpenalized coefficients is not an
-            # interior optimum: the likelihood is unbounded along a
-            # separating direction, so refuse to call it converged.
-            if ridge == 0.0 and np.abs(beta[1:]).max(initial=0.0) > SEPARATION_COEF_BOUND:
-                separation = True
-            else:
-                converged = True
+            plateau = True
             break
 
-    if not converged and not separation:
-        separation = bool(
-            ridge == 0.0 and np.abs(beta[1:]).max(initial=0.0) > SEPARATION_COEF_BOUND
-        )
+    # Runaway unpenalized coefficients mean the likelihood is unbounded along
+    # a separating direction, so a plateau there is not an interior optimum.
+    separation = bool(
+        ridge == 0.0 and np.abs(beta[1:]).max(initial=0.0) > SEPARATION_COEF_BOUND
+    )
+    converged = plateau and not separation
 
     coefs = np.empty(k + 1)
     coefs[1:] = beta[1:] / scales

@@ -369,8 +369,7 @@ def run_many(
         if fixed_strength == 0.0:
             raise StatisticError(
                 "observed exposure prevalence difference across the target is zero")
-    evaluator = _Evaluator(dataset.covariates, dataset.exposure, statistics,
-                           config.bias_denominator, fixed_strength)
+    evaluator = _Evaluator(dataset.covariates, dataset.exposure, statistics, fixed_strength)
     if exact:
         matrix = enumerate_matrix(dataset.n_units, spec.n_treated,
                                   cap=config.enumeration_cap)

@@ -246,6 +246,42 @@ class TestCategoricalExpansion:
         with pytest.raises(ValidationError, match="fewer than 2 levels"):
             validate_dataset(records, "z", "d", [], categorical_cols=["lvl"])
 
+    @pytest.mark.parametrize("role", ["instrument", "exposure"])
+    def test_indicator_named_like_instrument_or_exposure_rejected(self, tmp_path, role):
+        # the file's own care=y column must be the one tested, not care's
+        # indicator of level y
+        header = {"instrument": ["care=y", "d"], "exposure": ["z", "care=y"]}[role]
+        rows = [[z, d, a, c] for z, d, a, c in
+                zip([1, 1, 0, 0, 1, 0], [0, 1, 0, 1, 1, 0], [50, 60, 70, 40, 30, 20], "nnnyyn")]
+        records = [dict(zip([*header, "age", "care"], row)) for row in rows]
+        path = tmp_path / "clash.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([[*header, "age", "care"], *rows])
+        expected = [f"categorical column care gives an indicator named like the "
+                    f"{role} column care=y"]
+        for ingest in (validate_dataset, load_dataset):
+            with pytest.raises(ValidationError) as err:
+                ingest(records if ingest is validate_dataset else path, *header, ["age"],
+                       categorical_cols=["care"])
+            assert err.value.issues == expected
+
+    def test_bad_cell_of_a_repeated_covariate_reported_once(self):
+        records = _records([1, 0, 1, 0], [0, 1, 1, 0], ["1.0", "abc", "3", "4"])
+        with pytest.raises(ValidationError) as err:
+            validate_dataset(records, "z", "d", ["age", "age"])
+        assert err.value.issues == ["non-numeric covariate value 'abc' in column age at row 1"]
+
+    def test_dataset_parses_no_cell_again(self):
+        records = [{"z": zi, "d": di, "age": a, "care": c}
+                   for zi, di, a, c in zip([1, 0, 1, 0], [0, 1, 1, 0], [1.0, 2, 3, 4], "xyzy")]
+        table = data._Table(records[0].keys(), "z", "d", ["age", "care"], ["care"])
+        table.add(lambda col, default: [r.get(col, default) for r in records], len(records))
+        with mock.patch.object(data, "_coerce_column", wraps=data._coerce_column) as coerce:
+            ds = table.dataset()
+        assert coerce.call_count == 0
+        assert ds.covariate_names == ("age", "care=y", "care=z")
+        assert ds.covariates.tolist() == [[1, 0, 0], [2, 1, 0], [3, 0, 1], [4, 1, 0]]
+
 
 def _expand_categorical_reference(records, column):
     """Categorical expansion as a loop: one record at a time, in place."""

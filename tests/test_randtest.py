@@ -315,7 +315,7 @@ class TestRunTest:
                            match="observed sqrt_mahalanobis is undefined"):
             run_test(ds, "instrument", TestConfig(n_draws=500, seed=1),
                      statistic="sqrt_mahalanobis")
-        evaluator = _Evaluator(ds.covariates, None, ("mahalanobis",), "fixed_observed", None)
+        evaluator = _Evaluator(ds.covariates, None, ("mahalanobis",), None)
         engine = evaluator(ds.instrument[None, :].astype(np.float64))["mahalanobis"]
         assert np.isnan(engine[0])
         assert np.isnan(mahalanobis(ds.covariates, ds.instrument).mahalanobis)
@@ -334,7 +334,7 @@ class TestRunTest:
         assert np.isnan(scmd(ds.covariates[:, 1], d))
         with pytest.raises(StatisticError, match="observed scmd is undefined .*: d$"):
             run_test(ds, "exposure", TestConfig(n_draws=200, seed=1), statistic="scmd")
-        evaluator = _Evaluator(ds.covariates, None, ("scmd",), "fixed_observed", None)
+        evaluator = _Evaluator(ds.covariates, None, ("scmd",), None)
         engine = evaluator(d[None, :].astype(np.float64))["scmd"][0]
         assert np.isfinite(engine[0]) and np.isnan(engine[1])
 
@@ -433,7 +433,7 @@ class TestChunking:
         z = (rng.random((37, n)) < 0.3).astype(np.int8)
         # the wide layout, and the narrow one of a global-only evaluator
         for statistics in (("scmd",), ("sqrt_mahalanobis",)):
-            evaluator = _Evaluator(x, d, statistics, "per_draw", None)
+            evaluator = _Evaluator(x, d, statistics, None)
             sums = evaluator.group_sums(z, Workspace())
             one_product = (evaluator.stacked_t @ z.astype(np.float64).T).T
             if n <= PANEL_UNITS:
@@ -465,10 +465,10 @@ class TestChunking:
         z[0, 7] = 1     # one treated unit: undefined
         z[1] = 1
         z[1, 3] = 0     # one control unit: undefined
-        narrow = _Evaluator(x, d, GLOBAL_STATISTICS, "per_draw", None)
-        wide = _Evaluator(x, d, STATISTICS, "per_draw", None)
+        narrow = _Evaluator(x, d, GLOBAL_STATISTICS, None)
+        wide = _Evaluator(x, d, STATISTICS, None)
         assert narrow.stacked_t.shape == (5, n) and wide.stacked_t.shape == (10, n)
-        assert _Evaluator(x, d, ("sqrt_mahalanobis",), "per_draw", None).stacked_t.shape == (5, n)
+        assert _Evaluator(x, d, ("sqrt_mahalanobis",), None).stacked_t.shape == (5, n)
         assert narrow.whiten.shape[1] == (3 if rank_deficient else 4)
         workspace = Workspace()
         a, b = narrow(z, workspace), wide(z, workspace)
@@ -481,7 +481,7 @@ class TestChunking:
         rows, n = 32, 100_000
         rng = np.random.default_rng(2)
         evaluator = _Evaluator(rng.standard_normal((n, 2)), None,
-                               ("scmd", "sqrt_mahalanobis"), "per_draw", None)
+                               ("scmd", "sqrt_mahalanobis"), None)
         z = (rng.random((rows, n)) < 0.5).astype(np.int8)
         workspace = Workspace()
         first = evaluator(z, workspace=workspace)
@@ -582,7 +582,7 @@ class TestBatchAgainstScalarOps:
 
     def test_all_statistics_agree_per_draw(self):
         ds = _dataset(n=40, k=4, seed=9)
-        evaluator = _Evaluator(ds.covariates, ds.exposure, STATISTICS, "per_draw", None)
+        evaluator = _Evaluator(ds.covariates, ds.exposure, STATISTICS, None)
         stream = DrawStream(seed=17, domain=0)
         draws = draw_batch(MechanismSpec.complete(20), 40, stream,
                            np.arange(50, dtype=np.uint64))
@@ -635,8 +635,7 @@ class TestScalarApiIsTheEngine:
     def test_near_separated_covariate_is_undefined(self):
         # a zero-variance test alone gives SCMD 1e7 and Mahalanobis 5e15 here
         ds = _near_separated_dataset()
-        evaluator = _Evaluator(ds.covariates, None, ("scmd", "mahalanobis"),
-                               "fixed_observed", None)
+        evaluator = _Evaluator(ds.covariates, None, ("scmd", "mahalanobis"), None)
         engine = evaluator(ds.instrument[None, :].astype(np.float64))
         assert np.isnan(engine["scmd"][0, 0]) and np.isnan(engine["mahalanobis"][0])
         assert np.isnan(scmd(ds.covariates[:, 0], ds.instrument))
@@ -650,7 +649,7 @@ class TestScalarApiIsTheEngine:
         ds = {10: _separated_dataset, 11: _near_separated_dataset}.get(
             case, lambda: _dataset(n=60, k=4, seed=case, confounded=True))()
         z = ds.target_vector(target)
-        evaluator = _Evaluator(ds.covariates, ds.exposure, STATISTICS, "per_draw", None)
+        evaluator = _Evaluator(ds.covariates, ds.exposure, STATISTICS, None)
         engine = {name: values[0] for name, values in
                   evaluator(z.astype(np.float64)[None, :]).items()}
         columns = ds.covariates.T
@@ -1193,7 +1192,7 @@ class TestEvaluatorSymmetry:
     def test_relabelling_groups(self, seed):
         _, ds, chunk, scales = self._case(seed, decades=6.0)
         evaluator = _Evaluator(ds.covariates, None, ("prevalence_diff", "scmd", "mahalanobis"),
-                               "fixed_observed", None)
+                               None)
         before = evaluator(chunk)
         after = evaluator(1.0 - chunk)
         np.testing.assert_allclose(after["prevalence_diff"], -before["prevalence_diff"],
@@ -1211,10 +1210,10 @@ class TestEvaluatorSymmetry:
         d = ds.exposure.astype(np.float64)
         if bias_mode == "fixed_observed":
             strength = np.full(len(chunk), rng.uniform(0.05, 1.0) * rng.choice([-1.0, 1.0]))
-            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), bias_mode, strength[0])
+            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), strength[0])
         else:
             strength = chunk @ d / chunk.sum(axis=1) - (1 - chunk) @ d / (1 - chunk).sum(axis=1)
-            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), bias_mode, None)
+            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), None)
         before = evaluator(chunk)["iv_bias"]
         after = evaluator(1.0 - chunk)["iv_bias"]
         sign = -1.0 if bias_mode == "fixed_observed" else 1.0
@@ -1234,7 +1233,7 @@ class TestEvaluatorSymmetry:
         assert np.linalg.cond(a) < 1e3
         b = rng.uniform(-100, 100, k)
         before, after = (
-            _Evaluator(x, None, ("mahalanobis",), "fixed_observed", None)(chunk)["mahalanobis"]
+            _Evaluator(x, None, ("mahalanobis",), None)(chunk)["mahalanobis"]
             for x in (ds.covariates, ds.covariates @ a.T + b))
         assert np.isfinite(before).all()
         np.testing.assert_allclose(after, before, rtol=1e-8)
