@@ -171,13 +171,11 @@ def _load(args):
     categorical = [c.strip() for c in args.categorical_covariates.split(",")
                    if c.strip()]
     loaded = load_dataset(args.data, args.instrument, args.exposure, covariates,
-                          categorical, args.delimiter, block_column=block_column)
-    dataset, labels = loaded if block_column is not None else (loaded, None)
+                          categorical, args.delimiter, block_column=block_column or None)
     if mechanism == "block":
-        if labels is None:
-            raise ValidationError([f"missing column: {block_column}"])
-        mechanism = MechanismSpec.block(labels)
-    return dataset, mechanism
+        dataset, labels = loaded
+        return dataset, MechanismSpec.block(labels)
+    return loaded, mechanism
 
 
 def _parse_bins(raw):

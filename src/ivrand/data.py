@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -200,8 +200,12 @@ def _coerce_binary(value, column: str, row: int, issues: list) -> int:
     return 0
 
 
+def _is_missing(value) -> bool:
+    return value is None or (isinstance(value, str) and value.strip() == "")
+
+
 def _coerce_numeric(value, column: str, row: int, issues: list) -> float:
-    if value is None or (isinstance(value, str) and value.strip() == ""):
+    if _is_missing(value):
         issues.append(f"missing covariate value in column {column} at row {row}")
         return np.nan
     try:
@@ -271,11 +275,11 @@ class _Table:
 
     The shared core of ``validate_dataset`` (its records are one block) and
     ``load_dataset`` (a delimited file read in blocks of
-    ``READ_BLOCK_CELLS`` cells).  ``add`` parses one block; what outlives
-    it is the parsed instrument, exposure and covariates, the issue texts,
-    and the cells of the categorical and ``keep`` columns.  ``dataset``
-    then expands the categorical columns and builds the Dataset, or raises
-    every issue in row order.
+    ``READ_BLOCK_CELLS`` cells).  Every column named, ``keep`` too, must be
+    in ``present`` and each of its cells present.  ``add`` parses one block;
+    what outlives it is the parsed columns, the issue texts, and the cells of
+    the categorical and ``keep`` columns.  ``dataset`` then raises every
+    issue in row order, or expands the categorical columns into the Dataset.
     """
 
     def __init__(self, present, instrument_col: str, exposure_col: str,
@@ -285,8 +289,8 @@ class _Table:
         if not covariate_cols and not categorical_cols:
             raise ValidationError(["no covariate columns specified"])
         issues = [f"missing column: {col}"
-                  for col in [instrument_col, exposure_col, *covariate_cols,
-                              *categorical_cols]
+                  for col in dict.fromkeys([instrument_col, exposure_col, *covariate_cols,
+                                            *categorical_cols, *keep])
                   if col not in present]
         if issues:
             raise ValidationError(issues)
@@ -306,20 +310,23 @@ class _Table:
         self.n_rows = 0
 
     def add(self, cells, n_rows: int) -> None:
-        """Parse one block of ``n_rows`` rows; ``cells(col, default)`` gives
-        the block's cells of ``col``, ``default`` where a row has none."""
+        """Parse one block of ``n_rows`` rows; ``cells(col)`` gives the
+        block's cells of ``col``, None where a row has none."""
         start, self.n_rows = self.n_rows, self.n_rows + n_rows
         # resize grows each array in place, so the rows parsed so far are
         # never held twice
         for a in (self.z, self.d, self.x):
             a.resize((self.n_rows, *a.shape[1:]), refcheck=False)
         for out, col in ((self.z, self.instrument_col), (self.d, self.exposure_col)):
-            out[start:] = _coerce_column(cells(col, None), col, *_BINARY, self.issues, start)
+            out[start:] = _coerce_column(cells(col), col, *_BINARY, self.issues, start)
         for j, col in enumerate(self.numeric):
-            self.x[start:, j] = _coerce_column(cells(col, None), col, *_NUMERIC,
-                                               self.issues, start)
+            self.x[start:, j] = _coerce_column(cells(col), col, *_NUMERIC, self.issues, start)
         for col, values in self.kept.items():
-            values += cells(col, "")
+            labels = cells(col)
+            if col not in self.numeric:   # else the numeric rule reports them
+                self.issues += [(start + i, f"missing label in column {col} at row {start + i}")
+                                for i, label in enumerate(labels) if _is_missing(label)]
+            values += labels
 
     def dataset(self) -> Dataset:
         """The Dataset of every row added, or a ValidationError naming every
@@ -329,6 +336,12 @@ class _Table:
         take its place among the covariates, or follow them when it is not
         one; an indicator named like the instrument or exposure column is an
         error."""
+        # issues were gathered column by column in each block as (row, text);
+        # a stable sort by row gives the row-major order: instrument,
+        # exposure, covariates, labels
+        issues = [text for _, text in sorted(self.issues, key=lambda cell: cell[0])]
+        if issues:
+            raise ValidationError(issues)
         indicators, clashes = {}, []
         for col in self.categorical_cols:
             new_names, new_columns = _indicator_columns(self.kept[col], col)
@@ -350,12 +363,6 @@ class _Table:
                                    (indicators[col] if col in indicators
                                     else [(col, numeric[col])])))
             x = np.column_stack(columns)
-        # issues were gathered column by column in each block as (row, text);
-        # a stable sort by row gives the row-major order: instrument,
-        # exposure, covariates
-        issues = [text for _, text in sorted(self.issues, key=lambda cell: cell[0])]
-        if issues:
-            raise ValidationError(issues)
         return Dataset(
             covariates=x,
             covariate_names=tuple(names),
@@ -375,15 +382,15 @@ def validate_dataset(
 
     Collects every violation before rejecting, so a bad file is
     reported in full, in row order, rather than one error at a time.
-    Columns listed in ``categorical_cols`` are expanded to indicators
-    first; the records are not modified.
+    A record without a column's key has no cell there.  Columns listed in
+    ``categorical_cols`` are then expanded to indicators, records unmodified.
     """
     records = list(records)
     if not records:
         raise ValidationError(["no data rows"])
     table = _Table(records[0].keys(), instrument_col, exposure_col, covariate_cols,
                    categorical_cols)
-    table.add(lambda col, default: [r.get(col, default) for r in records], len(records))
+    table.add(lambda col: [r.get(col) for r in records], len(records))
     return table.dataset()
 
 
@@ -429,18 +436,16 @@ def read_delimited(path, delimiter: str = ",") -> list[dict]:
 
 
 def _block_cells(rows: list[list[str]], header: list[str], labels: dict):
-    """``cells(col, default)`` of one block of csv rows, as ``csv.DictReader``
-    gives them: the cell at the column's last header position, None past a
-    short row's end (every column asked for is in the header, so ``default``
-    is never needed).  The cells of a column in ``labels`` are canonicalised
+    """``cells(col)`` of one block of csv rows, as ``csv.DictReader`` gives
+    them: the cell at the column's last header position, None past a short
+    row's end.  The cells of a column in ``labels`` are canonicalised
     through the dict ``labels[col]``, so that no block's strings outlive it."""
     index = {col: j for j, col in enumerate(header)}
-    columns = list(zip(*rows)) if min(map(len, rows)) >= len(header) else None
+    columns = list(zip_longest(*rows))
+    columns += [(None,) * len(rows)] * (len(header) - len(columns))
 
-    def cells(col, default):
-        j = index[col]
-        values = (columns[j] if columns is not None
-                  else [r[j] if j < len(r) else None for r in rows])
+    def cells(col):
+        values = columns[index[col]]
         if col in labels:
             return list(map(labels[col].setdefault, values, values))
         return values
@@ -472,8 +477,8 @@ def load_dataset(
     When ``covariate_cols`` is None, every header column other than the
     instrument, the exposure and ``block_column`` is a covariate.  With a
     ``block_column``, returns ``(dataset, labels)``: the column's cells in
-    row order, one object per distinct label, or None when the file has
-    no such column.
+    row order, one object per distinct label, checked as a categorical
+    column's are: an absent column or cell is an issue.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         records = _Records(csv.reader(fh, delimiter=delimiter))
@@ -491,7 +496,7 @@ def load_dataset(
             if covariate_cols is None:
                 skip = {instrument_col, exposure_col, block_column}
                 covariate_cols = [c for c in present if c not in skip]
-            keep = [block_column] if block_column in present else []
+            keep = () if block_column is None else [block_column]
             table = _Table(present, instrument_col, exposure_col, covariate_cols,
                            categorical_cols, keep)
             labels = {col: {} for col in table.kept}
@@ -504,7 +509,7 @@ def load_dataset(
     dataset = table.dataset()
     if block_column is None:
         return dataset
-    return dataset, table.kept.get(block_column)
+    return dataset, table.kept[block_column]
 
 
 def write_delimited(

@@ -64,21 +64,12 @@ def _deviance(y: np.ndarray, eta: np.ndarray) -> float:
 
 
 def _dependent_columns(x: np.ndarray, names) -> list:
-    """Names of columns that are linear combinations of earlier ones."""
-    dependent = []
-    basis = np.empty((x.shape[0], 0))
-    for j in range(x.shape[1]):
-        col = x[:, j]
-        if basis.shape[1]:
-            proj, *_ = np.linalg.lstsq(basis, col, rcond=None)
-            resid = col - basis @ proj
-        else:
-            resid = col
-        if np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(col)):
-            dependent.append(names[j])
-        else:
-            basis = np.column_stack([basis, col])
-    return dependent
+    """Names of columns that are linear combinations of earlier ones: for ``x``
+    taller than wide, ``|R[j, j]|`` of ``x = QR`` is column j's residual norm
+    after projecting it on the columns before it."""
+    resid = np.abs(np.diagonal(np.linalg.qr(x, mode="r")))
+    tol = 1e-8 * np.maximum(1.0, np.linalg.norm(x, axis=0))
+    return [names[j] for j in np.flatnonzero(resid <= tol)]
 
 
 @one_blas_thread()

@@ -21,7 +21,7 @@ Instrument models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -162,16 +162,7 @@ def generate(spec: ScenarioSpec) -> tuple[Dataset, dict]:
 
     index, constants = _confounder_index(x, spec)
     ground_truth: dict = {
-        "spec": {
-            "n_units": n,
-            "k_covariates": k,
-            "instrument_model": spec.instrument_model,
-            "instrument_strength": spec.instrument_strength,
-            "instrument_effect": spec.instrument_effect,
-            "confounding_strength": spec.confounding_strength,
-            "assignment_coupling": spec.assignment_coupling,
-            "seed": spec.seed,
-        },
+        "spec": asdict(spec),
         "covariates": {"n_normal": n_normal, "bernoulli_rate": BERNOULLI_RATE,
                        **constants},
     }

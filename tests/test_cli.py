@@ -194,6 +194,25 @@ class TestCmdTest:
         names = report["dataset_summary"]["covariate_names"]
         assert names == ["age"]   # block column kept out of the covariates
 
+    @pytest.mark.parametrize("flags", [["--mechanism", "block", "--block-column", "site"],
+                                       ["--categorical-covariates", "site"]])
+    def test_blank_site_label_exit_2(self, blocked_file, tmp_path, capsys, flags):
+        with open(blocked_file, newline="") as fh:
+            rows = list(csv.reader(fh))
+        blank = [5, 35, 65, 95, 115]   # data rows; a block of their own at each site
+        for i in blank:
+            rows[1 + i][2] = ""
+        path = tmp_path / "blank.csv"
+        _write_csv(path, rows[0], rows[1:])
+        out = tmp_path / "r.json"
+        code = main(["test", str(path), "--instrument", "z", "--exposure", "d",
+                     "--draws", "50", "--out", str(out), *flags])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["details"] == [f"missing label in column site at row {i}" for i in blank]
+        assert not out.exists()
+
     def test_bernoulli_mechanism(self, synth_file, tmp_path):
         code = main(["test", str(synth_file), "--instrument", "instrument",
                      "--exposure", "exposure", "--mechanism", "bernoulli",

@@ -275,7 +275,7 @@ class TestCategoricalExpansion:
         records = [{"z": zi, "d": di, "age": a, "care": c}
                    for zi, di, a, c in zip([1, 0, 1, 0], [0, 1, 1, 0], [1.0, 2, 3, 4], "xyzy")]
         table = data._Table(records[0].keys(), "z", "d", ["age", "care"], ["care"])
-        table.add(lambda col, default: [r.get(col, default) for r in records], len(records))
+        table.add(lambda col: [r.get(col) for r in records], len(records))
         with mock.patch.object(data, "_coerce_column", wraps=data._coerce_column) as coerce:
             ds = table.dataset()
         assert coerce.call_count == 0
@@ -283,22 +283,80 @@ class TestCategoricalExpansion:
         assert ds.covariates.tolist() == [[1, 0, 0], [2, 1, 0], [3, 0, 1], [4, 1, 0]]
 
 
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path
+
+
+class TestLabelCells:
+    """Label cells (categorical and block columns) follow the missing-cell
+    rule of the other cells."""
+
+    # care cells a, "", b, <absent>, a, b: rows 1 and 3 have no label
+    CARE = ["a", "", "b", None, "a", "b"]
+    EXPECTED = ["missing label in column care at row 1",
+                "missing label in column care at row 3"]
+
+    def _rows(self):
+        return [[z, d, age, *([] if c is None else [c])] for z, d, age, c in
+                zip([1, 0, 1, 0, 1, 0], [0, 1, 1, 0, 0, 1], [5, 6, 7, 8, 9, 10], self.CARE)]
+
+    @pytest.mark.parametrize("block_cells", [data.READ_BLOCK_CELLS, 4])
+    def test_missing_categorical_label_is_an_issue(self, tmp_path, block_cells):
+        # at 4 cells a block is one row, so the short row is a block of its own
+        records = [dict(zip(["z", "d", "age", "care"], row)) for row in self._rows()]
+        path = _write_rows(tmp_path / "care.csv", ["z", "d", "age", "care"], self._rows())
+        for ingest, source in ((validate_dataset, records), (load_dataset, path)):
+            with pytest.raises(ValidationError) as err, \
+                    mock.patch.object(data, "READ_BLOCK_CELLS", block_cells):
+                ingest(source, "z", "d", ["age"], categorical_cols=["care"])
+            assert err.value.issues == self.EXPECTED
+
+    def test_missing_block_label_is_an_issue(self, tmp_path):
+        path = _write_rows(tmp_path / "care.csv", ["z", "d", "age", "care"], self._rows())
+        with pytest.raises(ValidationError) as err:
+            load_dataset(path, "z", "d", block_column="care")
+        assert err.value.issues == self.EXPECTED
+
+    def test_missing_block_column_is_an_issue(self, tmp_path):
+        path = _write_rows(tmp_path / "t.csv", ["z", "d", "age"],
+                           [[1, 0, 1], [0, 1, 2], [1, 1, 3], [0, 0, 4]])
+        with pytest.raises(ValidationError) as err:
+            load_dataset(path, "z", "d", block_column="nope")
+        assert err.value.issues == ["missing column: nope"]
+
+    def test_block_column_that_is_a_covariate_reported_once(self, tmp_path):
+        path = _write_rows(tmp_path / "t.csv", ["z", "d", "age", "site"],
+                           [[1, 0, 1, 1], [0, 1, 2, 2], [1, 1, 3, ""], [0, 0, 4, 1]])
+        for categorical, expected in (
+                ((), "missing covariate value in column site at row 2"),
+                (("site",), "missing label in column site at row 2")):
+            with pytest.raises(ValidationError) as err:
+                load_dataset(path, "z", "d", ["age", "site"], categorical,
+                             block_column="site")
+            assert err.value.issues == [expected]
+
+
 def _expand_categorical_reference(records, column):
     """Categorical expansion as a loop: one record at a time, in place."""
-    levels = sorted({str(r.get(column, "")) for r in records})
+    levels = sorted({str(r[column]) for r in records})
     if len(levels) < 2:
         raise ValidationError([f"categorical column {column} has fewer than 2 levels"])
     indicator_names = [f"{column}={lv}" for lv in levels[1:]]
     for r in records:
-        value = str(r.get(column, ""))
+        value = str(r[column])
         for lv, name in zip(levels[1:], indicator_names):
             r[name] = 1.0 if value == lv else 0.0
     return indicator_names
 
 
 def _validate_dataset_reference(records, instrument_col, exposure_col,
-                                covariate_cols, categorical_cols=()):
-    """validate_dataset as a row loop over copied records, cell by cell."""
+                                covariate_cols, categorical_cols=(), labels=()):
+    """validate_dataset as a row loop over copied records, cell by cell.
+
+    ``labels`` are further label columns, checked as the categorical ones
+    are (``load_dataset``'s block column)."""
     records = [dict(r) for r in records]
     issues = []
     if not records:
@@ -307,9 +365,26 @@ def _validate_dataset_reference(records, instrument_col, exposure_col,
     if not covariate_cols and not categorical_cols:
         raise ValidationError(["no covariate columns specified"])
     present = set(records[0].keys())
-    for col in [instrument_col, exposure_col, *covariate_cols, *categorical_cols]:
+    named = [instrument_col, exposure_col, *covariate_cols, *categorical_cols, *labels]
+    for col in dict.fromkeys(named):
         if col not in present:
             issues.append(f"missing column: {col}")
+    if issues:
+        raise ValidationError(issues)
+    numeric = [c for c in dict.fromkeys(covariate_cols) if c not in categorical_cols]
+    labels = [c for c in dict.fromkeys([*categorical_cols, *labels]) if c not in numeric]
+    n = len(records)
+    z = np.zeros(n, dtype=np.int8)
+    d = np.zeros(n, dtype=np.int8)
+    for i, rec in enumerate(records):
+        z[i] = _coerce_binary(rec.get(instrument_col), instrument_col, i, issues)
+        d[i] = _coerce_binary(rec.get(exposure_col), exposure_col, i, issues)
+        for col in numeric:
+            _coerce_numeric(rec.get(col), col, i, issues)
+        for col in labels:
+            value = rec.get(col)
+            if value is None or (isinstance(value, str) and not value.strip()):
+                issues.append(f"missing label in column {col} at row {i}")
     if issues:
         raise ValidationError(issues)
     for col in categorical_cols:
@@ -318,20 +393,11 @@ def _validate_dataset_reference(records, instrument_col, exposure_col,
         if col in covariate_cols:
             covariate_cols.remove(col)
         covariate_cols[idx:idx] = new_names
-    n = len(records)
-    z = np.zeros(n, dtype=np.int8)
-    d = np.zeros(n, dtype=np.int8)
-    x = np.zeros((n, len(covariate_cols)), dtype=np.float64)
-    for i, rec in enumerate(records):
-        z[i] = _coerce_binary(rec.get(instrument_col), instrument_col, i, issues)
-        d[i] = _coerce_binary(rec.get(exposure_col), exposure_col, i, issues)
-        for j, col in enumerate(covariate_cols):
-            x[i, j] = _coerce_numeric(rec.get(col), col, i, issues)
-    if not issues:
-        if z.min() == z.max():
-            issues.append("constant instrument: needs at least one 0 and one 1")
-        if d.min() == d.max():
-            issues.append("constant exposure: needs at least one 0 and one 1")
+    x = np.array([[float(rec[col]) for col in covariate_cols] for rec in records])
+    if z.min() == z.max():
+        issues.append("constant instrument: needs at least one 0 and one 1")
+    if d.min() == d.max():
+        issues.append("constant exposure: needs at least one 0 and one 1")
     if issues:
         raise ValidationError(issues)
     return Dataset(covariates=x, covariate_names=tuple(covariate_cols),
@@ -491,16 +557,18 @@ def _messy_csv(draw):
 
 
 def _load_reference(path, covariates, categorical, delimiter, block_column):
-    """load_dataset as validate_dataset over the records read_delimited returns."""
+    """load_dataset as the row loop over the records read_delimited returns,
+    with the block column checked as a label column."""
     records = read_delimited(path, delimiter)
     if not records:
         raise ValidationError([f"{path}: no data rows"])
     if covariates is None:
         skip = {"z", "d", block_column, None}
         covariates = [c for c in records[0] if c not in skip]
-    dataset = validate_dataset(records, "z", "d", covariates, categorical)
-    if block_column is None or block_column not in records[0]:
-        return dataset, None
+    if block_column is None:
+        return _validate_dataset_reference(records, "z", "d", covariates, categorical), None
+    dataset = _validate_dataset_reference(records, "z", "d", covariates, categorical,
+                                          [block_column])
     return dataset, [r[block_column] for r in records]
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit, logit
 
 from ivrand import PropensityError, fit_logistic, predict
+from ivrand.propensity import _dependent_columns
 
 
 def _simulate(n, coefs, seed=0):
@@ -92,6 +93,33 @@ class TestFitLogistic:
         with pytest.raises(PropensityError, match="x1"):
             fit_logistic(x, y)
 
+    def test_dependent_combination_names_exactly_it(self):
+        rng = np.random.default_rng(8)
+        x1, x2, x4 = rng.standard_normal((3, 200))
+        x = np.column_stack([x1, x2, x1 + 2.0 * x2, x4])
+        y = (rng.random(200) < 0.5).astype(int)
+        with pytest.raises(PropensityError) as err:
+            fit_logistic(x, y, covariate_names=("x1", "x2", "x3", "x4"))
+        assert str(err.value).endswith("column(s) x3 are linearly dependent")
+
+    def test_dependent_columns_match_projection_loop(self):
+        # exactly dependent designs: each dependent column is an integer
+        # combination of earlier columns
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n, k = int(rng.integers(8, 60)), int(rng.integers(1, 7))
+            k = min(k, n - 2)
+            x = rng.standard_normal((n, k))
+            for j in range(1, k):
+                if rng.random() < 0.3:
+                    x[:, j] = x[:, :j] @ rng.integers(-3, 4, j)
+            scales = x.std(axis=0)
+            if (scales == 0.0).any():
+                continue
+            xs = (x - x.mean(axis=0)) / scales
+            names = [f"x{j}" for j in range(k)]
+            assert _dependent_columns(xs, names) == _dependent_by_projection(xs, names)
+
     def test_constant_column_rejected(self):
         rng = np.random.default_rng(7)
         x = np.column_stack([rng.standard_normal(50), np.full(50, 3.0)])
@@ -107,6 +135,25 @@ class TestFitLogistic:
     def test_too_few_rows(self):
         with pytest.raises(PropensityError, match="rows"):
             fit_logistic(np.eye(3), np.array([0, 1, 0]))
+
+
+def _dependent_by_projection(x, names):
+    """Dependent columns as one least-squares projection per column on the
+    independent columns before it."""
+    dependent = []
+    basis = np.empty((x.shape[0], 0))
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        if basis.shape[1]:
+            proj, *_ = np.linalg.lstsq(basis, col, rcond=None)
+            resid = col - basis @ proj
+        else:
+            resid = col
+        if np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(col)):
+            dependent.append(names[j])
+        else:
+            basis = np.column_stack([basis, col])
+    return dependent
 
 
 def _manual_model(coefficients):
