@@ -1,13 +1,16 @@
-"""Scratch buffers that one thread reuses across the chunks of one draw set.
+"""Scratch buffers that one thread reuses across the chunks and draw sets
+of one chunk loop.
 
-A chunk of draws passes through a word block, a partition copy of its
-keys, int8 draw rows and a float64 panel of the evaluator's product.
-Allocated afresh for every chunk, buffers of megabytes can be mapped and
-unmapped by the allocator each time, and the page faults then cost more
-than the work.  ``randtest._evaluate_rows`` gives each pool thread one
-``Workspace`` for the draw set instead; it lives as long as that call.
-A caller that passes no workspace gets a fresh one, so a public function
-still returns arrays that nothing else writes to.
+A chunk of draws passes through a word block of its keys, which every
+draw set of the loop reads, a partition copy of the keys, int8 draw
+rows, the words of redrawn Bernoulli rows and a float64 panel of the
+evaluator's product.  Allocated afresh for every chunk, buffers of
+megabytes can be mapped and unmapped by the allocator each time, and the
+page faults then cost more than the work.  ``randtest._evaluate_rows``
+gives each pool thread one ``Workspace`` for all the draw sets of its
+call instead (every Monte Carlo set of a report); it lives as long as
+that call.  A caller that passes no workspace gets a fresh one, so a
+public function still returns arrays that nothing else writes to.
 """
 
 from __future__ import annotations

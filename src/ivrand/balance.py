@@ -18,6 +18,7 @@ closed-form Mahalanobis distance.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,36 +101,55 @@ class _Evaluator:
         exposure = (np.zeros(self.n) if exposure is None
                     else np.asarray(exposure, dtype=np.float64))
         self.exposure_sum = float(exposure.sum())
+        # The product stacked_t @ z^T gives every group-1 sum of a chunk.
+        # Statistics all in GLOBAL_STATISTICS take the narrow rows
+        # [xc^T | 1]; any others take the wide rows
+        # [xc^T | 1 | (xc^2)^T | exposure], whose first K + 1 rows are the
+        # narrow ones, so evaluators of one dataset can share one operand
+        # (``sharing``).  BLAS rounds an output by its place in the product,
+        # so within one layout a draw's statistics do not depend on which
+        # others are requested; a global statistic may differ in its last
+        # bits between the two layouts.  The count and exposure rows sum 0/1
+        # values, exact in any order.  Stored C-contiguous, each row one
+        # contiguous operand: on one BLAS thread this product is faster than
+        # z @ stacked with stacked (N, rows).
+        k = self.k
+        narrow = set(statistics) <= set(GLOBAL_STATISTICS)
+        self.count_row = k
+        self._operand = np.empty((k + 1 if narrow else 2 * k + 2, self.n))
+        self._operand[:k] = xc.T
+        self._operand[k] = 1.0
+        if not narrow:
+            self._operand[k + 1:2 * k + 1] = xc_sq.T
+            self._operand[-1] = exposure
+        self._select(statistics, fixed_strength)
+
+    def _select(self, statistics, fixed_strength) -> None:
         self.statistics = tuple(statistics)
         # a zero fixed denominator leaves bias undefined, as a zero
         # per-draw strength does
         self.fixed_strength = np.nan if fixed_strength == 0.0 else fixed_strength
-        # The product stacked_t @ z^T gives every group-1 sum of a chunk.
-        # Statistics all in GLOBAL_STATISTICS take the narrow rows
-        # [xc^T | 1]; any others take the wide rows
-        # [xc^T | (xc^2)^T | 1 | exposure].  BLAS rounds an output by its
-        # place in the product, so within one layout a draw's statistics do
-        # not depend on which others are requested; a global statistic may
-        # differ in its last bits between the two layouts.  The count and
-        # exposure rows sum 0/1 values, exact in any order.  Stored
-        # C-contiguous, each row one contiguous operand: on one BLAS thread
-        # this product is faster than z @ stacked with stacked (N, rows).
-        k = self.k
-        narrow = set(self.statistics) <= set(GLOBAL_STATISTICS)
-        self.count_row = k if narrow else 2 * k
-        self.stacked_t = np.empty((k + 1 if narrow else 2 * k + 2, self.n))
-        self.stacked_t[:k] = xc.T
-        self.stacked_t[self.count_row] = 1.0
-        if not narrow:
-            self.stacked_t[k:2 * k] = xc_sq.T
-            self.stacked_t[-1] = exposure
+        if set(self.statistics) <= set(GLOBAL_STATISTICS):
+            self.stacked_t = self._operand[:self.k + 1]
+        elif len(self._operand) == self.k + 1:
+            raise ValueError("a narrow operand has no rows for " + ", ".join(self.statistics))
+        else:
+            self.stacked_t = self._operand
+
+    def sharing(self, statistics, fixed_strength: float | None) -> "_Evaluator":
+        """An evaluator of ``statistics`` and ``fixed_strength`` on this one's
+        covariates and exposure that reads this one's operand, which must be
+        wide unless ``statistics`` are all global."""
+        other = copy.copy(self)
+        other._select(statistics, fixed_strength)
+        return other
 
     def group_sums(self, z_chunk: np.ndarray, workspace: Workspace | None = None
                    ) -> np.ndarray:
         """(B, rows) group-1 sums of a (B, N) chunk: (stacked_t @ z^T)^T.
 
         ``rows`` is K + 1 for the narrow layout and 2K + 2 for the wide
-        one; column ``count_row`` holds the treated counts.
+        one; column ``count_row``, K in both, holds the treated counts.
 
         The sums are accumulated over panels of ``PANEL_UNITS`` units, each
         cast into one reused (B, min(N, PANEL_UNITS)) float64 buffer (the
@@ -170,7 +190,7 @@ class _Evaluator:
         if "prevalence_diff" in self.statistics:
             out["prevalence_diff"] = diff
         if "scmd" in self.statistics:
-            q1 = sums[:, k:2 * k]
+            q1 = sums[:, k + 1:2 * k + 1]
             q0 = self.sq_sums[None, :] - q1
             with np.errstate(divide="ignore", invalid="ignore"):
                 ss1 = np.maximum(q1 - s1**2 / n1[:, None], 0.0)

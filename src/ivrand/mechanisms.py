@@ -5,8 +5,10 @@ batch entry point ``draw_batch`` is the canonical definition of draw m;
 the single-draw functions are thin wrappers over it, so a draw obtained
 one at a time is identical to the same index inside a batch.
 
-Draw m reads its random words as 32-bit keys (``rng.word_keys``), one
-key per unit: ceil(N / 2) words per draw.  A complete draw treats the k
+Draw m reads ceil(N / 2) random words at counters m * ceil(N / 2) on
+as 32-bit keys (``draw_keys``), one key per unit.  The keys depend on
+(seed, m) alone, so draw sets that sample the same index from one stream
+read the same keys: common random numbers.  A complete draw treats the k
 units with the smallest keys, a tie at the k-th key going to the lowest
 positions: the draw is the first k units of a stable sort of its keys.
 The k smallest are found by a partition threshold: the k-th smallest key
@@ -17,10 +19,12 @@ row), falls back to an ``argpartition`` of its (key, position) pairs.
 A block draw gives key p to the unit at position p of the block order
 (blocks sorted by label, each block's units in unit order), so that each
 block is a contiguous slice of the chunk, draws each block like a
-complete draw, and puts the chunk back in unit order once.  A Bernoulli unit is treated when its key
-is below its threshold ``floor(p * 2**32)``; attempt a of draw m reads
-the words from ``(m * (R + 1) + a) * ceil(N / 2)`` on, R the redraw
-limit ``MAX_REDRAWS``.
+complete draw, and puts the chunk back in unit order once.  A Bernoulli
+unit is treated when its key is below its threshold ``floor(p * 2**32)``.
+A degenerate draw (no unit or every unit treated) is redrawn: attempt
+a >= 1 of draw m reads the words from ``(m * R + a - 1) * ceil(N / 2)``
+on in the seed's ``DOMAIN_REDRAWS`` stream, R the redraw limit
+``MAX_REDRAWS``, never the shared keys.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from ._workspace import Workspace
 from .data import AssignmentVector, TestConfig
 from .errors import CapExceededError, MechanismError, RedrawLimitError
-from .rng import DrawStream, bernoulli_thresholds, word_keys
+from .rng import DOMAIN_REDRAWS, DrawStream, bernoulli_thresholds, word_keys
 
 MAX_REDRAWS = 1_000   # redraws of a degenerate Bernoulli draw, at most
 
@@ -218,6 +222,15 @@ def _mark_smallest(keys: np.ndarray, k: int, out: np.ndarray, part: np.ndarray) 
         out[tied] = marked
 
 
+def draw_keys(stream: DrawStream, indices: np.ndarray, n: int,
+              workspace: Workspace) -> np.ndarray:
+    """The (len(indices), n) uint32 keys of the given draws, unit i's key in
+    column i, a view of the ``workspace``'s ``"words"`` buffer."""
+    width = (n + 1) // 2
+    words = workspace.get("words", (len(indices), width), np.uint64)
+    return word_keys(stream.word_block(indices, width, out=words))[:, :n]
+
+
 def draw_batch(
     spec: MechanismSpec,
     n: int,
@@ -226,6 +239,7 @@ def draw_batch(
     tally: DrawTally | None = None,
     sampler: PreparedSampler | None = None,
     workspace: Workspace | None = None,
+    keys: np.ndarray | None = None,
 ) -> np.ndarray:
     """Generate the assignments for the given draw indices.
 
@@ -233,20 +247,21 @@ def draw_batch(
     only on (stream, index), so any chunking or ordering of indices
     yields the same draws.  ``sampler`` is ``prepare_sampler(spec, n)``,
     passed in by callers that draw many chunks of one draw set and built
-    here when omitted.  With a ``workspace`` the words, keys and draws
-    live in its buffers, and the matrix returned is one of them, valid
-    until the workspace's next use; without one every array is new.
+    here when omitted.  ``keys`` is ``draw_keys(stream, indices, n, ...)``,
+    passed in by callers that sample several draw sets from one chunk of
+    keys; it is read, never written.  With a ``workspace`` the words, keys
+    and draws live in its buffers, and the matrix returned is one of them,
+    valid until the workspace's next use; without one every array is new.
     """
     if sampler is None:
         sampler = prepare_sampler(spec, n)
     if workspace is None:
         workspace = Workspace()
     indices = np.asarray(indices, dtype=np.uint64)
+    if keys is None:
+        keys = draw_keys(stream, indices, n, workspace)
     rows = len(indices)
-    width = (n + 1) // 2   # words per draw, or per Bernoulli attempt
-    words = workspace.get("words", (rows, width), np.uint64)
     if spec.kind != "bernoulli":
-        keys = word_keys(stream.word_block(indices, width, out=words))[:, :n]
         grouped = workspace.get("grouped", (rows, n), np.int8)
         # one block at a time is partitioned, so the copy is the widest block's
         widest = max(hi - lo for lo, hi, _ in sampler.blocks)
@@ -263,18 +278,21 @@ def draw_batch(
     # bernoulli with rejection of degenerate (all-0 / all-1) draws
     out = workspace.get("draws", (rows, n), np.int8)
     pending = np.arange(rows)
-    stride = np.uint64(width * (MAX_REDRAWS + 1))
+    width = (n + 1) // 2
+    redraws = DrawStream(stream.seed, DOMAIN_REDRAWS)
     for attempt in range(MAX_REDRAWS + 1):
-        starts = indices[pending] * stride + np.uint64(attempt * width)
-        block = words[:len(pending)]
-        keys = word_keys(stream.word_block_raw(starts, width, out=block))[:, :n]
         if attempt == 0:
             # every row is pending: accept straight into out, and leave the
             # rejected rows there until a later attempt overwrites them
             treated = out.view(np.bool_)
             np.less(keys, sampler.thresholds, out=treated)
         else:
-            treated = keys < sampler.thresholds
+            # attempt a of draw m reads the counters from (m R + a - 1) W on
+            starts = (indices[pending] * np.uint64(MAX_REDRAWS) + np.uint64(attempt - 1)
+                      ) * np.uint64(width)
+            block = workspace.get("redraw_words", (len(pending), width), np.uint64)
+            redrawn = word_keys(redraws.word_block_raw(starts, width, out=block))[:, :n]
+            treated = redrawn < sampler.thresholds
         # a draw is degenerate when it treats no unit or every unit; any/all
         # stop at a row's first deciding unit, where a sum reads the whole row
         good = treated.any(axis=1) & ~treated.all(axis=1)

@@ -15,11 +15,15 @@ the observed assignment is itself a member of the enumeration; at any
 other count it keeps it.
 
 Statistic evaluation is chunked and vectorized; draw m depends only on
-(seed, domain, m), so the assignments are identical under any chunking
-or thread count.  A chunk holds as many draws as fit a fixed byte budget
-(``CHUNK_WORD_BYTES``), capped at ``CHUNK_MAX_ROWS``.  Chunks
-are spread over ``TestConfig.threads`` pool threads, each drawing and
-evaluating its chunks in one reused workspace, and ``run_many`` keeps
+(seed, m), so the assignments are identical under any chunking or thread
+count.  A chunk holds as many draws as fit a fixed byte budget
+(``CHUNK_WORD_BYTES``), capped at ``CHUNK_MAX_ROWS``.  ``run_sets`` runs
+every Monte Carlo draw set of a call in one chunk loop: each chunk's key
+rows are made once, and every set samples its own assignments from them
+and evaluates them (common random numbers), so a set's draws are those of
+its own one-set ``run_many``.  Chunks are spread over
+``TestConfig.threads`` pool threads, each drawing and evaluating its
+chunks in one workspace reused for the whole call, and ``run_sets`` keeps
 every product on one BLAS thread, so a draw's statistics do not depend
 on either thread count.
 """
@@ -38,20 +42,12 @@ from ._workspace import Workspace
 from .balance import GLOBAL_STATISTICS, _Evaluator, instrument_strength
 from .data import Dataset, TestConfig
 from .errors import MechanismError, StatisticError
-from .mechanisms import (DrawTally, MechanismSpec, draw_batch, enumerate_matrix,
-                         prepare_sampler)
-from .rng import (DOMAIN_BT_EXPOSURE, DOMAIN_BT_INSTRUMENT, DOMAIN_TEST_EXPOSURE,
-                  DOMAIN_TEST_INSTRUMENT, DrawStream)
+from .mechanisms import (DrawTally, MechanismSpec, draw_batch, draw_keys,
+                         enumerate_matrix, prepare_sampler)
+from .rng import DOMAIN_KEYS, DrawStream
 
 VECTOR_STATISTICS = ("prevalence_diff", "scmd", "iv_bias")
 STATISTICS = VECTOR_STATISTICS + GLOBAL_STATISTICS
-
-# A draw set's stream domain, by (target, whether its mechanism is
-# Bernoulli): a target's Bernoulli draws are the same whichever role reads them
-_DOMAINS = {
-    ("instrument", False): DOMAIN_TEST_INSTRUMENT, ("exposure", False): DOMAIN_TEST_EXPOSURE,
-    ("instrument", True): DOMAIN_BT_INSTRUMENT, ("exposure", True): DOMAIN_BT_EXPOSURE,
-}
 
 # Ties in |t| are counted up to this relative slack, so that values that
 # are mathematically equal but rounded differently still tie.  A small mean
@@ -65,8 +61,8 @@ TIE_RTOL = 1e-9
 # workspace holds the chunk's words (4 bytes per unit and draw), a copy of
 # the widest block's 32-bit keys (4 at most), its int8 draws (1, and 1
 # more for block draws) and one float64 panel of the evaluator's product
-# (8 * min(N, PANEL_UNITS) per draw): about one budget, kept for the draw
-# set; no chunk makes a float64 copy of itself.  Above N = 32,768 the
+# (8 * min(N, PANEL_UNITS) per draw): about one budget, kept for the
+# call; no chunk makes a float64 copy of itself.  Above N = 32,768 the
 # 32-row floor makes a chunk larger than this, 256 * N bytes, still
 # independent of CHUNK_MAX_ROWS.  Chunk rows are a multiple of
 # CHUNK_ROW_MULTIPLE.  The multiple was chosen when OpenBLAS split each
@@ -163,11 +159,15 @@ def _tail_pvalue(observed, draws: np.ndarray, undefined, offset: int = 1):
     ``undefined`` is the count of NaN draws per column.  NaN draws count in
     neither term (a NaN never compares true), +-inf draws in both; a
     non-finite observed value gives NaN.  The count runs over the (K, M)
-    view, which is contiguous for covariate-major draws.
+    view, which is contiguous for covariate-major draws.  |t| >= c is
+    counted as t >= c or t <= -c: negation is exact, and one bool buffer
+    takes the place of a float64 copy of |draws|.
     """
     with np.errstate(invalid="ignore"):
         threshold = _tie_threshold(np.abs(observed))[..., None]
-        tail = np.count_nonzero(np.abs(draws.T) >= threshold, axis=-1)
+        tail = draws.T >= threshold
+        tail |= draws.T <= -threshold
+        tail = np.count_nonzero(tail, axis=-1)
     p = (offset + tail) / (draws.shape[0] - undefined + offset)
     return np.where(np.isfinite(observed), p, np.nan)
 
@@ -201,22 +201,23 @@ def resolve_mechanism(mechanism, dataset: Dataset, target: str) -> MechanismSpec
     return spec
 
 
-def _evaluate_rows(rows, m: int, evaluator: _Evaluator, config: TestConfig
-                   ) -> tuple[dict, int]:
-    """Evaluate all requested statistics over rows [0, m) in chunks.
+def _evaluate_rows(draw, evaluators, m: int, config: TestConfig) -> list[tuple[dict, int]]:
+    """Evaluate every draw set's statistics over rows [0, m) in one chunk loop.
 
-    ``rows(lo, hi, tally, workspace)`` returns the (hi - lo, N) assignments
-    of one chunk and adds its rejected draws to ``tally``.  Each worker
-    thread takes chunks in order from one shared iterator and keeps one
-    ``Workspace`` for all of them; the workspaces go when this returns.
+    ``draw(lo, hi, tallies, workspace)`` yields the (hi - lo, N) assignments
+    of one chunk for each draw set in turn, the set of ``evaluators[j]``
+    j-th, and adds set j's rejected draws to ``tallies[j]``; each is
+    evaluated before the next is drawn, so they may share the workspace's
+    buffers.  Each worker thread takes chunks in order from one shared
+    iterator and keeps one ``Workspace`` for all of them and all sets; the
+    workspaces go when this returns.  Returns each set's statistics and
+    redraw count.
     """
-    shapes = {
-        name: (m,) if name in GLOBAL_STATISTICS else (m, evaluator.k)
-        for name in evaluator.statistics
-    }
     # covariate-major: each covariate's M draws are contiguous for _summarize
-    out = {name: np.empty(shape, order="F") for name, shape in shapes.items()}
-    budget_rows = CHUNK_WORD_BYTES // (8 * evaluator.n)
+    outs = [{name: np.empty((m,) if name in GLOBAL_STATISTICS else (m, evaluator.k),
+                            order="F")
+             for name in evaluator.statistics} for evaluator in evaluators]
+    budget_rows = CHUNK_WORD_BYTES // (8 * evaluators[0].n)
     rows_per_chunk = min(CHUNK_MAX_ROWS, max(
         CHUNK_ROW_MULTIPLE, budget_rows // CHUNK_ROW_MULTIPLE * CHUNK_ROW_MULTIPLE))
     bounds = list(range(0, m, rows_per_chunk)) + [m]
@@ -225,42 +226,53 @@ def _evaluate_rows(rows, m: int, evaluator: _Evaluator, config: TestConfig
 
     def worker():
         workspace = Workspace()
-        tally = DrawTally()
+        tallies = [DrawTally() for _ in evaluators]
         while True:
             with lock:
                 lo, hi = next(chunks, (None, None))
             if lo is None:
-                return tally.redraws
-            stats = evaluator(rows(lo, hi, tally, workspace), workspace=workspace)
-            for name, values in stats.items():
-                out[name][lo:hi] = values
+                return [tally.redraws for tally in tallies]
+            for evaluator, out, z in zip(evaluators, outs,
+                                         draw(lo, hi, tallies, workspace)):
+                for name, values in evaluator(z, workspace=workspace).items():
+                    out[name][lo:hi] = values
 
     workers = min(config.threads, len(bounds) - 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            redraws = sum(f.result() for f in [pool.submit(worker) for _ in range(workers)])
+            counts = [f.result() for f in [pool.submit(worker) for _ in range(workers)]]
+        redraws = [sum(c) for c in zip(*counts)]
     else:
         redraws = worker()
-    return out, redraws
+    return list(zip(outs, redraws))
 
 
-def _evaluate_mechanism_draws(
-    spec: MechanismSpec,
-    dataset: Dataset,
-    evaluator: _Evaluator,
-    config: TestConfig,
-    domain: int,
-) -> tuple[dict, int]:
-    """Evaluate all requested statistics over config.n_draws draws."""
-    stream = DrawStream(seed=config.seed, domain=domain)
-    sampler = prepare_sampler(spec, dataset.n_units)
+def _evaluate_mechanism_draws(specs, evaluators, config: TestConfig
+                              ) -> list[tuple[dict, int]]:
+    """Evaluate each (spec, evaluator) draw set over config.n_draws draws.
 
-    def rows(lo, hi, tally, workspace):
+    Draw m of every set is sampled from key row m of the seed's key stream
+    (``rng.DOMAIN_KEYS``), made once per chunk for all sets.
+    """
+    n = evaluators[0].n
+    stream = DrawStream(seed=config.seed, domain=DOMAIN_KEYS)
+    samplers = [prepare_sampler(spec, n) for spec in specs]
+
+    def draw(lo, hi, tallies, workspace):
         indices = np.arange(lo, hi, dtype=np.uint64)
-        return draw_batch(spec, dataset.n_units, stream, indices, tally, sampler,
-                          workspace)
+        keys = draw_keys(stream, indices, n, workspace)
+        for spec, sampler, tally in zip(specs, samplers, tallies):
+            yield draw_batch(spec, n, stream, indices, tally, sampler, workspace, keys)
 
-    return _evaluate_rows(rows, config.n_draws, evaluator, config)
+    return _evaluate_rows(draw, evaluators, config.n_draws, config)
+
+
+def _evaluate_enumeration(n_treated: int, evaluator: _Evaluator, config: TestConfig
+                          ) -> tuple[dict, int]:
+    """Evaluate every assignment of ``n_treated`` units, in combination order."""
+    matrix = enumerate_matrix(evaluator.n, n_treated, cap=config.enumeration_cap)
+    return _evaluate_rows(lambda lo, hi, tallies, workspace: [matrix[lo:hi]], [evaluator],
+                          len(matrix), config)[0]
 
 
 def _combination_rank(vec) -> int:
@@ -335,6 +347,70 @@ def _summarize(
 
 
 @one_blas_thread()
+def run_sets(dataset: Dataset, sets, config: TestConfig, exact: bool = False
+             ) -> list[dict[str, TestResult]]:
+    """Run each draw set ``(target, statistics, mechanism)`` of ``sets``.
+
+    Returns one ``{statistic: TestResult}`` per set, in order.  Each set is
+    ``run_many``'s draw set of the same arguments, and its results are
+    that call's.  The Monte Carlo sets run in one chunk loop: draw m of
+    every set reads the same key row, made once (``rng.DOMAIN_KEYS``), and
+    only a degenerate Bernoulli draw's later attempts read further words.
+    Every set reads one product operand, the wide layout when any set needs
+    it.  With ``exact`` each set enumerates its own complete mechanism in
+    its own loop.
+    """
+    prepared = []
+    for target, statistics, mechanism in sets:
+        statistics = tuple(statistics)
+        for s in statistics:
+            if s not in STATISTICS:
+                raise ValueError(f"unknown statistic {s!r}; choose from {STATISTICS}")
+        spec = resolve_mechanism(mechanism, dataset, target)
+        if exact and spec.kind != "complete":
+            raise MechanismError("exact tests enumerate complete randomization only")
+        vec = dataset.target_vector(target)
+        fixed_strength = None
+        if "iv_bias" in statistics and config.bias_denominator == "fixed_observed":
+            fixed_strength = instrument_strength(vec, dataset.exposure)
+            if fixed_strength == 0.0:
+                raise StatisticError(
+                    "observed exposure prevalence difference across the target is zero")
+        prepared.append((target, statistics, spec, vec, fixed_strength))
+    every = dict.fromkeys(s for _, statistics, *_ in prepared for s in statistics)
+    operand = _Evaluator(dataset.covariates, dataset.exposure, every, None)
+    evaluators = [operand.sharing(statistics, fixed_strength)
+                  for _, statistics, _, _, fixed_strength in prepared]
+    if exact:
+        drawn = [_evaluate_enumeration(spec.n_treated, evaluator, config)
+                 for (_, _, spec, _, _), evaluator in zip(prepared, evaluators)]
+    else:
+        drawn = _evaluate_mechanism_draws([spec for _, _, spec, _, _ in prepared],
+                                          evaluators, config)
+    results = []
+    for (target, statistics, spec, vec, _), evaluator, (draws, redraws) in zip(
+            prepared, evaluators, drawn):
+        enumerated = exact and vec.sum() == spec.n_treated
+        if enumerated:
+            # the observed assignment's own enumerated row, evaluated exactly
+            # as every draw is, so it always counts itself in the tail
+            row = _combination_rank(vec)
+            observed = {name: values[row] for name, values in draws.items()}
+        else:
+            # Monte Carlo, or an exact n_treated that differs from the
+            # observed count: the observed assignment is not a draw, so p
+            # keeps its +1
+            stats = evaluator(vec.astype(np.float64)[None, :])
+            observed = {name: values[0] for name, values in stats.items()}
+        results.append({
+            name: _summarize(target, name, dataset, observed[name], draws[name],
+                             config, spec, exact=exact, n_redraws=redraws,
+                             offset=0 if enumerated else 1)
+            for name in statistics
+        })
+    return results
+
+
 def run_many(
     dataset: Dataset,
     target: str,
@@ -351,50 +427,12 @@ def run_many(
     complete ``mechanism`` (C(N, N_T) rows, at most
     ``config.enumeration_cap``) instead of ``config.n_draws`` samples.
     ``mechanism=None`` means complete randomization.  Every randomization
-    distribution goes through here.  The draw set's stream domain is
-    ``_DOMAINS[target, spec is Bernoulli]``, and the fixed bias denominator
-    is the target's own instrument strength.
+    distribution goes through here or through ``run_sets``, of which this
+    is the one-set case.  Draw m reads key row m of the seed's key stream,
+    whatever the target, and the fixed bias denominator is the target's own
+    instrument strength.
     """
-    statistics = tuple(statistics)
-    for s in statistics:
-        if s not in STATISTICS:
-            raise ValueError(f"unknown statistic {s!r}; choose from {STATISTICS}")
-    spec = resolve_mechanism(mechanism, dataset, target)
-    if exact and spec.kind != "complete":
-        raise MechanismError("exact tests enumerate complete randomization only")
-    vec = dataset.target_vector(target)
-    fixed_strength = None
-    if "iv_bias" in statistics and config.bias_denominator == "fixed_observed":
-        fixed_strength = instrument_strength(vec, dataset.exposure)
-        if fixed_strength == 0.0:
-            raise StatisticError(
-                "observed exposure prevalence difference across the target is zero")
-    evaluator = _Evaluator(dataset.covariates, dataset.exposure, statistics, fixed_strength)
-    if exact:
-        matrix = enumerate_matrix(dataset.n_units, spec.n_treated,
-                                  cap=config.enumeration_cap)
-        draws, redraws = _evaluate_rows(lambda lo, hi, tally, workspace: matrix[lo:hi],
-                                        len(matrix), evaluator, config)
-    else:
-        draws, redraws = _evaluate_mechanism_draws(
-            spec, dataset, evaluator, config, _DOMAINS[target, spec.kind == "bernoulli"])
-    enumerated = exact and vec.sum() == spec.n_treated
-    if enumerated:
-        # the observed assignment's own enumerated row, evaluated exactly as
-        # every draw is, so it always counts itself in the tail
-        row = _combination_rank(vec)
-        observed = {name: values[row] for name, values in draws.items()}
-    else:
-        # Monte Carlo, or an exact n_treated that differs from the observed
-        # count: the observed assignment is not a draw, so p keeps its +1
-        stats = evaluator(vec.astype(np.float64)[None, :])
-        observed = {name: values[0] for name, values in stats.items()}
-    return {
-        name: _summarize(target, name, dataset, observed[name], draws[name],
-                         config, spec, exact=exact, n_redraws=redraws,
-                         offset=0 if enumerated else 1)
-        for name in statistics
-    }
+    return run_sets(dataset, [(target, statistics, mechanism)], config, exact)[0]
 
 
 def run_test(

@@ -33,9 +33,10 @@ from .randtest import (
     bin_counts,
     per_covariate_quantiles,
     resolve_mechanism,
-    run_many,
+    run_sets,
 )
 from .randtest import exact_test  # noqa: F401  wrapped by name in perfbench/layers.py
+from .randtest import run_many  # noqa: F401  wrapped by name in perfbench/layers.py
 from .rng import STREAM_VERSION
 
 SCHEMA_VERSION = "3"
@@ -239,8 +240,9 @@ def build_report(
     A draw set's roles are (kind, target) pairs: each target's ``"test"``
     (none without statistics), the ``"benchmark"`` (the instrument's
     complete set at its observed count) and each target's Bernoulli
-    ``"reference"``; each (target, mechanism) is drawn once.  The
-    comparison, also ``RunReport.comparison``, reads the benchmark and the
+    ``"reference"``; each (target, mechanism) is drawn once, and every
+    Monte Carlo set in one ``run_sets`` call, so draw m of every set reads
+    the same key row.  The comparison, also ``RunReport.comparison``, reads the benchmark and the
     references.  An observed statistic undefined for either target raises
     ``StatisticError``.  With ``exact`` there is no comparison, each test
     enumerates the target's complete-randomization set, and either count
@@ -324,10 +326,10 @@ def build_report(
             enter(role, mech, ("sqrt_mahalanobis",))
     per_covariate: dict = {s: [] for s in vector_stats}
     results = {}
-    for target, spec, stats, roles in roster:
-        drawn = run_many(dataset, target, stats, config, spec, exact=exact)
-        # a test's (M, K) vector draws are dropped once its rows are built,
-        # so only one target's are alive at a time
+    drawn_sets = run_sets(dataset, [(target, stats, spec) for target, spec, stats, _ in roster],
+                          config, exact=exact)
+    for (_, _, _, roles), drawn in zip(roster, drawn_sets):
+        # a test's (M, K) vector draws are dropped once its rows are built
         for s in drawn.keys() & set(vector_stats):
             per_covariate[s] += per_covariate_quantiles(drawn.pop(s))
         results.update(dict.fromkeys(roles, drawn))

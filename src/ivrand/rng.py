@@ -20,8 +20,12 @@ fast as ten passes over a whole multi-megabyte draw matrix.
 
 Samplers read each word as two 32-bit keys (``word_keys``): key 2j is
 word j's low half and key 2j + 1 its high half, so a draw over N units
-takes ceil(N / 2) words.  ``STREAM_VERSION`` names this definition of the
-draws.
+takes ceil(N / 2) words.  Every Monte Carlo draw set of a report reads
+draw m's keys off the same row of the key domain (``DOMAIN_KEYS``), so
+the words are made once per draw index, not once per draw set: common
+random numbers.  Only a degenerate Bernoulli draw's later attempts read
+another domain (``DOMAIN_REDRAWS``).  ``STREAM_VERSION`` names this
+definition of the draws.
 """
 
 from __future__ import annotations
@@ -36,12 +40,10 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# Stream domains; distinct consumers of a seed must not share one.  A draw
-# set's is fixed by its target and whether it is Bernoulli (randtest._DOMAINS).
-DOMAIN_TEST_INSTRUMENT = 0
-DOMAIN_TEST_EXPOSURE = 1
-DOMAIN_BT_INSTRUMENT = 2
-DOMAIN_BT_EXPOSURE = 3
+# Stream domains; distinct consumers of a seed must not share one.  The
+# keys of draw m are shared by every draw set that samples it.
+DOMAIN_KEYS = 0
+DOMAIN_REDRAWS = 1
 DOMAIN_SYNTH = 16
 
 MIX_PIECE_WORDS = 1 << 15   # 256 KiB
@@ -50,7 +52,7 @@ MIX_PIECE_WORDS = 1 << 15   # 256 KiB
 # word, and the samplers' use of them (``mechanisms``).  Bump it whenever
 # a draw changes for a given (seed, domain, index), which is whenever a
 # pinned draw digest in the tests has to change.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:

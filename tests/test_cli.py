@@ -391,7 +391,7 @@ class TestCmdTest:
                          "--out", str(out), *extra]) == 0
             report = json.loads(out.read_text())
             assert report["schema_version"] == report["metadata"]["schema_version"] == "3"
-            assert report["metadata"]["stream_version"] == STREAM_VERSION == 2
+            assert report["metadata"]["stream_version"] == STREAM_VERSION == 3
 
 
 class TestModuleEntryPoint:

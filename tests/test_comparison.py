@@ -165,7 +165,6 @@ class TestCompareMechanisms:
         """Bernoulli with p = N_T/N for both models matches the complete
         randomization benchmark (up to its fixed-count conditioning)."""
         from ivrand.randtest import _Evaluator, _evaluate_mechanism_draws
-        from ivrand.rng import DOMAIN_BT_EXPOSURE, DOMAIN_BT_INSTRUMENT
 
         ds = _synthetic(0, instrument_model="randomized",
                         confounding_strength=0.0, instrument_effect=0.0)
@@ -174,10 +173,12 @@ class TestCompareMechanisms:
         p_const = np.full(ds.n_units, ds.n_treated_instrument / ds.n_units)
         evaluator = _Evaluator(ds.covariates, None, ("sqrt_mahalanobis",), None)
         spec = MechanismSpec.bernoulli(p_const)
-        bt1, _ = _evaluate_mechanism_draws(spec, ds, evaluator, cfg,
-                                           DOMAIN_BT_INSTRUMENT)
-        bt2, _ = _evaluate_mechanism_draws(spec, ds, evaluator, cfg,
-                                           DOMAIN_BT_EXPOSURE)
+        # every draw set of one seed reads the same keys, so each sample is
+        # drawn at a seed of its own: three independent samples
+        (bt1, _), = _evaluate_mechanism_draws([spec], [evaluator],
+                                              TestConfig(n_draws=2000, seed=6))
+        (bt2, _), = _evaluate_mechanism_draws([spec], [evaluator],
+                                              TestConfig(n_draws=2000, seed=7))
         a = bt1["sqrt_mahalanobis"]
         b = bt2["sqrt_mahalanobis"]
         assert ks_2samp(a, b).pvalue > 0.001

@@ -190,11 +190,18 @@ class TestDrawBernoulli:
         draws = draw_batch(spec, n, stream, np.arange(m, dtype=np.uint64), tally=tally)
         thresholds = prepare_sampler(spec, n).thresholds
         width = (n + 1) // 2
+        redraw_stream = DrawStream(seed=16, domain=rng_module.DOMAIN_REDRAWS)
         expected, redraws = [], 0
         for index in range(m):
             for attempt in itertools.count():
-                start = np.array([(index * (MAX_REDRAWS + 1) + attempt) * width], np.uint64)
-                keys = rng_module.word_keys(stream.word_block_raw(start, width))[0, :n]
+                # attempt 0 reads the shared keys, attempt a > 0 the redraw
+                # domain's counters from (m R + a - 1) W on
+                if attempt == 0:
+                    start, words = index * width, stream
+                else:
+                    start, words = (index * MAX_REDRAWS + attempt - 1) * width, redraw_stream
+                start = np.array([start], np.uint64)
+                keys = rng_module.word_keys(words.word_block_raw(start, width))[0, :n]
                 row = (keys < thresholds).astype(np.int8)
                 if 0 < row.sum() < n:
                     break
@@ -479,13 +486,13 @@ class TestPinnedDraws:
     @pytest.mark.parametrize("kind,redraws,digest", [
         ("complete", 0, "9f7677689285182e407e78e6f423d74a8857ba5aaa3bded9c0568acf5a182b95"),
         ("block", 0, "989464f7fc1ba684303dfba5594a099bcdf17a2038e640b36bb6a1979b24e9b5"),
-        ("bernoulli", 7, "f87e4f03b02a4090d4212ed32ea196720f19735414ccbc4ffe6deca7fd7b2b36"),
+        ("bernoulli", 13, "92f35a891c05bc90d925d8f52d2235b15a5b13c04cfa94af5998a649224a1137"),
     ])
     def test_draw_digest(self, kind, redraws, digest):
         tally = DrawTally()
         drawn = draw_batch(self._spec(kind), self.N,
-                           DrawStream(seed=1907, domain=rng_module.DOMAIN_TEST_INSTRUMENT),
+                           DrawStream(seed=1907, domain=rng_module.DOMAIN_KEYS),
                            self.INDICES, tally)
         assert tally.redraws == redraws
         assert (rng_module.STREAM_VERSION,
-                hashlib.sha256(drawn.tobytes()).hexdigest()) == (2, digest)
+                hashlib.sha256(drawn.tobytes()).hexdigest()) == (3, digest)

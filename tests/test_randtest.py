@@ -36,7 +36,7 @@ from ivrand.mechanisms import (draw_batch, draw_bernoulli, draw_block, draw_comp
                                enumerate_matrix, prepare_sampler)
 from ivrand.randtest import GLOBAL_STATISTICS, STATISTICS, _Evaluator
 from ivrand.report import build_report
-from ivrand.rng import DrawStream
+from ivrand.rng import DOMAIN_KEYS, DrawStream
 from ivrand.synth import PRESETS, ScenarioSpec, generate
 
 
@@ -211,7 +211,7 @@ class TestRunTest:
                            statistic="prevalence_diff")
             z = ds.target_vector(target).astype(np.int64)
             n, n_t = ds.n_units, int(z.sum())
-            stream = DrawStream(seed=5, domain=randtest._DOMAINS[target, False])
+            stream = DrawStream(seed=5, domain=DOMAIN_KEYS)
             draws = draw_batch(MechanismSpec.complete(n_t), n, stream,
                                np.arange(m, dtype=np.uint64)).astype(np.int64)
             total = ones.sum(axis=0)
@@ -442,10 +442,10 @@ class TestChunking:
                 # within 1e-12 of the sum of magnitudes that each entry adds up
                 scale = (np.abs(evaluator.stacked_t) @ z.astype(np.float64).T).T
                 assert np.all(np.abs(sums - one_product) <= 1e-12 * scale)
-                # the treated counts (and the wide layout's exposure sums, the
-                # row after them) add 0/1 values: exact
-                assert np.array_equal(sums[:, evaluator.count_row:],
-                                      one_product[:, evaluator.count_row:])
+                # the treated counts (and the wide layout's exposure sums, its
+                # last row) add 0/1 values: exact
+                exact = [evaluator.count_row, -1]
+                assert np.array_equal(sums[:, exact], one_product[:, exact])
             assert np.array_equal(sums[:, evaluator.count_row], z.sum(axis=1))
             # a float64 row (the observed assignment) takes the same path
             assert np.array_equal(evaluator.group_sums(z[:1].astype(np.float64)),
@@ -855,6 +855,28 @@ class TestSummarize:
         assert all(draws[:, j].flags.c_contiguous for j in range(3))
         assert res["sqrt_mahalanobis"].draws.flags.c_contiguous
 
+    def test_signed_tail_count_equals_abs_count(self):
+        # |t| >= c is counted as t >= c or t <= -c; pinned to the abs form
+        # on NaN, +-inf, signed zeros and ties, with NaN draws among the draws
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -1.5,
+                           1.5 * (1 - randtest.TIE_RTOL), 2.0, -3.0, 1e-300])
+        draws = np.asfortranarray(np.random.default_rng(0).choice(values, size=(400, 6)))
+        undefined = np.count_nonzero(np.isnan(draws), axis=0)
+        cases = [np.full(6, v) for v in (np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -1.5, 2.0)]
+        cases.append(np.array([np.nan, np.inf, -np.inf, -0.0, 1.5, -1.5]))
+        for observed in cases:
+            for offset in (0, 1):
+                with np.errstate(invalid="ignore"):
+                    threshold = randtest._tie_threshold(np.abs(observed))[:, None]
+                    tail = np.count_nonzero(np.abs(draws.T) >= threshold, axis=-1)
+                expected = np.where(np.isfinite(observed),
+                                    (offset + tail) / (400 - undefined + offset), np.nan)
+                got = randtest._tail_pvalue(observed, draws, undefined, offset)
+                assert np.array_equal(got, expected, equal_nan=True)
+                for j in range(6):
+                    one = randtest._tail_pvalue(observed[j], draws[:, j], undefined[j], offset)
+                    assert np.array_equal(one, expected[j], equal_nan=True)
+
 
 def _few_distinct_draws_dataset():
     """N = 25, K = 1 binary covariate, 4 treated and 3 exposed: the
@@ -1061,17 +1083,24 @@ class TestReportDrawSets:
         ({"statistics": ()}, 3),
     ])
     def test_one_evaluator_per_draw_set(self, monkeypatch, kwargs, n_evaluators):
-        built = []
-        original = randtest._Evaluator.__init__
+        # every draw set's evaluator shares the one operand built per report
+        built, shared = [], []
+        original_init, original_sharing = randtest._Evaluator.__init__, randtest._Evaluator.sharing
 
         def counted(self, *args, **kw):
             built.append(args)
-            original(self, *args, **kw)
+            original_init(self, *args, **kw)
+
+        def counted_sharing(self, *args):
+            shared.append(args)
+            return original_sharing(self, *args)
 
         monkeypatch.setattr(randtest._Evaluator, "__init__", counted)
+        monkeypatch.setattr(randtest._Evaluator, "sharing", counted_sharing)
         ds = _dataset(n=16, k=3, seed=17, confounded=True)
         build_report(ds, TestConfig(n_draws=100, seed=1), **kwargs)
-        assert len(built) == n_evaluators
+        assert len(shared) == n_evaluators
+        assert len(built) == 1
 
     def test_bernoulli_tests_are_the_comparison_sets(self):
         ds = _dataset(n=200, k=2, seed=12, confounded=True)
@@ -1161,6 +1190,84 @@ class TestReportDrawSets:
         assert exact_test(ds, "instrument", config=cfg).n_draws == 66
         with pytest.raises(CapExceededError, match=r"C\(12, 6\) = 924"):
             build_report(ds, cfg, statistics=("scmd",), exact=True)
+
+
+def _golden_undefined_dataset() -> Dataset:
+    """The golden ``undefined`` case's 12 units, 2 treated and 3 exposed: its
+    Bernoulli draws are often degenerate and redrawn."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((12, 2))
+    z = np.zeros(12, dtype=np.int8)
+    z[rng.permutation(12)[:2]] = 1
+    d = np.zeros(12, dtype=np.int8)
+    d[rng.permutation(12)[:3]] = 1
+    return Dataset(covariates=x, covariate_names=("a", "b"), instrument=z, exposure=d)
+
+
+class TestCommonKeys:
+    """Every Monte Carlo draw set of a call reads one key row per draw, and no
+    set's sampling changes what another set reads."""
+
+    def test_each_set_of_one_loop_equals_its_own_run(self):
+        ds = _golden_undefined_dataset()
+        cfg = TestConfig(n_draws=200, seed=3)
+        bernoulli = [MechanismSpec.bernoulli(predict(model, ds.covariates))
+                     for model in fit_propensities(ds)]
+        # a redrawing Bernoulli set comes before each complete set, and the
+        # narrow Bernoulli products share the complete sets' wide operand
+        sets = [("instrument", ("sqrt_mahalanobis",), bernoulli[0]),
+                ("instrument", ("prevalence_diff", "sqrt_mahalanobis"), None),
+                ("exposure", ("sqrt_mahalanobis",), bernoulli[1]),
+                ("exposure", ("prevalence_diff", "sqrt_mahalanobis"), None)]
+        together = randtest.run_sets(ds, sets, cfg)
+        assert together[0]["sqrt_mahalanobis"].n_redraws > 0
+        assert together[2]["sqrt_mahalanobis"].n_redraws > 0
+        for (target, statistics, mechanism), results in zip(sets, together):
+            alone = run_many(ds, target, statistics, cfg, mechanism)
+            for s in statistics:
+                assert np.array_equal(results[s].draws, alone[s].draws, equal_nan=True)
+                assert np.array_equal(results[s].p_value, alone[s].p_value, equal_nan=True)
+                assert results[s].n_redraws == alone[s].n_redraws
+
+    def test_standalone_run_test_reproduces_each_report_set(self):
+        ds = _golden_undefined_dataset()
+        cfg = TestConfig(n_draws=200, seed=3)
+        report = build_report(ds, cfg, statistics=("sqrt_mahalanobis",))
+        comp = report.comparison
+        p_instrument, p_exposure = (predict(model, ds.covariates)
+                                    for model in fit_propensities(ds))
+        for result, target, mechanism in (
+                (comp.cr_result, "instrument", None),
+                (comp.iv_bt, "instrument", MechanismSpec.bernoulli(p_instrument)),
+                (comp.exp_bt, "exposure", MechanismSpec.bernoulli(p_exposure))):
+            alone = run_test(ds, target, cfg, mechanism, statistic="sqrt_mahalanobis")
+            assert np.array_equal(alone.draws, result.draws, equal_nan=True)
+            assert alone.n_redraws == result.n_redraws
+        exposure = run_test(ds, "exposure", cfg, statistic="sqrt_mahalanobis")
+        reported = report.document["global"]["exposure"]["sqrt_mahalanobis"]
+        for key in ("p_value", "q025", "q975", "draw_mean", "n_undefined"):
+            assert reported[key] == getattr(exposure, key)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_report_makes_one_key_row_per_draw(self, monkeypatch, threads):
+        # four draw sets, one word block per draw index: a return to words
+        # made per draw set would make four times as many
+        ds, _ = generate(ScenarioSpec(n_units=301, k_covariates=3, seed=5,
+                                      **PRESETS["confounded-exposure"]))
+        words = []
+        original = DrawStream.word_block_raw
+
+        def counted(self, starts, width, out=None):
+            block = original(self, starts, width, out)
+            words.append(block.size)
+            return block
+
+        monkeypatch.setattr(DrawStream, "word_block_raw", counted)
+        cfg = TestConfig(n_draws=2_500, seed=3, threads=threads)
+        doc = build_report(ds, cfg).document
+        assert doc["comparison"]["bernoulli_redraws"] == {"instrument": 0, "exposure": 0}
+        assert len(words) > 1   # several chunks
+        assert sum(words) == cfg.n_draws * ((ds.n_units + 1) // 2)
 
 
 class TestEvaluatorSymmetry:
