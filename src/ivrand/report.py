@@ -326,8 +326,12 @@ def build_report(
             enter(role, mech, ("sqrt_mahalanobis",))
     per_covariate: dict = {s: [] for s in vector_stats}
     results = {}
-    drawn_sets = run_sets(dataset, [(target, stats, spec) for target, spec, stats, _ in roster],
-                          config, exact=exact)
+    sets = [(target, stats, spec) for target, spec, stats, _ in roster]
+    # the Monte Carlo sets share one loop; exact sets share no draws, so each
+    # is enumerated after the last one's (M, K) vector draws were dropped
+    batches = [[one] for one in sets] if exact else [sets]
+    drawn_sets = (drawn for batch in batches
+                  for drawn in run_sets(dataset, batch, config, exact=exact))
     for (_, _, _, roles), drawn in zip(roster, drawn_sets):
         # a test's (M, K) vector draws are dropped once its rows are built
         for s in drawn.keys() & set(vector_stats):

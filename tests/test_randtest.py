@@ -1100,7 +1100,8 @@ class TestReportDrawSets:
         ds = _dataset(n=16, k=3, seed=17, confounded=True)
         build_report(ds, TestConfig(n_draws=100, seed=1), **kwargs)
         assert len(shared) == n_evaluators
-        assert len(built) == 1
+        # exact sets are enumerated one call each
+        assert len(built) == (n_evaluators if kwargs.get("exact") else 1)
 
     def test_bernoulli_tests_are_the_comparison_sets(self):
         ds = _dataset(n=200, k=2, seed=12, confounded=True)
