@@ -5,8 +5,8 @@ batch entry point ``draw_batch`` is the canonical definition of draw m;
 the single-draw functions are thin wrappers over it, so a draw obtained
 one at a time is identical to the same index inside a batch.
 
-Draw m reads ceil(N / 2) random words at counters m * ceil(N / 2) on
-as 32-bit keys (``draw_keys``), one key per unit.  The keys depend on
+Draw m reads the ceil(N / 2) random words from counter m * ceil(N / 2)
+on as 32-bit keys (``draw_keys``), one key per unit.  The keys depend on
 (seed, m) alone, so draw sets that sample the same index from one stream
 read the same keys: common random numbers.  A complete draw treats the k
 units with the smallest keys, a tie at the k-th key going to the lowest

@@ -23,9 +23,9 @@ rows are made once, and every set samples its own assignments from them
 and evaluates them (common random numbers), so a set's draws are those of
 its own one-set ``run_many``.  Chunks are spread over
 ``TestConfig.threads`` pool threads, each drawing and evaluating its
-chunks in one workspace reused for the whole call, and ``run_sets`` keeps
-every product on one BLAS thread, so a draw's statistics do not depend
-on either thread count.
+chunks in one workspace reused for the whole call and kept for later
+calls, and ``run_sets`` keeps every product on one BLAS thread, so a
+draw's statistics do not depend on either thread count.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from ._workspace import Workspace
+from ._workspace import borrowed
 from .balance import GLOBAL_STATISTICS, _Evaluator, instrument_strength
 from .data import Dataset, TestConfig
 from .errors import MechanismError, StatisticError
@@ -209,9 +209,9 @@ def _evaluate_rows(draw, evaluators, m: int, config: TestConfig) -> list[tuple[d
     j-th, and adds set j's rejected draws to ``tallies[j]``; each is
     evaluated before the next is drawn, so they may share the workspace's
     buffers.  Each worker thread takes chunks in order from one shared
-    iterator and keeps one ``Workspace`` for all of them and all sets; the
-    workspaces go when this returns.  Returns each set's statistics and
-    redraw count.
+    iterator and keeps one ``Workspace`` for all of them and all sets,
+    borrowed from the idle ones of earlier calls and left idle for later
+    ones.  Returns each set's statistics and redraw count.
     """
     # covariate-major: each covariate's M draws are contiguous for _summarize
     outs = [{name: np.empty((m,) if name in GLOBAL_STATISTICS else (m, evaluator.k),
@@ -225,17 +225,17 @@ def _evaluate_rows(draw, evaluators, m: int, config: TestConfig) -> list[tuple[d
     lock = threading.Lock()
 
     def worker():
-        workspace = Workspace()
         tallies = [DrawTally() for _ in evaluators]
-        while True:
-            with lock:
-                lo, hi = next(chunks, (None, None))
-            if lo is None:
-                return [tally.redraws for tally in tallies]
-            for evaluator, out, z in zip(evaluators, outs,
-                                         draw(lo, hi, tallies, workspace)):
-                for name, values in evaluator(z, workspace=workspace).items():
-                    out[name][lo:hi] = values
+        with borrowed() as workspace:
+            while True:
+                with lock:
+                    lo, hi = next(chunks, (None, None))
+                if lo is None:
+                    return [tally.redraws for tally in tallies]
+                for evaluator, out, z in zip(evaluators, outs,
+                                             draw(lo, hi, tallies, workspace)):
+                    for name, values in evaluator(z, workspace=workspace).items():
+                        out[name][lo:hi] = values
 
     workers = min(config.threads, len(bounds) - 1)
     if workers > 1:

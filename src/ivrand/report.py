@@ -242,8 +242,8 @@ def build_report(
     complete set at its observed count) and each target's Bernoulli
     ``"reference"``; each (target, mechanism) is drawn once, and every
     Monte Carlo set in one ``run_sets`` call, so draw m of every set reads
-    the same key row.  The comparison, also ``RunReport.comparison``, reads the benchmark and the
-    references.  An observed statistic undefined for either target raises
+    the same key row.  The comparison, also ``RunReport.comparison``, reads
+    the benchmark and the references.  An observed statistic undefined for either target raises
     ``StatisticError``.  With ``exact`` there is no comparison, each test
     enumerates the target's complete-randomization set, and either count
     may exceed the cap (``CapExceededError``).  The propensity

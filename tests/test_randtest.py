@@ -29,6 +29,7 @@ from ivrand import (
     scmd,
 )
 from ivrand import fit_propensities, predict, randtest
+from ivrand import _workspace
 from ivrand._workspace import Workspace
 from ivrand.balance import PANEL_UNITS
 from ivrand.cli import _HIST_BIN_RULES
@@ -1269,6 +1270,42 @@ class TestCommonKeys:
         assert doc["comparison"]["bernoulli_redraws"] == {"instrument": 0, "exposure": 0}
         assert len(words) > 1   # several chunks
         assert sum(words) == cfg.n_draws * ((ds.n_units + 1) // 2)
+
+
+class TestIdleWorkspaces:
+    """A pool thread's workspace outlives its call; what an earlier call left
+    in it never reaches a later call's results."""
+
+    def test_a_later_call_borrows_the_idle_workspace(self, monkeypatch):
+        monkeypatch.setattr(_workspace, "_idle", [])
+        ds = _dataset(n=40)
+        cfg = TestConfig(n_draws=300, seed=2)
+        run_many(ds, "instrument", ("scmd",), cfg)
+        (idle,) = _workspace._idle
+        run_many(ds, "exposure", ("scmd",), cfg)
+        assert _workspace._idle == [idle]
+        with _workspace.borrowed() as workspace:
+            assert workspace is idle
+            assert _workspace._idle == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_results_do_not_depend_on_an_earlier_call(self, monkeypatch, threads):
+        ds = _golden_undefined_dataset()
+        cfg = TestConfig(n_draws=300, seed=3, threads=threads)
+        bernoulli = MechanismSpec.bernoulli(predict(fit_propensities(ds)[0], ds.covariates))
+        sets = [("instrument", ("scmd", "sqrt_mahalanobis"), bernoulli),
+                ("exposure", ("iv_bias",), None)]
+        monkeypatch.setattr(_workspace, "_idle", [])
+        fresh = randtest.run_sets(ds, sets, cfg)
+        # a wider call leaves larger buffers, filled with its own draws
+        run_many(_dataset(n=90, k=4, seed=1), "instrument", STATISTICS, cfg)
+        assert _workspace._idle
+        again = randtest.run_sets(ds, sets, cfg)
+        assert fresh[0]["scmd"].n_redraws > 0
+        for before, after in zip(fresh, again):
+            for s, result in before.items():
+                assert np.array_equal(result.draws, after[s].draws, equal_nan=True)
+                assert result.n_redraws == after[s].n_redraws
 
 
 class TestEvaluatorSymmetry:
