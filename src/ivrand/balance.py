@@ -9,16 +9,16 @@ mean-difference vector under an estimate of its covariance.
 
 ``_Evaluator`` defines each statistic, and when it is undefined, once:
 the test engine calls it on chunks of draws, and ``prevalence_difference``,
-``scmd``, ``iv_bias`` and ``mahalanobis`` are one-row calls of it.
-Undefined values are NaN, so callers can count and exclude them rather
-than crash mid-run.  ``mean_difference_covariance`` and
+``scmd``, ``iv_bias`` and ``mahalanobis`` are one-row calls of it.  It
+is built once per dataset, and each call chooses its statistics and its
+bias denominator.  Undefined values are NaN, so callers can count and
+exclude them rather than crash mid-run.  ``mean_difference_covariance`` and
 ``mahalanobis_from_components`` are an independent SVD oracle for the
 closed-form Mahalanobis distance.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +68,13 @@ class _Evaluator:
     the pooled covariance is well conditioned; centering changes no
     statistic (mean differences and within-group covariances are shift
     invariant).  ``covariates`` is (N, K); ``exposure=None`` fills the
-    exposure row of the product with zeros.  Bias divides by
-    ``fixed_strength``, or by each draw's own strength when it is None.
+    exposure row of the product with zeros.  The evaluator holds only what
+    the dataset fixes: each call names the statistics it computes and the
+    bias denominator it divides by, so one evaluator serves every draw set
+    of a dataset.
     """
 
-    def __init__(self, covariates: np.ndarray, exposure: np.ndarray | None, statistics,
-                 fixed_strength: float | None):
+    def __init__(self, covariates: np.ndarray, exposure: np.ndarray | None):
         self.n, self.k = covariates.shape
         xc = covariates - covariates.mean(axis=0)
         # a constant column centres to exactly 0, not to its rounded mean's
@@ -101,55 +102,29 @@ class _Evaluator:
         exposure = (np.zeros(self.n) if exposure is None
                     else np.asarray(exposure, dtype=np.float64))
         self.exposure_sum = float(exposure.sum())
-        # The product stacked_t @ z^T gives every group-1 sum of a chunk.
-        # Statistics all in GLOBAL_STATISTICS take the narrow rows
-        # [xc^T | 1]; any others take the wide rows
-        # [xc^T | 1 | (xc^2)^T | exposure], whose first K + 1 rows are the
-        # narrow ones, so evaluators of one dataset can share one operand
-        # (``sharing``).  BLAS rounds an output by its place in the product,
-        # so within one layout a draw's statistics do not depend on which
-        # others are requested; a global statistic may differ in its last
-        # bits between the two layouts.  The count and exposure rows sum 0/1
-        # values, exact in any order.  Stored C-contiguous, each row one
-        # contiguous operand: on one BLAS thread this product is faster than
-        # z @ stacked with stacked (N, rows).
+        # The product operand @ z^T gives every group-1 sum of a chunk, from
+        # the wide rows [xc^T | 1 | (xc^2)^T | exposure]; row K, the ones,
+        # gives the treated counts.  Statistics all in GLOBAL_STATISTICS read
+        # only the first K + 1, the narrow rows [xc^T | 1].  BLAS rounds an
+        # output by its place in the product, so within one layout a draw's
+        # statistics do not depend on which others are requested; a global
+        # statistic may differ in its last bits between the two layouts.  The
+        # count and exposure rows sum 0/1 values, exact in any order.  Stored
+        # C-contiguous, each row one contiguous operand: on one BLAS thread
+        # this product is faster than z @ operand^T.
         k = self.k
-        narrow = set(statistics) <= set(GLOBAL_STATISTICS)
-        self.count_row = k
-        self._operand = np.empty((k + 1 if narrow else 2 * k + 2, self.n))
+        self._operand = np.empty((2 * k + 2, self.n))
         self._operand[:k] = xc.T
         self._operand[k] = 1.0
-        if not narrow:
-            self._operand[k + 1:2 * k + 1] = xc_sq.T
-            self._operand[-1] = exposure
-        self._select(statistics, fixed_strength)
+        self._operand[k + 1:2 * k + 1] = xc_sq.T
+        self._operand[-1] = exposure
 
-    def _select(self, statistics, fixed_strength) -> None:
-        self.statistics = tuple(statistics)
-        # a zero fixed denominator leaves bias undefined, as a zero
-        # per-draw strength does
-        self.fixed_strength = np.nan if fixed_strength == 0.0 else fixed_strength
-        if set(self.statistics) <= set(GLOBAL_STATISTICS):
-            self.stacked_t = self._operand[:self.k + 1]
-        elif len(self._operand) == self.k + 1:
-            raise ValueError("a narrow operand has no rows for " + ", ".join(self.statistics))
-        else:
-            self.stacked_t = self._operand
+    def group_sums(self, z_chunk: np.ndarray, statistics,
+                   workspace: Workspace | None = None) -> np.ndarray:
+        """(B, rows) group-1 sums of a (B, N) chunk: (operand @ z^T)^T.
 
-    def sharing(self, statistics, fixed_strength: float | None) -> "_Evaluator":
-        """An evaluator of ``statistics`` and ``fixed_strength`` on this one's
-        covariates and exposure that reads this one's operand, which must be
-        wide unless ``statistics`` are all global."""
-        other = copy.copy(self)
-        other._select(statistics, fixed_strength)
-        return other
-
-    def group_sums(self, z_chunk: np.ndarray, workspace: Workspace | None = None
-                   ) -> np.ndarray:
-        """(B, rows) group-1 sums of a (B, N) chunk: (stacked_t @ z^T)^T.
-
-        ``rows`` is K + 1 for the narrow layout and 2K + 2 for the wide
-        one; column ``count_row``, K in both, holds the treated counts.
+        ``rows`` is K + 1 when ``statistics`` are all global and 2K + 2
+        otherwise; column K holds the treated counts.
 
         The sums are accumulated over panels of ``PANEL_UNITS`` units, each
         cast into one reused (B, min(N, PANEL_UNITS)) float64 buffer (the
@@ -161,25 +136,32 @@ class _Evaluator:
         rows = len(z_chunk)
         panel = (workspace or Workspace()).get("panel", (rows, min(self.n, PANEL_UNITS)),
                                                np.float64)
-        sums = np.empty((len(self.stacked_t), rows))
+        narrow = set(statistics) <= set(GLOBAL_STATISTICS)
+        operand = self._operand[:self.k + 1] if narrow else self._operand
+        sums = np.empty((len(operand), rows))
         term = np.empty_like(sums)
         for lo in range(0, self.n, PANEL_UNITS):
             hi = min(lo + PANEL_UNITS, self.n)
             cast = panel[:, :hi - lo]
             np.copyto(cast, z_chunk[:, lo:hi])
             if lo == 0:
-                np.matmul(self.stacked_t[:, lo:hi], cast.T, out=sums)
+                np.matmul(operand[:, lo:hi], cast.T, out=sums)
             else:
-                np.matmul(self.stacked_t[:, lo:hi], cast.T, out=term)
+                np.matmul(operand[:, lo:hi], cast.T, out=term)
                 sums += term
         return sums.T
 
-    def __call__(self, z_chunk: np.ndarray, workspace: Workspace | None = None) -> dict:
-        """Statistics for a (B, N) chunk of assignments."""
+    def __call__(self, z_chunk: np.ndarray, statistics, fixed_strength: float | None = None,
+                 workspace: Workspace | None = None) -> dict:
+        """``statistics`` of a (B, N) chunk of assignments.
+
+        Bias divides by ``fixed_strength``, or by each draw's own strength
+        when it is None; a zero denominator of either kind leaves it NaN.
+        """
         k = self.k
-        sums = self.group_sums(z_chunk, workspace)
+        sums = self.group_sums(z_chunk, statistics, workspace)
         s1 = sums[:, :k]
-        n1 = sums[:, self.count_row]
+        n1 = sums[:, k]
         n0 = self.n - n1
         s0 = self.col_sums[None, :] - s1
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,9 +169,9 @@ class _Evaluator:
             diff[np.abs(diff) <= self.diff_tol * (1.0 / n1 + 1.0 / n0)[:, None]] = 0.0
 
         out: dict[str, np.ndarray] = {}
-        if "prevalence_diff" in self.statistics:
+        if "prevalence_diff" in statistics:
             out["prevalence_diff"] = diff
-        if "scmd" in self.statistics:
+        if "scmd" in statistics:
             q1 = sums[:, k + 1:2 * k + 1]
             q0 = self.sq_sums[None, :] - q1
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -206,19 +188,19 @@ class _Evaluator:
                 ratio = diff / pooled
             out["scmd"] = np.where(diff == 0.0, 0.0,
                                    np.where((pooled == 0.0) | constant, np.nan, ratio))
-        if "iv_bias" in self.statistics:
-            if self.fixed_strength is None:
+        if "iv_bias" in statistics:
+            if fixed_strength is None:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     strength = _strength(sums[:, -1], n1, n0, self.exposure_sum)
                     bias = diff / strength[:, None]
                 out["iv_bias"] = np.where(strength[:, None] == 0.0, np.nan, bias)
             else:
-                out["iv_bias"] = diff / self.fixed_strength
-        if "mahalanobis" in self.statistics or "sqrt_mahalanobis" in self.statistics:
+                out["iv_bias"] = diff / (np.nan if fixed_strength == 0.0 else fixed_strength)
+        if "mahalanobis" in statistics or "sqrt_mahalanobis" in statistics:
             md = self._mahalanobis(n1, n0, diff)
-            if "mahalanobis" in self.statistics:
+            if "mahalanobis" in statistics:
                 out["mahalanobis"] = md
-            if "sqrt_mahalanobis" in self.statistics:
+            if "sqrt_mahalanobis" in statistics:
                 out["sqrt_mahalanobis"] = np.sqrt(md)
         return out
 
@@ -258,8 +240,9 @@ def _one_row(covariates, assignment, statistic: str, exposure=None,
         raise StatisticError(
             f"{statistic} needs >= {min_group} units per group (got {n1} and {n0})")
     x = np.asarray(covariates, dtype=np.float64)
-    evaluator = _Evaluator(x.reshape(len(x), -1), exposure, (statistic,), fixed_strength)
-    return evaluator, evaluator(treated.astype(np.float64)[None, :])[statistic][0]
+    evaluator = _Evaluator(x.reshape(len(x), -1), exposure)
+    return evaluator, evaluator(treated.astype(np.float64)[None, :], (statistic,),
+                                fixed_strength)[statistic][0]
 
 
 def prevalence_difference(covariate_column, assignment) -> float:

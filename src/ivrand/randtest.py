@@ -21,7 +21,9 @@ count.  A chunk holds as many draws as fit a fixed byte budget
 every Monte Carlo draw set of a call in one chunk loop: each chunk's key
 rows are made once, and every set samples its own assignments from them
 and evaluates them (common random numbers), so a set's draws are those of
-its own one-set ``run_many``.  Chunks are spread over
+its own one-set ``run_many``.  One ``balance._Evaluator`` per call serves
+every set: each evaluation names its set's statistics and bias
+denominator.  Chunks are spread over
 ``TestConfig.threads`` pool threads, each drawing and evaluating its
 chunks in one workspace reused for the whole call and kept for later
 calls, and ``run_sets`` keeps every product on one BLAS thread, so a
@@ -201,12 +203,14 @@ def resolve_mechanism(mechanism, dataset: Dataset, target: str) -> MechanismSpec
     return spec
 
 
-def _evaluate_rows(draw, evaluators, m: int, config: TestConfig) -> list[tuple[dict, int]]:
+def _evaluate_rows(draw, evaluator: _Evaluator, sets, m: int, config: TestConfig
+                   ) -> list[tuple[dict, int]]:
     """Evaluate every draw set's statistics over rows [0, m) in one chunk loop.
 
-    ``draw(lo, hi, tallies, workspace)`` yields the (hi - lo, N) assignments
-    of one chunk for each draw set in turn, the set of ``evaluators[j]``
-    j-th, and adds set j's rejected draws to ``tallies[j]``; each is
+    ``sets`` holds each draw set's ``(statistics, fixed_strength)``, the
+    arguments of its ``evaluator`` calls.  ``draw(lo, hi, tallies,
+    workspace)`` yields the (hi - lo, N) assignments of one chunk for each
+    draw set in turn, and adds set j's rejected draws to ``tallies[j]``; each is
     evaluated before the next is drawn, so they may share the workspace's
     buffers.  Each worker thread takes chunks in order from one shared
     iterator and keeps one ``Workspace`` for all of them and all sets,
@@ -216,8 +220,8 @@ def _evaluate_rows(draw, evaluators, m: int, config: TestConfig) -> list[tuple[d
     # covariate-major: each covariate's M draws are contiguous for _summarize
     outs = [{name: np.empty((m,) if name in GLOBAL_STATISTICS else (m, evaluator.k),
                             order="F")
-             for name in evaluator.statistics} for evaluator in evaluators]
-    budget_rows = CHUNK_WORD_BYTES // (8 * evaluators[0].n)
+             for name in statistics} for statistics, _ in sets]
+    budget_rows = CHUNK_WORD_BYTES // (8 * evaluator.n)
     rows_per_chunk = min(CHUNK_MAX_ROWS, max(
         CHUNK_ROW_MULTIPLE, budget_rows // CHUNK_ROW_MULTIPLE * CHUNK_ROW_MULTIPLE))
     bounds = list(range(0, m, rows_per_chunk)) + [m]
@@ -225,16 +229,15 @@ def _evaluate_rows(draw, evaluators, m: int, config: TestConfig) -> list[tuple[d
     lock = threading.Lock()
 
     def worker():
-        tallies = [DrawTally() for _ in evaluators]
+        tallies = [DrawTally() for _ in sets]
         with borrowed() as workspace:
             while True:
                 with lock:
                     lo, hi = next(chunks, (None, None))
                 if lo is None:
                     return [tally.redraws for tally in tallies]
-                for evaluator, out, z in zip(evaluators, outs,
-                                             draw(lo, hi, tallies, workspace)):
-                    for name, values in evaluator(z, workspace=workspace).items():
+                for chosen, out, z in zip(sets, outs, draw(lo, hi, tallies, workspace)):
+                    for name, values in evaluator(z, *chosen, workspace).items():
                         out[name][lo:hi] = values
 
     workers = min(config.threads, len(bounds) - 1)
@@ -247,14 +250,15 @@ def _evaluate_rows(draw, evaluators, m: int, config: TestConfig) -> list[tuple[d
     return list(zip(outs, redraws))
 
 
-def _evaluate_mechanism_draws(specs, evaluators, config: TestConfig
+def _evaluate_mechanism_draws(specs, evaluator: _Evaluator, sets, config: TestConfig
                               ) -> list[tuple[dict, int]]:
-    """Evaluate each (spec, evaluator) draw set over config.n_draws draws.
+    """Evaluate each draw set, ``specs[j]`` evaluated as ``sets[j]`` (see
+    ``_evaluate_rows``), over config.n_draws draws.
 
     Draw m of every set is sampled from key row m of the seed's key stream
     (``rng.DOMAIN_KEYS``), made once per chunk for all sets.
     """
-    n = evaluators[0].n
+    n = evaluator.n
     stream = DrawStream(seed=config.seed, domain=DOMAIN_KEYS)
     samplers = [prepare_sampler(spec, n) for spec in specs]
 
@@ -264,15 +268,16 @@ def _evaluate_mechanism_draws(specs, evaluators, config: TestConfig
         for spec, sampler, tally in zip(specs, samplers, tallies):
             yield draw_batch(spec, n, stream, indices, tally, sampler, workspace, keys)
 
-    return _evaluate_rows(draw, evaluators, config.n_draws, config)
+    return _evaluate_rows(draw, evaluator, sets, config.n_draws, config)
 
 
-def _evaluate_enumeration(n_treated: int, evaluator: _Evaluator, config: TestConfig
+def _evaluate_enumeration(n_treated: int, evaluator: _Evaluator, chosen, config: TestConfig
                           ) -> tuple[dict, int]:
-    """Evaluate every assignment of ``n_treated`` units, in combination order."""
+    """Evaluate every assignment of ``n_treated`` units, in combination order,
+    as ``chosen``, one ``(statistics, fixed_strength)``."""
     matrix = enumerate_matrix(evaluator.n, n_treated, cap=config.enumeration_cap)
-    return _evaluate_rows(lambda lo, hi, tallies, workspace: [matrix[lo:hi]], [evaluator],
-                          len(matrix), config)[0]
+    return _evaluate_rows(lambda lo, hi, tallies, workspace: [matrix[lo:hi]], evaluator,
+                          [chosen], len(matrix), config)[0]
 
 
 def _combination_rank(vec) -> int:
@@ -356,9 +361,9 @@ def run_sets(dataset: Dataset, sets, config: TestConfig, exact: bool = False
     that call's.  The Monte Carlo sets run in one chunk loop: draw m of
     every set reads the same key row, made once (``rng.DOMAIN_KEYS``), and
     only a degenerate Bernoulli draw's later attempts read further words.
-    Every set reads one product operand, the wide layout when any set needs
-    it.  With ``exact`` each set enumerates its own complete mechanism in
-    its own loop.
+    One evaluator serves every set, each call naming the set's statistics
+    and bias denominator.  With ``exact`` each set enumerates its own
+    complete mechanism in its own loop.
     """
     prepared = []
     for target, statistics, mechanism in sets:
@@ -376,20 +381,16 @@ def run_sets(dataset: Dataset, sets, config: TestConfig, exact: bool = False
             if fixed_strength == 0.0:
                 raise StatisticError(
                     "observed exposure prevalence difference across the target is zero")
-        prepared.append((target, statistics, spec, vec, fixed_strength))
-    every = dict.fromkeys(s for _, statistics, *_ in prepared for s in statistics)
-    operand = _Evaluator(dataset.covariates, dataset.exposure, every, None)
-    evaluators = [operand.sharing(statistics, fixed_strength)
-                  for _, statistics, _, _, fixed_strength in prepared]
+        prepared.append((target, spec, vec, (statistics, fixed_strength)))
+    evaluator = _Evaluator(dataset.covariates, dataset.exposure)
     if exact:
-        drawn = [_evaluate_enumeration(spec.n_treated, evaluator, config)
-                 for (_, _, spec, _, _), evaluator in zip(prepared, evaluators)]
+        drawn = [_evaluate_enumeration(spec.n_treated, evaluator, chosen, config)
+                 for _, spec, _, chosen in prepared]
     else:
-        drawn = _evaluate_mechanism_draws([spec for _, _, spec, _, _ in prepared],
-                                          evaluators, config)
+        drawn = _evaluate_mechanism_draws([spec for _, spec, _, _ in prepared], evaluator,
+                                          [chosen for *_, chosen in prepared], config)
     results = []
-    for (target, statistics, spec, vec, _), evaluator, (draws, redraws) in zip(
-            prepared, evaluators, drawn):
+    for (target, spec, vec, chosen), (draws, redraws) in zip(prepared, drawn):
         enumerated = exact and vec.sum() == spec.n_treated
         if enumerated:
             # the observed assignment's own enumerated row, evaluated exactly
@@ -400,13 +401,13 @@ def run_sets(dataset: Dataset, sets, config: TestConfig, exact: bool = False
             # Monte Carlo, or an exact n_treated that differs from the
             # observed count: the observed assignment is not a draw, so p
             # keeps its +1
-            stats = evaluator(vec.astype(np.float64)[None, :])
+            stats = evaluator(vec.astype(np.float64)[None, :], *chosen)
             observed = {name: values[0] for name, values in stats.items()}
         results.append({
             name: _summarize(target, name, dataset, observed[name], draws[name],
                              config, spec, exact=exact, n_redraws=redraws,
                              offset=0 if enumerated else 1)
-            for name in statistics
+            for name in chosen[0]
         })
     return results
 

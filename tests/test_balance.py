@@ -99,6 +99,8 @@ class TestIvBias:
         z = np.array([1, 1, 0, 0])
         d = np.array([1, 0, 1, 0])   # same exposure rate in both groups
         assert np.isnan(iv_bias(x, z, d))
+        # a zero fixed denominator, beside an exposure of strength 0.5
+        assert np.isnan(iv_bias(x, z, np.array([1, 0, 0, 0]), denominator=0.0))
 
     def test_fixed_denominator_override(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])

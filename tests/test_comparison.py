@@ -20,6 +20,7 @@ from ivrand import (
     fit_propensities,
     generate,
     predict,
+    run_many,
     run_test,
     separation_diagnostics,
 )
@@ -164,23 +165,17 @@ class TestCompareMechanisms:
     def test_constant_propensities_indistinguishable_from_cr(self):
         """Bernoulli with p = N_T/N for both models matches the complete
         randomization benchmark (up to its fixed-count conditioning)."""
-        from ivrand.randtest import _Evaluator, _evaluate_mechanism_draws
-
         ds = _synthetic(0, instrument_model="randomized",
                         confounding_strength=0.0, instrument_effect=0.0)
         cfg = TestConfig(n_draws=2000, seed=5)
         cr = run_test(ds, "instrument", cfg, statistic="sqrt_mahalanobis")
         p_const = np.full(ds.n_units, ds.n_treated_instrument / ds.n_units)
-        evaluator = _Evaluator(ds.covariates, None, ("sqrt_mahalanobis",), None)
         spec = MechanismSpec.bernoulli(p_const)
         # every draw set of one seed reads the same keys, so each sample is
         # drawn at a seed of its own: three independent samples
-        (bt1, _), = _evaluate_mechanism_draws([spec], [evaluator],
-                                              TestConfig(n_draws=2000, seed=6))
-        (bt2, _), = _evaluate_mechanism_draws([spec], [evaluator],
-                                              TestConfig(n_draws=2000, seed=7))
-        a = bt1["sqrt_mahalanobis"]
-        b = bt2["sqrt_mahalanobis"]
+        a, b = (run_many(ds, "instrument", ("sqrt_mahalanobis",),
+                         TestConfig(n_draws=2000, seed=seed), spec)["sqrt_mahalanobis"].draws
+                for seed in (6, 7))
         assert ks_2samp(a, b).pvalue > 0.001
         assert ks_2samp(a, cr.draws).pvalue > 0.001
         assert ks_2samp(b, cr.draws).pvalue > 0.001

@@ -36,7 +36,7 @@ from ivrand.cli import _HIST_BIN_RULES
 from ivrand.mechanisms import (draw_batch, draw_bernoulli, draw_block, draw_complete,
                                enumerate_matrix, prepare_sampler)
 from ivrand.randtest import GLOBAL_STATISTICS, STATISTICS, _Evaluator
-from ivrand.report import build_report
+from ivrand.report import DEFAULT_STATISTICS, build_report
 from ivrand.rng import DOMAIN_KEYS, DrawStream
 from ivrand.synth import PRESETS, ScenarioSpec, generate
 
@@ -316,8 +316,9 @@ class TestRunTest:
                            match="observed sqrt_mahalanobis is undefined"):
             run_test(ds, "instrument", TestConfig(n_draws=500, seed=1),
                      statistic="sqrt_mahalanobis")
-        evaluator = _Evaluator(ds.covariates, None, ("mahalanobis",), None)
-        engine = evaluator(ds.instrument[None, :].astype(np.float64))["mahalanobis"]
+        evaluator = _Evaluator(ds.covariates, None)
+        engine = evaluator(ds.instrument[None, :].astype(np.float64),
+                           ("mahalanobis",))["mahalanobis"]
         assert np.isnan(engine[0])
         assert np.isnan(mahalanobis(ds.covariates, ds.instrument).mahalanobis)
 
@@ -335,8 +336,8 @@ class TestRunTest:
         assert np.isnan(scmd(ds.covariates[:, 1], d))
         with pytest.raises(StatisticError, match="observed scmd is undefined .*: d$"):
             run_test(ds, "exposure", TestConfig(n_draws=200, seed=1), statistic="scmd")
-        evaluator = _Evaluator(ds.covariates, None, ("scmd",), None)
-        engine = evaluator(d[None, :].astype(np.float64))["scmd"][0]
+        evaluator = _Evaluator(ds.covariates, None)
+        engine = evaluator(d[None, :].astype(np.float64), ("scmd",))["scmd"][0]
         assert np.isfinite(engine[0]) and np.isnan(engine[1])
 
 
@@ -432,25 +433,26 @@ class TestChunking:
         x = rng.standard_normal((n, 3)) * [1.0, 1e3, 1e-3] + [0.0, 5.0, -2.0]
         d = (rng.random(n) < 0.4).astype(np.int8)
         z = (rng.random((37, n)) < 0.3).astype(np.int8)
-        # the wide layout, and the narrow one of a global-only evaluator
+        # the wide layout, and the narrow one of global-only statistics
+        evaluator = _Evaluator(x, d)
         for statistics in (("scmd",), ("sqrt_mahalanobis",)):
-            evaluator = _Evaluator(x, d, statistics, None)
-            sums = evaluator.group_sums(z, Workspace())
-            one_product = (evaluator.stacked_t @ z.astype(np.float64).T).T
+            sums = evaluator.group_sums(z, statistics, Workspace())
+            operand = evaluator._operand[:sums.shape[1]]
+            one_product = (operand @ z.astype(np.float64).T).T
             if n <= PANEL_UNITS:
                 assert np.array_equal(sums, one_product)
             else:
                 # within 1e-12 of the sum of magnitudes that each entry adds up
-                scale = (np.abs(evaluator.stacked_t) @ z.astype(np.float64).T).T
+                scale = (np.abs(operand) @ z.astype(np.float64).T).T
                 assert np.all(np.abs(sums - one_product) <= 1e-12 * scale)
                 # the treated counts (and the wide layout's exposure sums, its
                 # last row) add 0/1 values: exact
-                exact = [evaluator.count_row, -1]
+                exact = [evaluator.k, -1]
                 assert np.array_equal(sums[:, exact], one_product[:, exact])
-            assert np.array_equal(sums[:, evaluator.count_row], z.sum(axis=1))
+            assert np.array_equal(sums[:, evaluator.k], z.sum(axis=1))
             # a float64 row (the observed assignment) takes the same path
-            assert np.array_equal(evaluator.group_sums(z[:1].astype(np.float64)),
-                                  evaluator.group_sums(z[:1]))
+            assert np.array_equal(evaluator.group_sums(z[:1].astype(np.float64), statistics),
+                                  evaluator.group_sums(z[:1], statistics))
 
     @pytest.mark.parametrize("rank_deficient", [False, True])
     @pytest.mark.parametrize("n", [300, 3_073])
@@ -466,29 +468,56 @@ class TestChunking:
         z[0, 7] = 1     # one treated unit: undefined
         z[1] = 1
         z[1, 3] = 0     # one control unit: undefined
-        narrow = _Evaluator(x, d, GLOBAL_STATISTICS, None)
-        wide = _Evaluator(x, d, STATISTICS, None)
-        assert narrow.stacked_t.shape == (5, n) and wide.stacked_t.shape == (10, n)
-        assert _Evaluator(x, d, ("sqrt_mahalanobis",), None).stacked_t.shape == (5, n)
-        assert narrow.whiten.shape[1] == (3 if rank_deficient else 4)
+        evaluator = _Evaluator(x, d)
+        assert evaluator.group_sums(z, GLOBAL_STATISTICS).shape == (40, 5)
+        assert evaluator.group_sums(z, STATISTICS).shape == (40, 10)
+        assert evaluator.group_sums(z, ("sqrt_mahalanobis",)).shape == (40, 5)
+        assert evaluator.whiten.shape[1] == (3 if rank_deficient else 4)
         workspace = Workspace()
-        a, b = narrow(z, workspace), wide(z, workspace)
+        a = evaluator(z, GLOBAL_STATISTICS, workspace=workspace)
+        b = evaluator(z, STATISTICS, workspace=workspace)
         for name in GLOBAL_STATISTICS:
             assert np.array_equal(np.isnan(a[name]), np.isnan(b[name]))
             assert np.isnan(a[name][:2]).all() and np.isfinite(a[name][2:]).all()
             np.testing.assert_allclose(a[name], b[name], rtol=1e-12)
 
+    def test_each_call_chooses_its_statistics(self):
+        # one evaluator and one chunk: a global-only call between two calls
+        # of the default statistics leaves no trace in the second, and its
+        # narrow product agrees with their wide one
+        rng = np.random.default_rng(27)
+        n = 3_073
+        x = rng.standard_normal((n, 4)) * [1.0, 1e2, 1e-2, 1.0] + [0.0, 5.0, -2.0, 1.0]
+        d = (rng.random(n) < 0.4).astype(np.int8)
+        z = (rng.random((40, n)) < 0.3).astype(np.int8)
+        z[0] = 0
+        z[0, 7] = 1     # one treated unit: undefined
+        evaluator = _Evaluator(x, d)
+        workspace = Workspace()
+        first = evaluator(z, DEFAULT_STATISTICS, workspace=workspace)
+        global_only = evaluator(z, GLOBAL_STATISTICS, workspace=workspace)
+        third = evaluator(z, DEFAULT_STATISTICS, workspace=workspace)
+        assert first.keys() == third.keys() == set(DEFAULT_STATISTICS)
+        for name, values in first.items():
+            assert np.array_equal(values, third[name], equal_nan=True)
+        assert global_only.keys() == set(GLOBAL_STATISTICS)
+        wide = first["sqrt_mahalanobis"]
+        assert np.isnan(wide[0]) and np.isfinite(wide[1:]).all()
+        for name, values in (("sqrt_mahalanobis", wide), ("mahalanobis", wide**2)):
+            assert np.array_equal(np.isnan(global_only[name]), np.isnan(values))
+            np.testing.assert_allclose(global_only[name], values, rtol=1e-12)
+
     def test_evaluator_makes_no_float64_copy_of_the_chunk(self):
         rows, n = 32, 100_000
         rng = np.random.default_rng(2)
-        evaluator = _Evaluator(rng.standard_normal((n, 2)), None,
-                               ("scmd", "sqrt_mahalanobis"), None)
+        evaluator = _Evaluator(rng.standard_normal((n, 2)), None)
+        statistics = ("scmd", "sqrt_mahalanobis")
         z = (rng.random((rows, n)) < 0.5).astype(np.int8)
         workspace = Workspace()
-        first = evaluator(z, workspace=workspace)
+        first = evaluator(z, statistics, workspace=workspace)
         tracemalloc.start()
         try:
-            again = evaluator(z, workspace=workspace)
+            again = evaluator(z, statistics, workspace=workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -583,11 +612,11 @@ class TestBatchAgainstScalarOps:
 
     def test_all_statistics_agree_per_draw(self):
         ds = _dataset(n=40, k=4, seed=9)
-        evaluator = _Evaluator(ds.covariates, ds.exposure, STATISTICS, None)
+        evaluator = _Evaluator(ds.covariates, ds.exposure)
         stream = DrawStream(seed=17, domain=0)
         draws = draw_batch(MechanismSpec.complete(20), 40, stream,
                            np.arange(50, dtype=np.uint64))
-        batch = evaluator(draws.astype(np.float64))
+        batch = evaluator(draws.astype(np.float64), STATISTICS)
         d = ds.exposure.astype(np.float64)
         for m in range(50):
             t = draws[m] == 1
@@ -636,8 +665,8 @@ class TestScalarApiIsTheEngine:
     def test_near_separated_covariate_is_undefined(self):
         # a zero-variance test alone gives SCMD 1e7 and Mahalanobis 5e15 here
         ds = _near_separated_dataset()
-        evaluator = _Evaluator(ds.covariates, None, ("scmd", "mahalanobis"), None)
-        engine = evaluator(ds.instrument[None, :].astype(np.float64))
+        evaluator = _Evaluator(ds.covariates, None)
+        engine = evaluator(ds.instrument[None, :].astype(np.float64), ("scmd", "mahalanobis"))
         assert np.isnan(engine["scmd"][0, 0]) and np.isnan(engine["mahalanobis"][0])
         assert np.isnan(scmd(ds.covariates[:, 0], ds.instrument))
         gb = mahalanobis(ds.covariates, ds.instrument)
@@ -650,9 +679,9 @@ class TestScalarApiIsTheEngine:
         ds = {10: _separated_dataset, 11: _near_separated_dataset}.get(
             case, lambda: _dataset(n=60, k=4, seed=case, confounded=True))()
         z = ds.target_vector(target)
-        evaluator = _Evaluator(ds.covariates, ds.exposure, STATISTICS, None)
+        evaluator = _Evaluator(ds.covariates, ds.exposure)
         engine = {name: values[0] for name, values in
-                  evaluator(z.astype(np.float64)[None, :]).items()}
+                  evaluator(z.astype(np.float64)[None, :], STATISTICS).items()}
         columns = ds.covariates.T
         scalar = {
             "prevalence_diff": [prevalence_difference(col, z) for col in columns],
@@ -1071,7 +1100,7 @@ def _independent_dataset(seed, n=1_000, k=10, z_share=0.5, d_share=0.1):
 
 
 class TestReportDrawSets:
-    @pytest.mark.parametrize("kwargs, n_evaluators", [
+    @pytest.mark.parametrize("kwargs, n_sets", [
         ({}, 4),                            # instrument, exposure, Bernoulli pair
         # two block tests, the complete benchmark, Bernoulli pair
         ({"mechanism": MechanismSpec.block(("a", "b") * 8)}, 5),
@@ -1083,26 +1112,20 @@ class TestReportDrawSets:
         # no tests: the benchmark and the Bernoulli pair only
         ({"statistics": ()}, 3),
     ])
-    def test_one_evaluator_per_draw_set(self, monkeypatch, kwargs, n_evaluators):
-        # every draw set's evaluator shares the one operand built per report
-        built, shared = [], []
-        original_init, original_sharing = randtest._Evaluator.__init__, randtest._Evaluator.sharing
+    def test_one_evaluator_per_draw_set(self, monkeypatch, kwargs, n_sets):
+        # one evaluator serves every draw set of a report's one run_sets call
+        built = []
+        original_init = randtest._Evaluator.__init__
 
         def counted(self, *args, **kw):
             built.append(args)
             original_init(self, *args, **kw)
 
-        def counted_sharing(self, *args):
-            shared.append(args)
-            return original_sharing(self, *args)
-
         monkeypatch.setattr(randtest._Evaluator, "__init__", counted)
-        monkeypatch.setattr(randtest._Evaluator, "sharing", counted_sharing)
         ds = _dataset(n=16, k=3, seed=17, confounded=True)
         build_report(ds, TestConfig(n_draws=100, seed=1), **kwargs)
-        assert len(shared) == n_evaluators
         # exact sets are enumerated one call each
-        assert len(built) == (n_evaluators if kwargs.get("exact") else 1)
+        assert len(built) == (n_sets if kwargs.get("exact") else 1)
 
     def test_bernoulli_tests_are_the_comparison_sets(self):
         ds = _dataset(n=200, k=2, seed=12, confounded=True)
@@ -1336,10 +1359,10 @@ class TestEvaluatorSymmetry:
     @given(st.integers(0, 2**31 - 1))
     def test_relabelling_groups(self, seed):
         _, ds, chunk, scales = self._case(seed, decades=6.0)
-        evaluator = _Evaluator(ds.covariates, None, ("prevalence_diff", "scmd", "mahalanobis"),
-                               None)
-        before = evaluator(chunk)
-        after = evaluator(1.0 - chunk)
+        evaluator = _Evaluator(ds.covariates, None)
+        statistics = ("prevalence_diff", "scmd", "mahalanobis")
+        before = evaluator(chunk, statistics)
+        after = evaluator(1.0 - chunk, statistics)
         np.testing.assert_allclose(after["prevalence_diff"], -before["prevalence_diff"],
                                    rtol=1e-10, atol=1e-12 * scales.max())
         np.testing.assert_allclose(after["scmd"], -before["scmd"], rtol=1e-10, atol=1e-12)
@@ -1355,12 +1378,13 @@ class TestEvaluatorSymmetry:
         d = ds.exposure.astype(np.float64)
         if bias_mode == "fixed_observed":
             strength = np.full(len(chunk), rng.uniform(0.05, 1.0) * rng.choice([-1.0, 1.0]))
-            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), strength[0])
+            fixed_strength = strength[0]
         else:
             strength = chunk @ d / chunk.sum(axis=1) - (1 - chunk) @ d / (1 - chunk).sum(axis=1)
-            evaluator = _Evaluator(ds.covariates, d, ("iv_bias",), None)
-        before = evaluator(chunk)["iv_bias"]
-        after = evaluator(1.0 - chunk)["iv_bias"]
+            fixed_strength = None
+        evaluator = _Evaluator(ds.covariates, d)
+        before = evaluator(chunk, ("iv_bias",), fixed_strength)["iv_bias"]
+        after = evaluator(1.0 - chunk, ("iv_bias",), fixed_strength)["iv_bias"]
         sign = -1.0 if bias_mode == "fixed_observed" else 1.0
         atol = 1e-12 * scales.max() / np.abs(strength[strength != 0.0]).min(initial=np.inf)
         np.testing.assert_allclose(after, sign * before, rtol=1e-10, atol=atol)
@@ -1378,7 +1402,7 @@ class TestEvaluatorSymmetry:
         assert np.linalg.cond(a) < 1e3
         b = rng.uniform(-100, 100, k)
         before, after = (
-            _Evaluator(x, None, ("mahalanobis",), None)(chunk)["mahalanobis"]
+            _Evaluator(x, None)(chunk, ("mahalanobis",))["mahalanobis"]
             for x in (ds.covariates, ds.covariates @ a.T + b))
         assert np.isfinite(before).all()
         np.testing.assert_allclose(after, before, rtol=1e-8)
